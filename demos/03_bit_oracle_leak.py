@@ -7,7 +7,7 @@ import numpy as np
 
 import bfvlab.bfv as bfv
 from bfvlab import get_params
-from bfvlab.attacks import ZeroCheckOracle, bit_leak_attack, bit_leak_probe
+from bfvlab.attacks import ZeroCheckOracle, bit_leak_attack, bit_leak_offset, bit_leak_probe
 
 params = get_params("bitleak-2048")
 rng = np.random.default_rng(2)
@@ -16,7 +16,7 @@ oracle = ZeroCheckOracle.honest(sk, params)
 
 # probe i shifts the public key by M at coefficient i with M about
 # delta/4: the sum M*(1 + s_i) rounds to zero exactly when s_i = 0
-m_val = params.delta // 4 + 20
+m_val = bit_leak_offset(params)
 print(f"probe amplitude M = delta/4 + 20 = {m_val}")
 for index in (0, 1, 2, 3):
     answer = oracle(bit_leak_probe(pk, index, params))

@@ -20,7 +20,6 @@ through a counting oracle and returns an AttackReport.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Callable, Optional
@@ -47,6 +46,7 @@ __all__ = [
     "ZeroCheckOracle",
     "AttackReport",
     "cca_one_query",
+    "bit_leak_offset",
     "bit_leak_probe",
     "bit_leak_attack",
     "evaluation_noise",
@@ -129,16 +129,21 @@ def cca_one_query(oracle: DecryptionOracle, params: BfvParams) -> SecretKey:
     return SecretKey(Polynomial(bits, params.q))
 
 
+def bit_leak_offset(params: BfvParams) -> int:
+    """The probe amplitude M = floor(delta/4) + 20 used by bit_leak_probe."""
+    return params.delta // 4 + 20
+
+
 def bit_leak_probe(pk: PublicKey, index: int, params: BfvParams) -> Ciphertext:
     """Chosen ciphertext whose decryption is zero exactly when s_index = 0.
 
-    With M = floor(delta/4) + 20 the probe (pk0 + M*x^index, pk1 + M)
+    With M = bit_leak_offset(params) the probe (pk0 + M*x^index, pk1 + M)
     satisfies c0 + c1*s = -e + M*x^index + M*s.  Coefficients of size
     about M scale to 1/4 and round to zero; the target coefficient
     reaches about 2M when s_index = 1 and crosses the rounding
     threshold q/(2t).
     """
-    m_val = params.delta // 4 + 20
+    m_val = bit_leak_offset(params)
     c0 = pk.pk0 + monomial(index, m_val, params.ring)
     c1 = pk.pk1 + monomial(0, m_val, params.ring)
     return Ciphertext(c0, c1)
@@ -273,11 +278,10 @@ class AttackReport:
     oracle_calls: int
     recovered: dict
     success: bool
-    elapsed_seconds: Optional[float] = None
     details: dict = field(default_factory=dict)
 
-    def to_json(self, include_timing: bool = True) -> dict:
-        obj = {
+    def to_json(self) -> dict:
+        return {
             "attack": self.attack,
             "parameter_set": self.parameter_set,
             "oracle_calls": self.oracle_calls,
@@ -285,9 +289,6 @@ class AttackReport:
             "success": self.success,
             "details": self.details,
         }
-        if include_timing and self.elapsed_seconds is not None:
-            obj["elapsed_seconds"] = self.elapsed_seconds
-        return obj
 
 
 def _describe_params(params: BfvParams, name: Optional[str]) -> dict:
@@ -301,18 +302,15 @@ def run_cca_attack(
     params: BfvParams, rng: np.random.Generator, set_name: Optional[str] = None
 ) -> AttackReport:
     """Generate a key pair, run the one-query recovery, compare to ground truth."""
-    start = time.perf_counter()
     sk, _pk = bfv.keygen(params, rng)
     oracle = DecryptionOracle.honest(sk, params)
     recovered = cca_one_query(oracle, params)
-    elapsed = time.perf_counter() - start
     return AttackReport(
         attack="cca-one-query",
         parameter_set=_describe_params(params, set_name),
         oracle_calls=oracle.calls,
         recovered={"secret_key": recovered.s.to_hex()},
         success=recovered.s == sk.s and oracle.calls == 1,
-        elapsed_seconds=elapsed,
         details={"key_bits": params.d},
     )
 
@@ -321,18 +319,15 @@ def run_bit_leak_attack(
     params: BfvParams, rng: np.random.Generator, set_name: Optional[str] = None
 ) -> AttackReport:
     """Generate a key pair, recover it through a zero-check oracle bit by bit."""
-    start = time.perf_counter()
     sk, pk = bfv.keygen(params, rng)
     oracle = ZeroCheckOracle.honest(sk, params)
     recovered = bit_leak_attack(oracle, pk, params)
-    elapsed = time.perf_counter() - start
     return AttackReport(
         attack="bit-leak",
         parameter_set=_describe_params(params, set_name),
         oracle_calls=oracle.calls,
         recovered={"secret_key": recovered.s.to_hex()},
         success=recovered.s == sk.s and oracle.calls == params.d,
-        elapsed_seconds=elapsed,
         details={"key_bits": params.d, "queries_per_bit": 1},
     )
 
@@ -363,7 +358,6 @@ def run_circuit_privacy_attack(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    start = time.perf_counter()
     recoveries = 0
     blocked = 0
     correctness_failures = 0
@@ -409,7 +403,6 @@ def run_circuit_privacy_attack(
                 "r": r_rec.poly.to_hex(),
                 "m_b": m_b_rec.poly.to_hex(),
             }
-    elapsed = time.perf_counter() - start
     success = recoveries == trials and correctness_failures == 0
     return AttackReport(
         attack="circuit-privacy",
@@ -417,7 +410,6 @@ def run_circuit_privacy_attack(
         oracle_calls=0,
         recovered=last_recovered,
         success=success,
-        elapsed_seconds=elapsed,
         details={
             "trials": trials,
             "recoveries": recoveries,
@@ -450,7 +442,7 @@ def encoder_leak_demo(
                 "inputs": list(pair),
                 "decrypted_hex": decrypted.poly.to_hex(),
                 "decrypted_coeffs_head": decrypted.poly.to_coeff_list()[:4],
-                "decoded": integer_decode(decrypted, params),
+                "decoded": integer_decode(decrypted),
             }
         )
     return records[0], records[1]
@@ -460,9 +452,7 @@ def run_encoder_leak_demo(
     params: BfvParams, rng: np.random.Generator, set_name: Optional[str] = None
 ) -> AttackReport:
     """Run the encoder-leakage experiment and report what distinguishes the pairs."""
-    start = time.perf_counter()
     first, second = encoder_leak_demo(params, rng)
-    elapsed = time.perf_counter() - start
     polynomials_differ = first["decrypted_hex"] != second["decrypted_hex"]
     decodes_agree = first["decoded"] == second["decoded"]
     return AttackReport(
@@ -474,7 +464,6 @@ def run_encoder_leak_demo(
             "sum_of_2_2": second["decrypted_hex"],
         },
         success=polynomials_differ and decodes_agree,
-        elapsed_seconds=elapsed,
         details={
             "pairs": [first, second],
             "polynomials_differ": polynomials_differ,

@@ -56,25 +56,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BfvParams:
-    """Scheme parameters: ring, plaintext modulus, noise width.
-
-    relin_base is the decomposition base T a full BFV deployment would
-    use for relinearisation keys.  Nothing here multiplies ciphertexts,
-    so it is carried only for parameter-set completeness.
-    """
+    """Scheme parameters: ring, plaintext modulus, noise width."""
 
     ring: RingParams
     t: int
     sigma: float = 3.2
-    relin_base: int = 100
 
     def __post_init__(self) -> None:
         if not 1 < self.t < self.ring.q:
             raise ValueError("plaintext modulus must satisfy 1 < t < q")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        if self.relin_base < 2:
-            raise ValueError("relin_base must be at least 2")
 
     @property
     def d(self) -> int:
@@ -88,16 +80,6 @@ class BfvParams:
     def delta(self) -> int:
         """Plaintext scaling factor floor(q / t)."""
         return self.ring.q // self.t
-
-    @property
-    def relin_levels(self) -> int:
-        """floor(log_T(q)): how many base-T digits a relinearisation key would carry."""
-        level = 0
-        power = self.relin_base
-        while power <= self.ring.q:
-            level += 1
-            power *= self.relin_base
-        return level
 
 
 PARAM_SETS: dict[str, BfvParams] = {

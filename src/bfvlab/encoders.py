@@ -39,7 +39,7 @@ def integer_encode(n: int, params: BfvParams) -> Plaintext:
     return Plaintext(Polynomial(coeffs, params.t))
 
 
-def integer_decode(m: Plaintext, params: BfvParams) -> int:
+def integer_decode(m: Plaintext) -> int:
     """Evaluate the plaintext at x = 2 using centered coefficients."""
     total = 0
     for i, c in enumerate(m.poly.to_coeff_list()):

@@ -440,7 +440,7 @@ def session_zero_check_oracle(
     into a key-leak channel.
     """
     pk = alice_keys[1]
-    m_val = params.delta // 4 + 20
+    m_val = attacks.bit_leak_offset(params)
 
     def infer_index(ct: Ciphertext) -> int:
         delta_c0 = (ct.c0 - pk.pk0).to_coeff_list()

@@ -2,11 +2,12 @@
 
 Every coefficient is kept as the centered residue in the half-open
 interval [-m/2, m/2).  Multiplication is schoolbook negacyclic
-convolution; to keep it exact for moduli up to 62 bits the operands are
-split into narrow limbs, each limb pair is convolved in int64, and the
-limb products are recombined with arbitrary-precision integers before
-the final reduction.  There is deliberately no NTT or floating-point
-path: exactness and simplicity over asymptotics.
+convolution in int64 only, exact for moduli below 2**62: the operands
+are split into narrow limbs so every folded limb convolution sums to
+less than 2**62, and _mul_mod scales each limb product by its weight
+(and a polynomial by a scalar) mod m in digits of k = 63 - bits(m)
+bits, so each digit shift keeps x * 2**k below 2**63.  There is
+deliberately no NTT or floating-point path: exactness over asymptotics.
 """
 
 from __future__ import annotations
@@ -117,9 +118,7 @@ class Polynomial:
 
     def with_modulus(self, modulus: int) -> "Polynomial":
         """Re-center the same coefficient values under a different modulus."""
-        if self.max_abs() * 2 < min(self.modulus, modulus):
-            return Polynomial(self.coeffs, modulus)
-        return Polynomial(self.to_coeff_list(), modulus)
+        return Polynomial(self.coeffs, modulus)
 
     def _check_compatible(self, other: "Polynomial") -> None:
         if self.modulus != other.modulus:
@@ -152,14 +151,10 @@ class Polynomial:
         return NotImplemented
 
     def _scalar_mul(self, scalar: int) -> "Polynomial":
+        # sign and magnitude of the centered scalar keep the digit count low
         scalar = reduce_centered(scalar, self.modulus)
-        if scalar == 0:
-            return Polynomial.zero(self.d, self.modulus)
-        # int64 product is safe only while |scalar| * max|coeff| < 2**62
-        if abs(scalar).bit_length() + self.max_abs().bit_length() <= _INT64_BUDGET:
-            return Polynomial(self.coeffs * scalar, self.modulus)
-        values = [c * scalar for c in self.to_coeff_list()]
-        return Polynomial(values, self.modulus)
+        product = _mul_mod(self.coeffs % self.modulus, abs(scalar), self.modulus)
+        return Polynomial(product if scalar >= 0 else -product, self.modulus)
 
     def _ring_mul(self, other: "Polynomial") -> "Polynomial":
         for a, b in ((self, other), (other, self)):
@@ -270,35 +265,40 @@ def _split_limbs(arr: np.ndarray, width: int, count: int) -> list[np.ndarray]:
     return [((mag >> (k * width)) & mask) * sign for k in range(count)]
 
 
-def _negacyclic_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> list[int]:
-    """Exact negacyclic product of two centered int64 vectors, reduced mod modulus."""
+def _mul_mod(x: np.ndarray, c: int, modulus: int) -> np.ndarray:
+    """x * c mod modulus for int64 x in [0, modulus) and an integer c >= 0.
+
+    Horner over base-2**k digits of c with k = 63 - bits(modulus - 1):
+    x * digit and acc * 2**k stay below 2**63, and the sum of two
+    residues stays below 2 * modulus < 2**63.
+    """
+    k = 63 - (modulus - 1).bit_length()
+    mask = (1 << k) - 1
+    acc = np.zeros_like(x)
+    for shift in range((c.bit_length() - 1) // k * k, -1, -k):
+        acc = (acc << k) % modulus
+        digit = (c >> shift) & mask
+        if digit:
+            acc = (acc + x * digit % modulus) % modulus
+    return acc
+
+
+def _negacyclic_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
+    """Exact negacyclic product of two nonzero centered int64 vectors, in [0, modulus)."""
     d = int(a.size)
-    max_a = int(np.abs(a).max())
-    max_b = int(np.abs(b).max())
-    if max_a == 0 or max_b == 0:
-        return [0] * d
     width_a, count_a, width_b, count_b = _limb_plan(
-        max_a.bit_length(), max_b.bit_length(), d
+        int(np.abs(a).max()).bit_length(), int(np.abs(b).max()).bit_length(), d
     )
-    limbs_a = _split_limbs(a, width_a, count_a)
     limbs_b = _split_limbs(b, width_b, count_b)
-    acc: list[int] | None = None
-    for i, la in enumerate(limbs_a):
+    acc = np.zeros(d, dtype=np.int64)
+    for i, la in enumerate(_split_limbs(a, width_a, count_a)):
         for j, lb in enumerate(limbs_b):
             conv = np.convolve(la, lb)
-            head = conv[:d].copy()
+            head = conv[:d]
             head[: d - 1] -= conv[d:]
-            shift = i * width_a + j * width_b
-            vals = head.tolist()
-            if shift:
-                vals = [v << shift for v in vals]
-            acc = vals if acc is None else [x + y for x, y in zip(acc, vals)]
-    half = (modulus + 1) // 2
-    out = []
-    for v in acc:
-        r = v % modulus
-        out.append(r - modulus if r >= half else r)
-    return out
+            weight = pow(2, i * width_a + j * width_b, modulus)
+            acc = (acc + _mul_mod(head % modulus, weight, modulus)) % modulus
+    return acc
 
 
 def monomial(index: int, coeff: int, params: RingParams) -> Polynomial:

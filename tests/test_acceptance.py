@@ -14,6 +14,7 @@ import bfvlab.psi as psi
 from bfvlab import Ciphertext, Plaintext, cli, get_params
 from bfvlab.attacks import (
     AttackError,
+    bit_leak_offset,
     bit_leak_probe,
     circuit_privacy_recover,
     encoder_leak_demo,
@@ -229,7 +230,7 @@ def test_ring_multiplication_against_bruteforce_oracle(capsys):
 def test_probe_rounding_margins(capsys):
     params = get_params("bitleak-2048")
     q, t, d = params.q, params.t, params.d
-    m_val = params.delta // 4 + 20
+    m_val = bit_leak_offset(params)
     checked = 0
     good = 0
     sampled_ok = True

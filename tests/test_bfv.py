@@ -41,9 +41,6 @@ def test_delta_and_relin_levels():
     assert get_params("cca-1024").delta == 2**46
     assert get_params("bitleak-2048").delta == 2**46
     assert get_params("psi-83").delta == 2**54 // 83
-    # 100**8 = 10**16 <= 2**54 < 10**18 = 100**9
-    assert get_params("cca-1024").relin_levels == 8
-    assert get_params("cca-1024").relin_base == 100
 
 
 def test_params_validation():
@@ -54,8 +51,6 @@ def test_params_validation():
         BfvParams(ring=ring, t=97)
     with pytest.raises(ValueError):
         BfvParams(ring=ring, t=4, sigma=-1.0)
-    with pytest.raises(ValueError):
-        BfvParams(ring=ring, t=4, relin_base=1)
 
 
 # --- key generation ----------------------------------------------------------------

@@ -165,6 +165,9 @@ def test_add_rejects_mismatched_operands():
         (64, 2**54, 40),
         (64, (2**30) - 35, 40),
         (256, 2**54, 6),
+        # one-bit digits in _mul_mod, and the widest digits
+        (64, 2**62 - 57, 40),
+        (8, 3, 300),
     ],
 )
 def test_mul_matches_bruteforce_oracle(d, q, pairs):
@@ -238,13 +241,14 @@ def test_monomial_multiply_fast_path_matches_oracle():
             assert got.to_coeff_list() == negacyclic_mul_oracle(a, mono, q), (index, coeff)
 
 
-def test_scalar_mul_matches_oracle_including_bigint_path():
+@pytest.mark.parametrize("q", [97, 2**54, (2**30) - 35, 2**62 - 57, 3])
+def test_scalar_mul_matches_oracle(q):
     rng = make_rng(35)
-    d, q = 16, 2**54
+    d = 16
     half = q // 2
     a = [int(x) for x in rng.integers(-half, half, d, dtype=np.int64)]
     pa = Polynomial(a, q)
-    # half - 1 forces the arbitrary-precision path: 53 + 53 bits > 62
+    # |scalar| = half - 1 takes the most digits of the multiplier
     for scalar in (0, 1, -1, 2, 255, half - 1, -(half - 1)):
         got = (pa * scalar).to_coeff_list()
         assert got == [center_mod(c * scalar, q) for c in a], scalar
