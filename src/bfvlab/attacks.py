@@ -119,9 +119,8 @@ def cca_one_query(oracle: DecryptionOracle, params: BfvParams) -> SecretKey:
         Polynomial.zero(params.d, params.q),
         Polynomial.constant(params.delta, params.d, params.q),
     )
-    answer = oracle(probe)
-    bits = [c % params.t for c in answer.poly.to_coeff_list()]
-    if any(b not in (0, 1) for b in bits):
+    bits = oracle(probe).poly.coeffs % params.t
+    if (bits > 1).any():
         raise AttackError(
             "oracle answer has coefficients outside {0, 1}; "
             "not an honest decryption of (0, delta)"
@@ -193,23 +192,23 @@ def circuit_privacy_recover(
     InsufficientNoiseStructureError when n has no nonzero non-constant
     coefficient to divide by.
     """
-    m_a_coeffs = m_a.poly.to_coeff_list()
-    if any(m_a_coeffs[1:]):
+    if m_a.poly.coeffs[1:].any():
         raise ValueError("recovery assumes a scalar (constant) plaintext m_a")
     t, q, delta = params.t, params.q, params.delta
 
-    noise = evaluation_noise(sk, pk, witness, params).to_coeff_list()
-    raw = bfv.decrypt_raw(sk, c_ab, params).to_coeff_list()
+    noise = evaluation_noise(sk, pk, witness, params)
+    raw = bfv.decrypt_raw(sk, c_ab, params).coeffs
+    noise_0, raw_0 = int(noise.coeffs[0]), int(raw[0])
 
     # r from the first usable noise coefficient, cross-checked on a second.
-    probe_indices = [j for j in range(1, params.d) if noise[j] != 0][:2]
-    if not probe_indices:
+    probe_indices = np.flatnonzero(noise.coeffs[1:])[:2] + 1
+    if not probe_indices.size:
         raise InsufficientNoiseStructureError(
             "evaluation noise has no nonzero non-constant coefficient"
         )
     candidates = []
     for j in probe_indices:
-        quotient, remainder = divmod(-raw[j], noise[j])
+        quotient, remainder = divmod(-int(raw[j]), int(noise.coeffs[j]))
         if remainder:
             raise FloodedOrMalformedError(
                 f"raw coefficient {j} is not an exact multiple of the known noise"
@@ -228,11 +227,11 @@ def circuit_privacy_recover(
     # Constant coefficient: [raw_0 + r*n_0]_q = delta*k - w*(q mod t) with
     # k = [r*(m_b - m_a)]_t, and |w*(q mod t)| < delta/2, so rounding by
     # delta returns k exactly.
-    constant = reduce_centered(raw[0] + r_value * noise[0], q)
+    constant = reduce_centered(raw_0 + r_value * noise_0, q)
     k = round_half_away(constant, delta)
 
     # Solve r * diff = k (mod t) for diff = m_b - m_a.
-    m_a_value = m_a_coeffs[0]
+    m_a_value = int(m_a.poly.coeffs[0])
     r_mod = r_value % t
     shared = gcd(r_mod, t)
     if k % shared:
@@ -246,8 +245,7 @@ def circuit_privacy_recover(
     # Re-derive the raw vector; plain evaluation makes the match exact,
     # so anything else is flooded or malformed.  The non-constant part
     # does not depend on the candidate.
-    expected_tail = [reduce_centered(-r_value * noise[j], q) for j in range(1, params.d)]
-    if expected_tail != raw[1:]:
+    if not np.array_equal((noise * -r_value).coeffs[1:], raw[1:]):
         raise FloodedOrMalformedError(
             "response tail does not match noise-free plain evaluation"
         )
@@ -256,8 +254,8 @@ def circuit_privacy_recover(
         m_b_value = reduce_centered(m_a_value + diff, t)
         # Plain evaluation computes r*(delta*m_b - delta*m_a) over the
         # integers, so the full product goes into the re-derivation.
-        constant_term = r_value * delta * (m_b_value - m_a_value) - r_value * noise[0]
-        if reduce_centered(constant_term, q) == raw[0]:
+        constant_term = r_value * delta * (m_b_value - m_a_value) - r_value * noise_0
+        if reduce_centered(constant_term, q) == raw_0:
             matches.append(m_b_value)
     if len(matches) != 1:
         raise FloodedOrMalformedError(

@@ -10,6 +10,7 @@ Gaussian, and decryption scales by t/q with round-half-away-from-zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .ring import (
     Polynomial,
     RingParams,
-    round_half_away,
+    _mul_divmod,
     sample_binary,
     sample_gaussian,
     sample_uniform,
@@ -65,8 +66,8 @@ class BfvParams:
     def __post_init__(self) -> None:
         if not 1 < self.t < self.ring.q:
             raise ValueError("plaintext modulus must satisfy 1 < t < q")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError("sigma must be positive and finite")
 
     @property
     def d(self) -> int:
@@ -104,7 +105,7 @@ class SecretKey:
     s: Polynomial
 
     def __post_init__(self) -> None:
-        if any(c not in (0, 1) for c in self.s.to_coeff_list()):
+        if ((self.s.coeffs != 0) & (self.s.coeffs != 1)).any():
             raise ValueError("secret key coefficients must be binary")
 
 
@@ -204,10 +205,10 @@ def decrypt_raw(sk: SecretKey, ct: Ciphertext, params: BfvParams) -> Polynomial:
 
 def decrypt(sk: SecretKey, ct: Ciphertext, params: BfvParams) -> Plaintext:
     """Decrypt: scale [c0 + c1*s]_q by t/q, round half away from zero, reduce mod t."""
-    raw = decrypt_raw(sk, ct, params)
-    t, q = params.t, params.q
-    scaled = [round_half_away(c * t, q) for c in raw.to_coeff_list()]
-    return Plaintext(Polynomial(scaled, t))
+    raw = decrypt_raw(sk, ct, params).coeffs
+    quo, rem = _mul_divmod(np.abs(raw), params.t, params.q)
+    rounded = quo + (2 * rem >= params.q)
+    return Plaintext(Polynomial(np.where(raw < 0, -rounded, rounded), params.t))
 
 
 def add(ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
@@ -288,13 +289,15 @@ def _params_from_header(obj: dict) -> BfvParams:
     if obj.get("scheme") != SCHEME_TAG:
         raise ValueError(f"unsupported scheme tag {obj.get('scheme')!r}")
     try:
-        return BfvParams(
-            ring=RingParams(d=int(obj["d"]), q=int(obj["q"])),
-            t=int(obj["t"]),
-            sigma=float(obj["sigma"]),
-        )
+        d, q, t, sigma = obj["d"], obj["q"], obj["t"], obj["sigma"]
     except KeyError as missing:
         raise ValueError(f"missing field {missing} in serialized object") from None
+    for name, value in (("d", d), ("q", q), ("t", t)):
+        if type(value) is not int:
+            raise ValueError(f"field {name!r} must be an integer, not {value!r}")
+    if type(sigma) not in (int, float) or not math.isfinite(sigma):
+        raise ValueError(f"field 'sigma' must be a finite number, not {sigma!r}")
+    return BfvParams(ring=RingParams(d=d, q=q), t=t, sigma=float(sigma))
 
 
 def _payload(obj: dict, count: int, d: int) -> list[list[int]]:

@@ -307,6 +307,7 @@ class Transcript:
     def from_json(cls, obj: dict) -> "Transcript":
         if not isinstance(obj, dict) or set(obj) != {"session_id", "frames", "outcome"}:
             raise ProtocolError("transcript must have session_id, frames and outcome")
+        _check_frames(obj["frames"])
         return cls(obj["session_id"], obj["frames"], obj["outcome"])
 
     def save(self, path) -> None:
@@ -315,6 +316,11 @@ class Transcript:
     @classmethod
     def load(cls, path) -> "Transcript":
         return cls.from_json(json.loads(Path(path).read_text()))
+
+
+def _check_frames(frames) -> None:
+    if not isinstance(frames, list) or not all(isinstance(f, dict) for f in frames):
+        raise ProtocolError("transcript frames must be a list of objects")
 
 
 class SessionRegistry:
@@ -391,15 +397,13 @@ def run_session(
 def verify_transcript(transcript: Transcript) -> Outcome:
     """Re-check a stored transcript: frame order, session ids, payload shapes,
     and agreement between the result frame and the recorded outcome."""
+    _check_frames(transcript.frames)
     kinds = [frame.get("kind") for frame in transcript.frames]
     if kinds != list(_KINDS):
         raise ProtocolError(f"unexpected frame order {kinds}")
     params = None
     for frame in transcript.frames:
-        if (
-            not isinstance(frame, dict)
-            or frame.get("session_id") != transcript.session_id
-        ):
+        if frame.get("session_id") != transcript.session_id:
             raise ProtocolError("frame does not belong to this session")
         body = frame.get("body")
         if not isinstance(body, dict):
@@ -440,19 +444,12 @@ def session_zero_check_oracle(
     into a key-leak channel.
     """
     pk = alice_keys[1]
-    m_val = attacks.bit_leak_offset(params)
 
     def infer_index(ct: Ciphertext) -> int:
-        delta_c0 = (ct.c0 - pk.pk0).to_coeff_list()
-        delta_c1 = (ct.c1 - pk.pk1).to_coeff_list()
-        nonzero = [j for j, c in enumerate(delta_c0) if c]
-        if (
-            len(nonzero) != 1
-            or delta_c0[nonzero[0]] != m_val
-            or delta_c1 != [m_val] + [0] * (params.d - 1)
-        ):
+        nonzero = np.flatnonzero((ct.c0 - pk.pk0).coeffs)
+        if nonzero.size != 1 or ct != attacks.bit_leak_probe(pk, int(nonzero[0]), params):
             raise ProtocolError("query is not a key-bit probe for this public key")
-        return nonzero[0]
+        return int(nonzero[0])
 
     def check(ct: Ciphertext) -> bool:
         index = infer_index(ct)

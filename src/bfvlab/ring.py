@@ -4,10 +4,10 @@ Every coefficient is kept as the centered residue in the half-open
 interval [-m/2, m/2).  Multiplication is schoolbook negacyclic
 convolution in int64 only, exact for moduli below 2**62: the operands
 are split into narrow limbs so every folded limb convolution sums to
-less than 2**62, and _mul_mod scales each limb product by its weight
-(and a polynomial by a scalar) mod m in digits of k = 63 - bits(m)
-bits, so each digit shift keeps x * 2**k below 2**63.  There is
-deliberately no NTT or floating-point path: exactness over asymptotics.
+less than 2**62, and _mul_divmod scales each limb product by its weight
+(and a polynomial by a scalar) mod m in digits of k = 63 - bits(m - 1)
+bits, keeping rem * 2**k below 2**63; decryption rounds with its quotient.
+No NTT or floating-point path, deliberately: exactness over asymptotics.
 """
 
 from __future__ import annotations
@@ -80,7 +80,9 @@ class Polynomial:
 
     Instances are immutable by convention: all operations return new
     polynomials.  Coefficients are stored as int64, which the modulus
-    bound in RingParams guarantees is lossless.
+    bound in RingParams guarantees is lossless.  `coeffs` must become a
+    1-D, non-empty signed-integer array under np.asarray; floats, strings,
+    None, bools and values outside int64 raise ValueError, never coerced.
     """
 
     __slots__ = ("coeffs", "modulus")
@@ -88,13 +90,10 @@ class Polynomial:
     def __init__(self, coeffs, modulus: int):
         if modulus < 2:
             raise ValueError("modulus must be at least 2")
-        if isinstance(coeffs, np.ndarray) and coeffs.dtype == np.int64:
-            arr = _center_int64(coeffs.copy(), modulus)
-        else:
-            values = [reduce_centered(int(c), modulus) for c in coeffs]
-            arr = np.array(values, dtype=np.int64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("coefficient vector must be one-dimensional and non-empty")
+        arr = np.asarray(coeffs)
+        if arr.dtype.kind != "i" or arr.ndim != 1 or arr.size == 0:
+            raise ValueError(f"coefficients must be a non-empty 1-D integer vector: {arr!r:.40}")
+        arr = _center_int64(arr.astype(np.int64, copy=False), modulus)
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
         object.__setattr__(self, "modulus", modulus)
@@ -153,7 +152,7 @@ class Polynomial:
     def _scalar_mul(self, scalar: int) -> "Polynomial":
         # sign and magnitude of the centered scalar keep the digit count low
         scalar = reduce_centered(scalar, self.modulus)
-        product = _mul_mod(self.coeffs % self.modulus, abs(scalar), self.modulus)
+        _, product = _mul_divmod(self.coeffs % self.modulus, abs(scalar), self.modulus)
         return Polynomial(product if scalar >= 0 else -product, self.modulus)
 
     def _ring_mul(self, other: "Polynomial") -> "Polynomial":
@@ -265,22 +264,26 @@ def _split_limbs(arr: np.ndarray, width: int, count: int) -> list[np.ndarray]:
     return [((mag >> (k * width)) & mask) * sign for k in range(count)]
 
 
-def _mul_mod(x: np.ndarray, c: int, modulus: int) -> np.ndarray:
-    """x * c mod modulus for int64 x in [0, modulus) and an integer c >= 0.
+def _mul_divmod(x: np.ndarray, c: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x * c // modulus, x * c % modulus) for int64 x in [0, modulus), c >= 0.
 
     Horner over base-2**k digits of c with k = 63 - bits(modulus - 1):
-    x * digit and acc * 2**k stay below 2**63, and the sum of two
-    residues stays below 2 * modulus < 2**63.
+    x * digit and rem * 2**k stay below 2**63, the sum of two residues
+    stays below 2 * modulus < 2**63, and the quotient never exceeds
+    x * c // modulus < c, so c must be below 2**63 as well.
     """
     k = 63 - (modulus - 1).bit_length()
     mask = (1 << k) - 1
-    acc = np.zeros_like(x)
+    quo = rem = np.zeros_like(x)
     for shift in range((c.bit_length() - 1) // k * k, -1, -k):
-        acc = (acc << k) % modulus
+        high, rem = np.divmod(rem << k, modulus)
+        quo = (quo << k) + high
         digit = (c >> shift) & mask
         if digit:
-            acc = (acc + x * digit % modulus) % modulus
-    return acc
+            high, low = np.divmod(x * digit, modulus)
+            carry, rem = np.divmod(rem + low, modulus)
+            quo = quo + high + carry
+    return quo, rem
 
 
 def _negacyclic_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
@@ -297,7 +300,7 @@ def _negacyclic_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
             head = conv[:d]
             head[: d - 1] -= conv[d:]
             weight = pow(2, i * width_a + j * width_b, modulus)
-            acc = (acc + _mul_mod(head % modulus, weight, modulus)) % modulus
+            acc = (acc + _mul_divmod(head % modulus, weight, modulus)[1]) % modulus
     return acc
 
 

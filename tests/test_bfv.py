@@ -14,6 +14,7 @@ from bfvlab import (
     RingParams,
     SecretKey,
     get_params,
+    round_half_away,
 )
 
 from conftest import make_rng
@@ -37,7 +38,7 @@ def test_named_parameter_sets_are_exact():
         get_params("nope")
 
 
-def test_delta_and_relin_levels():
+def test_delta():
     assert get_params("cca-1024").delta == 2**46
     assert get_params("bitleak-2048").delta == 2**46
     assert get_params("psi-83").delta == 2**54 // 83
@@ -49,8 +50,9 @@ def test_params_validation():
         BfvParams(ring=ring, t=1)
     with pytest.raises(ValueError):
         BfvParams(ring=ring, t=97)
-    with pytest.raises(ValueError):
-        BfvParams(ring=ring, t=4, sigma=-1.0)
+    for sigma in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            BfvParams(ring=ring, t=4, sigma=sigma)
 
 
 # --- key generation ----------------------------------------------------------------
@@ -135,22 +137,40 @@ def test_fresh_noise_below_parameter_bound():
     assert bfv.noise_norm(sk, ct, m, params) <= GAUSS_TAIL * (2 * params.d + 1)
 
 
-def test_decrypt_is_rounding_of_raw(small_params):
+@pytest.mark.parametrize(
+    "q,t",
+    [
+        (3, 2),
+        (97, 2),
+        (97, 96),
+        (2**30, 256),
+        (2**30 - 35, 83),
+        (2**54, 256),
+        (2**54, 83),
+        (2**62 - 57, 2**40 + 1),
+        (2**62 - 1, 2**62 - 2),
+    ],
+)
+def test_decrypt_is_rounding_of_raw(q, t):
+    # A ciphertext (c0, 0) has raw decryption c0 under any key, so the raw
+    # values are chosen: +-(q//2), both sides of every tie (q/(2t) an
+    # integer) that fits, and uniform draws.
+    d = 64
+    params = BfvParams(ring=RingParams(d=d, q=q), t=t)
+    sk = SecretKey(Polynomial.zero(d, q))
+    chosen = [q // 2, -(q // 2), 0, 1, -1]
+    if q % (2 * t) == 0:
+        tie = q // (2 * t)
+        for k in (1, 3, t - 1):
+            if k % 2 and k * tie <= q // 2:
+                chosen += [sign * (k * tie + e) for sign in (1, -1) for e in (-1, 0, 1)]
     rng = make_rng(11)
-    sk, pk = bfv.keygen(small_params, rng)
-    t, q = small_params.t, small_params.q
-    for _ in range(100):
-        m = Plaintext(
-            Polynomial(rng.integers(0, t, small_params.d, dtype=np.int64), t)
-        )
-        ct, _ = bfv.encrypt(pk, m, small_params, rng)
-        raw = bfv.decrypt_raw(sk, ct, small_params)
-        from bfvlab.ring import round_half_away
-
-        expected = [
-            center_mod(round_half_away(c * t, q), t) for c in raw.to_coeff_list()
-        ]
-        assert bfv.decrypt(sk, ct, small_params).poly.to_coeff_list() == expected
+    for _ in range(20):
+        drawn = rng.integers(-(q // 2), (q + 1) // 2, d - len(chosen), dtype=np.int64)
+        raw = chosen + [int(x) for x in drawn]
+        ct = Ciphertext(Polynomial(raw, q), Polynomial.zero(d, q))
+        expected = [center_mod(round_half_away(center_mod(c, q) * t, q), t) for c in raw]
+        assert bfv.decrypt(sk, ct, params).poly.to_coeff_list() == expected
 
 
 def test_decrypt_noiseless_ciphertexts(small_params):
@@ -377,6 +397,36 @@ def test_json_validation_errors(small_params):
         bfv.secret_key_from_json(wrong_count)
     with pytest.raises(ValueError):
         bfv.ciphertext_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("d", "64"),
+        ("d", True),
+        ("q", 2.0**30),
+        ("t", 256.9),
+        ("sigma", float("nan")),
+        ("sigma", float("inf")),
+        ("sigma", "3.2"),
+    ],
+)
+def test_json_header_is_strict(small_params, field, value):
+    obj = bfv.secret_key_to_json(SecretKey(Polynomial.zero(64, 2**30)), small_params)
+    with pytest.raises(ValueError):
+        bfv.secret_key_from_json({**obj, field: value})
+
+
+@pytest.mark.parametrize("value", [1.9, "1", None, 2**70, 2**63])
+def test_json_payload_is_strict(small_params, value):
+    # 1.9 and "1" used to load as the key bit 1
+    obj = bfv.secret_key_to_json(SecretKey(Polynomial.zero(64, 2**30)), small_params)
+    vec = list(obj["payload"][0])
+    vec[3] = value
+    with pytest.raises(ValueError):
+        bfv.secret_key_from_json({**obj, "payload": [vec]})
+    with pytest.raises(ValueError):
+        bfv.ciphertext_from_json({**obj, "payload": [vec, obj["payload"][0]]})
 
 
 # --- plaintext helpers ----------------------------------------------------------------

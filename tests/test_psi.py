@@ -6,8 +6,13 @@ import json
 import pytest
 
 import bfvlab.bfv as bfv
-from bfvlab import Plaintext, get_params
-from bfvlab.attacks import FloodedOrMalformedError, bit_leak_attack, circuit_privacy_recover
+from bfvlab import Ciphertext, Plaintext, Polynomial, get_params
+from bfvlab.attacks import (
+    FloodedOrMalformedError,
+    bit_leak_attack,
+    bit_leak_probe,
+    circuit_privacy_recover,
+)
 from bfvlab.psi import (
     AliceState,
     Flooding,
@@ -234,6 +239,15 @@ def test_transcript_tampering_is_detected(small_params):
         Transcript.from_json({"frames": []})
 
 
+@pytest.mark.parametrize("frames", [None, [1, 2, 3, 4], [[], [], [], []], "abcd"])
+def test_malformed_transcript_frames_raise_protocol_errors(frames):
+    session_id = "00" * 16
+    with pytest.raises(ProtocolError):
+        verify_transcript(Transcript(session_id, frames, "equal"))
+    with pytest.raises(ProtocolError):
+        Transcript.from_json({"session_id": session_id, "frames": frames, "outcome": "equal"})
+
+
 def test_session_registry_rejects_replays(small_params):
     registry = SessionRegistry()
     transcript = run_session(small_params, 1, 1, make_rng(17), registry=registry)
@@ -280,8 +294,6 @@ def test_session_oracle_spot_checks_at_full_size():
     keys = bfv.keygen(params, rng)
     oracle = session_zero_check_oracle(params, 3, keys, rng.spawn(1)[0])
     s = keys[0].s.to_coeff_list()
-    from bfvlab.attacks import bit_leak_probe
-
     for index in (0, 777, 2047):
         assert oracle(bit_leak_probe(keys[1], index, params)) == (s[index] == 0)
 
@@ -295,6 +307,16 @@ def test_session_oracle_rejects_non_probe_queries(small_params):
     )
     with pytest.raises(ProtocolError):
         oracle(ct)
+    # a probe whose c1 or amplitude is off is not a probe either
+    probe = bit_leak_probe(keys[1], 0, small_params)
+    one = Polynomial.constant(1, small_params.d, small_params.q)
+    for query in (
+        Ciphertext(probe.c0, probe.c1 + one),
+        Ciphertext(probe.c0 + one, probe.c1),
+    ):
+        with pytest.raises(ProtocolError):
+            oracle(query)
+    assert oracle.calls == 3
 
 
 def test_attacker_alice_recovers_bob_secrets_from_transcript():

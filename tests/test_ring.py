@@ -13,7 +13,7 @@ from bfvlab.ring import (
     sample_gaussian,
     sample_uniform,
 )
-from bfvlab.ring import _limb_plan
+from bfvlab.ring import _limb_plan, _mul_divmod
 
 from conftest import make_rng
 from oracles import centered_scan, center_mod, negacyclic_mul_oracle, round_ratio_oracle
@@ -97,10 +97,13 @@ def test_round_half_away_rejects_bad_denominator():
 
 
 def test_polynomial_centers_inputs():
-    p = Polynomial([200, -300, 2**90, -(2**90)], 256)
+    p = Polynomial([200, -300, 2**63 - 1, -(2**63)], 256)
     for c in p.to_coeff_list():
         assert -128 <= c < 128
-    assert p.to_coeff_list()[0] == -56
+    assert p.to_coeff_list() == [-56, -44, -1, 0]
+    # coefficients beyond int64 are refused, not reduced
+    with pytest.raises(ValueError):
+        Polynomial([200, -300, 2**90, -(2**90)], 256)
 
 
 def test_polynomial_rejects_bad_shapes():
@@ -108,6 +111,12 @@ def test_polynomial_rejects_bad_shapes():
         Polynomial([], 97)
     with pytest.raises(ValueError):
         Polynomial([1, 2], 1)
+    with pytest.raises(ValueError):
+        Polynomial([[1, 2], [3, 4]], 97)
+    # nothing is truncated or coerced into an integer
+    for bad in ([1.9, 0], ["1", "0"], [None, 0], [True, False], [2**63, 0], "10", None):
+        with pytest.raises(ValueError):
+            Polynomial(bad, 97)
 
 
 def test_polynomial_is_immutable():
@@ -172,10 +181,10 @@ def test_add_rejects_mismatched_operands():
 )
 def test_mul_matches_bruteforce_oracle(d, q, pairs):
     rng = make_rng(d * 1000 + q % 997)
-    half = q // 2
+    lo, hi = -(q // 2), (q + 1) // 2
     for _ in range(pairs):
-        a = [int(x) for x in rng.integers(-half, half, d, dtype=np.int64)]
-        b = [int(x) for x in rng.integers(-half, half, d, dtype=np.int64)]
+        a = [int(x) for x in rng.integers(lo, hi, d, dtype=np.int64)]
+        b = [int(x) for x in rng.integers(lo, hi, d, dtype=np.int64)]
         got = (Polynomial(a, q) * Polynomial(b, q)).to_coeff_list()
         assert got == negacyclic_mul_oracle(a, b, q)
 
@@ -184,9 +193,9 @@ def test_mul_matches_bruteforce_oracle_at_full_size():
     # One pair at the largest deployed geometry; the limb plan depends on d.
     rng = make_rng(31)
     d, q = 2048, 2**54
-    half = q // 2
-    a = [int(x) for x in rng.integers(-half, half, d, dtype=np.int64)]
-    b = [int(x) for x in rng.integers(-half, half, d, dtype=np.int64)]
+    lo, hi = -(q // 2), (q + 1) // 2
+    a = [int(x) for x in rng.integers(lo, hi, d, dtype=np.int64)]
+    b = [int(x) for x in rng.integers(lo, hi, d, dtype=np.int64)]
     assert (Polynomial(a, q) * Polynomial(b, q)).to_coeff_list() == negacyclic_mul_oracle(a, b, q)
 
 
@@ -194,8 +203,7 @@ def test_mul_binary_operand_matches_oracle_at_full_size():
     # The wide-times-binary product is the decryption workhorse.
     rng = make_rng(32)
     d, q = 2048, 2**54
-    half = q // 2
-    a = [int(x) for x in rng.integers(-half, half, d, dtype=np.int64)]
+    a = [int(x) for x in rng.integers(-(q // 2), (q + 1) // 2, d, dtype=np.int64)]
     b = [int(x) for x in rng.integers(0, 2, d, dtype=np.int64)]
     assert (Polynomial(a, q) * Polynomial(b, q)).to_coeff_list() == negacyclic_mul_oracle(a, b, q)
 
@@ -246,13 +254,19 @@ def test_scalar_mul_matches_oracle(q):
     rng = make_rng(35)
     d = 16
     half = q // 2
-    a = [int(x) for x in rng.integers(-half, half, d, dtype=np.int64)]
+    a = [int(x) for x in rng.integers(-half, (q + 1) // 2, d, dtype=np.int64)]
     pa = Polynomial(a, q)
     # |scalar| = half - 1 takes the most digits of the multiplier
     for scalar in (0, 1, -1, 2, 255, half - 1, -(half - 1)):
         got = (pa * scalar).to_coeff_list()
         assert got == [center_mod(c * scalar, q) for c in a], scalar
         assert got == (scalar * pa).to_coeff_list()
+    # the helper behind it also carries the exact quotient
+    residues = [c % q for c in a]
+    for c in (0, 1, 2, 255, half - 1, q - 1):
+        quo, rem = _mul_divmod(np.array(residues, dtype=np.int64), c, q)
+        got = [(int(x), int(y)) for x, y in zip(quo, rem)]
+        assert got == [divmod(x * c, q) for x in residues], c
 
 
 def test_limb_plan_stays_within_int64_budget():
