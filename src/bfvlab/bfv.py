@@ -11,7 +11,8 @@ Gaussian, and decryption scales by t/q with round-half-away-from-zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -128,12 +129,12 @@ class Plaintext:
         return cls(Polynomial.constant(value, params.d, params.t))
 
     @classmethod
-    def from_coeffs(cls, values, params: BfvParams) -> "Plaintext":
-        coeffs = list(values)
-        if len(coeffs) > params.d:
+    def from_coeffs(cls, values: list, params: BfvParams) -> "Plaintext":
+        """Plaintext from a list of at most d integers, zero-padded to d."""
+        coeffs = _coeff_array(values)
+        if coeffs.size > params.d:
             raise ValueError("too many plaintext coefficients for the ring degree")
-        coeffs += [0] * (params.d - len(coeffs))
-        return cls(Polynomial(coeffs, params.t))
+        return cls(Polynomial(np.pad(coeffs, (0, params.d - coeffs.size)), params.t))
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
@@ -295,56 +296,69 @@ def _params_from_header(obj: dict) -> BfvParams:
     for name, value in (("d", d), ("q", q), ("t", t)):
         if type(value) is not int:
             raise ValueError(f"field {name!r} must be an integer, not {value!r}")
-    if type(sigma) not in (int, float) or not math.isfinite(sigma):
+    # the bound also rejects nan, inf and ints too large for a float
+    if type(sigma) not in (int, float) or not abs(sigma) <= sys.float_info.max:
         raise ValueError(f"field 'sigma' must be a finite number, not {sigma!r}")
     return BfvParams(ring=RingParams(d=d, q=q), t=t, sigma=float(sigma))
 
 
-def _payload(obj: dict, count: int, d: int) -> list[list[int]]:
+def _coeff_array(values) -> np.ndarray:
+    """The one intake of JSON coefficient lists: int elements (not bools) within int64."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {int}:
+        raise ValueError("coefficients must be a JSON array of integers")
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("coefficients must fit in int64") from None
+
+
+def _to_json(obj, params: BfvParams) -> dict:
+    """Header plus one coefficient list per field of a key, ciphertext or plaintext."""
+    payload = [getattr(obj, f.name).to_coeff_list() for f in fields(obj)]
+    return {**_header(params), "payload": payload}
+
+
+def _from_json(cls, obj: dict):
+    """Inverse of _to_json for the dataclass `cls`; plaintexts are mod t, the rest mod q."""
+    params = _params_from_header(obj)
+    count = len(fields(cls))
     payload = obj.get("payload")
     if not isinstance(payload, list) or len(payload) != count:
         raise ValueError(f"payload must hold exactly {count} coefficient vectors")
-    for vec in payload:
-        if not isinstance(vec, list) or len(vec) != d:
-            raise ValueError("payload vectors must match the ring degree")
-    return payload
+    vectors = [_coeff_array(values) for values in payload]
+    if any(v.size != params.d for v in vectors):
+        raise ValueError("payload vectors must match the ring degree")
+    modulus = params.t if cls is Plaintext else params.q
+    return cls(*(Polynomial(v, modulus) for v in vectors)), params
 
 
 def secret_key_to_json(sk: SecretKey, params: BfvParams) -> dict:
-    return {**_header(params), "payload": [sk.s.to_coeff_list()]}
+    return _to_json(sk, params)
 
 
 def secret_key_from_json(obj: dict) -> tuple[SecretKey, BfvParams]:
-    params = _params_from_header(obj)
-    (vec,) = _payload(obj, 1, params.d)
-    return SecretKey(Polynomial(vec, params.q)), params
+    return _from_json(SecretKey, obj)
 
 
 def public_key_to_json(pk: PublicKey, params: BfvParams) -> dict:
-    return {**_header(params), "payload": [pk.pk0.to_coeff_list(), pk.pk1.to_coeff_list()]}
+    return _to_json(pk, params)
 
 
 def public_key_from_json(obj: dict) -> tuple[PublicKey, BfvParams]:
-    params = _params_from_header(obj)
-    vec0, vec1 = _payload(obj, 2, params.d)
-    return PublicKey(Polynomial(vec0, params.q), Polynomial(vec1, params.q)), params
+    return _from_json(PublicKey, obj)
 
 
 def ciphertext_to_json(ct: Ciphertext, params: BfvParams) -> dict:
-    return {**_header(params), "payload": [ct.c0.to_coeff_list(), ct.c1.to_coeff_list()]}
+    return _to_json(ct, params)
 
 
 def ciphertext_from_json(obj: dict) -> tuple[Ciphertext, BfvParams]:
-    params = _params_from_header(obj)
-    vec0, vec1 = _payload(obj, 2, params.d)
-    return Ciphertext(Polynomial(vec0, params.q), Polynomial(vec1, params.q)), params
+    return _from_json(Ciphertext, obj)
 
 
 def plaintext_to_json(m: Plaintext, params: BfvParams) -> dict:
-    return {**_header(params), "payload": [m.poly.to_coeff_list()]}
+    return _to_json(m, params)
 
 
 def plaintext_from_json(obj: dict) -> tuple[Plaintext, BfvParams]:
-    params = _params_from_header(obj)
-    (vec,) = _payload(obj, 1, params.d)
-    return Plaintext(Polynomial(vec, params.t)), params
+    return _from_json(Plaintext, obj)

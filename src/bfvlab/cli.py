@@ -113,10 +113,7 @@ def _cmd_keygen(args) -> int:
 
 def _cmd_encrypt(args) -> int:
     pk, params = bfv.public_key_from_json(_read_json(Path(args.key)))
-    coeffs = _read_json(Path(args.infile))
-    if not isinstance(coeffs, list) or not all(isinstance(c, int) for c in coeffs):
-        raise ValueError("plaintext file must be a JSON array of integers")
-    m = Plaintext.from_coeffs(coeffs, params)
+    m = Plaintext.from_coeffs(_read_json(Path(args.infile)), params)
     rng = np.random.default_rng(args.seed)
     ct, _witness = bfv.encrypt(pk, m, params, rng)
     out = Path(args.out)

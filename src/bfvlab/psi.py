@@ -120,7 +120,7 @@ def decode_frame(frame: bytes) -> WireMessage:
         raise ProtocolError("frame payload length does not match its header")
     try:
         obj = json.loads(payload.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON or an over-long integer
         raise ProtocolError(f"frame payload is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or set(obj) != {"session_id", "kind", "body"}:
         raise ProtocolError("frame object must have session_id, kind and body")
@@ -165,7 +165,27 @@ class BobState:
 def _as_plaintext(value, params: BfvParams) -> Plaintext:
     if isinstance(value, Plaintext):
         return value
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"input must be a Plaintext or an integer, not {value!r}")
     return Plaintext.constant(int(value), params)
+
+
+def _read_message(msg: WireMessage, kind: str, session_id, params):
+    """The one reader of pubkey, query and response messages: check the kind and
+    session, load the body, compare its parameters (each check skipped for None);
+    return the loaded object and its parameters, or raise ProtocolError."""
+    if msg.kind != kind:
+        raise ProtocolError(f"expected a {kind} message, got {msg.kind!r}")
+    if session_id is not None and msg.session_id != session_id:
+        raise ProtocolError(f"{kind} message belongs to a different session")
+    load = bfv.public_key_from_json if kind == "pubkey" else bfv.ciphertext_from_json
+    try:
+        obj, got_params = load(msg.body)
+    except ValueError as exc:
+        raise ProtocolError(f"invalid {kind} payload: {exc}") from exc
+    if params is not None and got_params != params:
+        raise ProtocolError(f"{kind} payload was made with different parameters")
+    return obj, got_params
 
 
 def alice_init(
@@ -213,14 +233,7 @@ def bob_init(
     strategy: Strategy = Honest(),
 ) -> BobState:
     """Accept Alice's pubkey message and fix the blinding scalar r."""
-    if pubkey_msg.kind != "pubkey":
-        raise ProtocolError(f"expected a pubkey message, got {pubkey_msg.kind!r}")
-    try:
-        pk, got_params = bfv.public_key_from_json(pubkey_msg.body)
-    except ValueError as exc:
-        raise ProtocolError(f"invalid public key payload: {exc}") from exc
-    if got_params != params:
-        raise ProtocolError("public key was made with different parameters")
+    pk, _ = _read_message(pubkey_msg, "pubkey", None, params)
     r_value = reduce_centered(int(rng.integers(1, params.t)), params.t)
     return BobState(
         params=params,
@@ -237,16 +250,7 @@ def bob_respond(state: BobState, query: WireMessage) -> WireMessage:
     """Consume the query and emit the response chosen by the strategy."""
     if state.phase != "ready":
         raise ProtocolError(f"bob cannot respond in phase {state.phase!r}")
-    if query.kind != "query":
-        raise ProtocolError(f"expected a query message, got {query.kind!r}")
-    if query.session_id != state.session_id:
-        raise ProtocolError("query belongs to a different session")
-    try:
-        c_a, got_params = bfv.ciphertext_from_json(query.body)
-    except ValueError as exc:
-        raise ProtocolError(f"invalid ciphertext payload: {exc}") from exc
-    if got_params != state.params:
-        raise ProtocolError("query ciphertext was made with different parameters")
+    c_a, _ = _read_message(query, "query", state.session_id, state.params)
 
     strategy = state.strategy
     if isinstance(strategy, MaliciousBitProbe):
@@ -272,16 +276,7 @@ def alice_finish(state: AliceState, response: WireMessage) -> Outcome:
     """Decrypt the response: zero means the inputs were equal."""
     if state.phase != "sent":
         raise ProtocolError(f"alice cannot finish in phase {state.phase!r}")
-    if response.kind != "response":
-        raise ProtocolError(f"expected a response message, got {response.kind!r}")
-    if response.session_id != state.session_id:
-        raise ProtocolError("response belongs to a different session")
-    try:
-        ct, got_params = bfv.ciphertext_from_json(response.body)
-    except ValueError as exc:
-        raise ProtocolError(f"invalid ciphertext payload: {exc}") from exc
-    if got_params != state.params:
-        raise ProtocolError("response ciphertext was made with different parameters")
+    ct, _ = _read_message(response, "response", state.session_id, state.params)
     decrypted = bfv.decrypt(state.sk, ct, state.params)
     state.outcome = Outcome.EQUAL if decrypted.is_zero() else Outcome.NOT_EQUAL
     state.phase = "done"
@@ -402,24 +397,14 @@ def verify_transcript(transcript: Transcript) -> Outcome:
     if kinds != list(_KINDS):
         raise ProtocolError(f"unexpected frame order {kinds}")
     params = None
-    for frame in transcript.frames:
-        if frame.get("session_id") != transcript.session_id:
-            raise ProtocolError("frame does not belong to this session")
-        body = frame.get("body")
-        if not isinstance(body, dict):
-            raise ProtocolError("frame body must be an object")
-        kind = frame["kind"]
-        try:
-            if kind == "pubkey":
-                _, params = bfv.public_key_from_json(body)
-            elif kind in ("query", "response"):
-                _, ct_params = bfv.ciphertext_from_json(body)
-                if params is not None and ct_params != params:
-                    raise ProtocolError("ciphertext parameters differ from the key's")
-        except ValueError as exc:
-            raise ProtocolError(f"invalid {kind} payload: {exc}") from exc
-    result_body = transcript.frames[-1]["body"]
-    if result_body.get("outcome") != transcript.outcome:
+    for frame in transcript.frames[:-1]:
+        msg = WireMessage(frame.get("session_id"), frame["kind"], frame.get("body"))
+        _, params = _read_message(msg, msg.kind, transcript.session_id, params)
+    result = transcript.frames[-1]
+    if result.get("session_id") != transcript.session_id:
+        raise ProtocolError("result message belongs to a different session")
+    body = result.get("body")
+    if not isinstance(body, dict) or body.get("outcome") != transcript.outcome:
         raise ProtocolError("result frame disagrees with the recorded outcome")
     try:
         return Outcome(transcript.outcome)

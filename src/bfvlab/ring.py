@@ -184,30 +184,28 @@ class Polynomial:
         return not self.coeffs.any()
 
     def to_coeff_list(self) -> list[int]:
-        return [int(c) for c in self.coeffs]
+        return self.coeffs.tolist()
 
     def to_hex(self) -> str:
-        """Fixed-width two's-complement hex, one field per coefficient."""
+        """Fixed-width two's-complement hex: the low _hex_field_bytes(modulus)
+        big-endian bytes of each coefficient."""
         nbytes = _hex_field_bytes(self.modulus)
-        mask = (1 << (8 * nbytes)) - 1
-        width = 2 * nbytes
-        return "".join(format(int(c) & mask, f"0{width}x") for c in self.coeffs)
+        fields = self.coeffs.astype(">i8").view(np.uint8).reshape(-1, 8)
+        return fields[:, 8 - nbytes :].tobytes().hex()
 
     @classmethod
     def from_hex(cls, text: str, modulus: int) -> "Polynomial":
+        """Inverse of to_hex; anything but whole fields of hex digits raises ValueError."""
         nbytes = _hex_field_bytes(modulus)
-        width = 2 * nbytes
-        if not text or len(text) % width:
-            raise ValueError("hex string length does not match the coefficient width")
-        sign_bit = 1 << (8 * nbytes - 1)
-        full = 1 << (8 * nbytes)
-        values = []
-        for k in range(0, len(text), width):
-            v = int(text[k : k + width], 16)
-            if v >= sign_bit:
-                v -= full
-            values.append(v)
-        return cls(values, modulus)
+        data = bytes.fromhex(text)
+        # fromhex skips whitespace, so the length check also rejects it
+        if not data or 2 * len(data) != len(text) or len(data) % nbytes:
+            raise ValueError(f"hex text must be whole fields of {2 * nbytes} hex digits")
+        fields = np.frombuffer(data, dtype=np.uint8).reshape(-1, nbytes)
+        wide = np.empty((fields.shape[0], 8), dtype=np.uint8)
+        wide[:, : 8 - nbytes] = np.where(fields[:, :1] >= 0x80, 0xFF, 0)
+        wide[:, 8 - nbytes :] = fields
+        return cls(wide.view(">i8").ravel().astype(np.int64), modulus)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):

@@ -47,6 +47,13 @@ def negacyclic_mul_oracle(a: list[int], b: list[int], modulus: int) -> list[int]
     return [center_mod(v, modulus) for v in full[:d]]
 
 
+def hex_oracle(coeffs: list[int], modulus: int) -> str:
+    """Per-coefficient fixed-width two's-complement hex, ceil(bits(m - 1) / 8) bytes each."""
+    nbytes = ((modulus - 1).bit_length() + 7) // 8
+    mask = (1 << (8 * nbytes)) - 1
+    return "".join(format(c & mask, f"0{2 * nbytes}x") for c in coeffs)
+
+
 def round_ratio_oracle(num: int, den: int) -> int:
     """Nearest integer to num/den, halves away from zero, via Fraction."""
     f = Fraction(num, den)

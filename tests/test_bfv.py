@@ -409,6 +409,7 @@ def test_json_validation_errors(small_params):
         ("sigma", float("nan")),
         ("sigma", float("inf")),
         ("sigma", "3.2"),
+        pytest.param("sigma", 10**400, id="sigma-10**400"),
     ],
 )
 def test_json_header_is_strict(small_params, field, value):
@@ -417,9 +418,9 @@ def test_json_header_is_strict(small_params, field, value):
         bfv.secret_key_from_json({**obj, field: value})
 
 
-@pytest.mark.parametrize("value", [1.9, "1", None, 2**70, 2**63])
+@pytest.mark.parametrize("value", [1.9, "1", None, 2**70, 2**63, True, False])
 def test_json_payload_is_strict(small_params, value):
-    # 1.9 and "1" used to load as the key bit 1
+    # 1.9, "1" and True used to load as the key bit 1
     obj = bfv.secret_key_to_json(SecretKey(Polynomial.zero(64, 2**30)), small_params)
     vec = list(obj["payload"][0])
     vec[3] = value

@@ -72,6 +72,12 @@ def test_malformed_inputs_exit_with_error(tmp_path, capsys):
     rc = run_cli(["encrypt", "--key", pk_path, "--in", bad, "--out", tmp_path / "x"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+    # true used to encrypt as the coefficient 1
+    boolean = tmp_path / "bool.json"
+    boolean.write_text("[true, 1]")
+    rc = run_cli(["encrypt", "--key", pk_path, "--in", boolean, "--out", tmp_path / "z"])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
     rc = run_cli(
         ["decrypt", "--key", tmp_path / "missing.json", "--in", bad, "--out", tmp_path / "y"]
     )

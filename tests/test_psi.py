@@ -3,6 +3,7 @@ transcripts, replay rejection, and the attack compositions."""
 
 import json
 
+import numpy as np
 import pytest
 
 import bfvlab.bfv as bfv
@@ -76,6 +77,16 @@ def test_no_false_positives_over_many_runs(small_prime_t_params):
         assert transcript.outcome == "not-equal", (m_a, m_b)
 
 
+@pytest.mark.parametrize("value", [2.7, "5", True, None, np.float64(2.0)])
+def test_session_inputs_must_be_integers(small_params, value):
+    # 2.7 used to be truncated to 2 and compare equal to 2
+    with pytest.raises(ValueError):
+        run_session(small_params, value, 2, make_rng(4))
+    with pytest.raises(ValueError):
+        run_session(small_params, 2, value, make_rng(4))
+    assert run_session(small_params, np.int64(2), 2, make_rng(4)).outcome == "equal"
+
+
 def test_flooding_strategy_preserves_outcomes():
     params = get_params("psi-83")
     rng = make_rng(6)
@@ -109,6 +120,10 @@ def test_frame_rejects_garbage():
     ).encode()
     with pytest.raises(ProtocolError):
         decode_frame(len(bad_kind).to_bytes(4, "big") + bad_kind)
+    # json refuses integers past its digit limit with a plain ValueError
+    long_int = b'{"session_id": "x", "kind": "result", "body": {"n": 1' + b"0" * 5000 + b"}}"
+    with pytest.raises(ProtocolError):
+        decode_frame(len(long_int).to_bytes(4, "big") + long_int)
 
 
 def test_pubkey_message_roundtrips_and_satisfies_key_relation(small_params):

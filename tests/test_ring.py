@@ -16,7 +16,13 @@ from bfvlab.ring import (
 from bfvlab.ring import _limb_plan, _mul_divmod
 
 from conftest import make_rng
-from oracles import centered_scan, center_mod, negacyclic_mul_oracle, round_ratio_oracle
+from oracles import (
+    center_mod,
+    centered_scan,
+    hex_oracle,
+    negacyclic_mul_oracle,
+    round_ratio_oracle,
+)
 
 
 # --- centered reduction -----------------------------------------------------
@@ -348,9 +354,13 @@ def test_sample_gaussian_rejects_bad_sigma():
 
 def test_hex_roundtrip_various_moduli():
     rng = make_rng(51)
-    for q in (97, 256, 2**16, 2**30, 2**54):
+    # q = 2**62 - 57 has eight-byte fields, so no sign padding
+    for q in (3, 97, 256, 2**16, 2**30, 2**54, 2**62 - 57):
         d = 32
-        p = Polynomial(rng.integers(-(q // 2), (q + 1) // 2, d, dtype=np.int64), q)
+        coeffs = rng.integers(-(q // 2), (q + 1) // 2, d, dtype=np.int64)
+        coeffs[:2] = -(q // 2), (q - 1) // 2
+        p = Polynomial(coeffs, q)
+        assert p.to_hex() == hex_oracle(p.to_coeff_list(), q)
         assert Polynomial.from_hex(p.to_hex(), q) == p
 
 
@@ -366,6 +376,10 @@ def test_from_hex_rejects_bad_lengths():
         Polynomial.from_hex("", 256)
     with pytest.raises(ValueError):
         Polynomial.from_hex("0f0", 256)
+    # int(field, 16) used to accept each of these as 10 (or -10)
+    for field in ("0x0a", "+00a", " 00a", "0_0a", "00a\n", "-00a"):
+        with pytest.raises(ValueError):
+            Polynomial.from_hex(field, 2**16)
 
 
 def test_with_modulus_lifts_and_reduces():
