@@ -19,10 +19,10 @@ transcript = psi.run_session(params, 17, 29, rng.spawn(1)[0])
 print(f"m_a = 17, m_b = 29  ->  {transcript.outcome}")
 
 # but the response reuses the noise of Alice's own query, scaled by r.
-# an Alice who kept her encryption randomness can strip the blinding
-transcript, alice, bob = psi.run_session_detailed(
-    params, 17, 29, rng.spawn(1)[0], retain_witness=True
-)
+# Alice holds her encryption randomness, so she can strip the blinding;
+# the transcript carries both parties' final states for the comparison
+transcript = psi.run_session(params, 17, 29, rng.spawn(1)[0])
+alice, bob = transcript.alice, transcript.bob
 response_ct, _ = bfv.ciphertext_from_json(transcript.frames[2]["body"])
 r, m_b = circuit_privacy_recover(
     alice.sk, alice.pk, alice.witness, alice.m_a, response_ct, params
@@ -34,10 +34,10 @@ print(f"recovered Bob input = {m_b.poly.to_coeff_list()[0]}"
 
 # countermeasure: Bob adds fresh uniform noise far above the old noise
 # but still far below delta/2, drowning the structure the attack needs
-transcript, alice, bob = psi.run_session_detailed(
-    params, 17, 29, rng.spawn(1)[0],
-    strategy=psi.Flooding(bound=2**30), retain_witness=True,
+transcript = psi.run_session(
+    params, 17, 29, rng.spawn(1)[0], strategy=psi.Flooding(bound=2**30)
 )
+alice = transcript.alice
 print(f"flooded session outcome: {transcript.outcome} (still correct)")
 response_ct, _ = bfv.ciphertext_from_json(transcript.frames[2]["body"])
 try:

@@ -20,7 +20,7 @@ through a counting oracle and returns an AttackReport.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import gcd
 from typing import Callable, Optional
 
@@ -49,6 +49,7 @@ __all__ = [
     "bit_leak_offset",
     "bit_leak_probe",
     "bit_leak_attack",
+    "bob_reply",
     "evaluation_noise",
     "circuit_privacy_recover",
     "encoder_leak_demo",
@@ -159,6 +160,26 @@ def bit_leak_attack(
     return SecretKey(Polynomial(bits, params.q))
 
 
+def bob_reply(
+    c_a: Ciphertext,
+    m_b: Plaintext,
+    r: Plaintext,
+    pk: PublicKey,
+    params: BfvParams,
+    rng: np.random.Generator,
+    flood_bound: Optional[int] = None,
+) -> Ciphertext:
+    """Bob's equality-protocol reply r*(m_b - c_a), computed with plain
+    operations only, plus an encryption of zero with uniform noise on
+    [-flood_bound, flood_bound] when a bound is given.  Without the
+    flood the reply keeps Alice's encryption noise, scaled by r.
+    """
+    reply = bfv.mul_plain(bfv.sub_from_plain(m_b, c_a, params), r, params)
+    if flood_bound is None:
+        return reply
+    return bfv.add(reply, bfv.encrypt_zero_flood(pk, params, flood_bound, rng))
+
+
 def evaluation_noise(
     sk: SecretKey, pk: PublicKey, witness: EncryptionWitness, params: BfvParams
 ) -> Polynomial:
@@ -181,9 +202,9 @@ def circuit_privacy_recover(
 ) -> tuple[Plaintext, Plaintext]:
     """Recover Bob's scalar multiplier r and scalar input m_b from c_ab.
 
-    Assumes c_ab = r * (m_b - c_a) computed with plain operations only,
-    where c_a is Alice's encryption of the scalar m_a with witness
-    (u, e1, e2).  Then [c_ab0 + c_ab1*s]_q = r*delta*(m_b - m_a) - r*n
+    Assumes c_ab is an unflooded bob_reply, r * (m_b - c_a) computed
+    with plain operations only, where c_a is Alice's encryption of the
+    scalar m_a with witness (u, e1, e2).  Then [c_ab0 + c_ab1*s]_q = r*delta*(m_b - m_a) - r*n
     with n the known evaluation noise, so every non-constant raw
     coefficient equals -r*n_j exactly over the integers.  The constant
     coefficient then yields [r*(m_b - m_a)]_t after rounding by delta.
@@ -279,14 +300,7 @@ class AttackReport:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "attack": self.attack,
-            "parameter_set": self.parameter_set,
-            "oracle_calls": self.oracle_calls,
-            "recovered": self.recovered,
-            "success": self.success,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _describe_params(params: BfvParams, name: Optional[str]) -> dict:
@@ -370,13 +384,8 @@ def run_circuit_privacy_attack(
         m_a = Plaintext.constant(m_a_value, params)
         m_b = Plaintext.constant(m_b_value, params)
         c_a, witness = bfv.encrypt(pk, m_a, params, rng)
-        response = bfv.mul_plain(
-            bfv.sub_from_plain(m_b, c_a, params), Plaintext.constant(r_value, params), params
-        )
-        if flood_bound is not None:
-            response = bfv.add(
-                response, bfv.encrypt_zero_flood(pk, params, flood_bound, rng)
-            )
+        r = Plaintext.constant(r_value, params)
+        response = bob_reply(c_a, m_b, r, pk, params, rng, flood_bound)
 
         # The response must still decrypt to r*(m_b - m_a) regardless of flooding.
         expected = reduce_centered(r_value * (m_b_value - m_a_value), params.t)
@@ -391,11 +400,7 @@ def run_circuit_privacy_attack(
         except AttackError:
             blocked += 1
             continue
-        exact = (
-            r_rec.poly == Polynomial.constant(r_value, params.d, params.t)
-            and m_b_rec.poly == Polynomial.constant(m_b_value, params.d, params.t)
-        )
-        if exact:
+        if r_rec.poly == r.poly and m_b_rec.poly == m_b.poly:
             recoveries += 1
             last_recovered = {
                 "r": r_rec.poly.to_hex(),

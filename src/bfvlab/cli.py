@@ -9,10 +9,10 @@ unexpected failures (bad inputs, surprising outcomes).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -22,7 +22,7 @@ from . import attacks, bfv, psi
 from .bfv import BfvParams, PARAM_SETS, Plaintext, get_params
 from .ring import RingParams
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -34,20 +34,6 @@ _ATTACK_DEFAULT_SET = {
     "circuit": "psi-83",
     "encoder": "cca-1024",
 }
-
-
-@dataclass
-class RunConfig:
-    """Resolved run settings shared by every subcommand."""
-
-    params: BfvParams
-    set_name: Optional[str]
-    seed: int
-    out: Optional[Path]
-    verbose: bool
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser, default_set: Optional[str]) -> None:
@@ -67,25 +53,18 @@ def _add_common_flags(parser: argparse.ArgumentParser, default_set: Optional[str
     parser.add_argument("--verbose", action="store_true", help="print extra progress detail")
 
 
-def _resolve_config(args, default_set: Optional[str]) -> RunConfig:
+def _resolve_config(args, default_set: Optional[str]) -> tuple[BfvParams, Optional[str]]:
+    """The parameters the flags ask for, and the name of their set (None
+    for explicit --d/--q/--t)."""
     explicit = [args.d, args.q, args.t]
     if any(v is not None for v in explicit):
         if any(v is None for v in explicit):
             raise ValueError("explicit parameters need all of --d, --q and --t")
         if args.params is not None:
             raise ValueError("give either --params or explicit --d/--q/--t, not both")
-        params = BfvParams(ring=RingParams(d=args.d, q=args.q), t=args.t, sigma=args.sigma)
-        set_name = None
-    else:
-        set_name = args.params or default_set
-        params = get_params(set_name)
-    return RunConfig(
-        params=params,
-        set_name=set_name,
-        seed=args.seed,
-        out=Path(args.out) if args.out else None,
-        verbose=args.verbose,
-    )
+        return BfvParams(ring=RingParams(d=args.d, q=args.q), t=args.t, sigma=args.sigma), None
+    set_name = args.params or default_set
+    return get_params(set_name), set_name
 
 
 def _write_json(path: Path, obj) -> None:
@@ -100,13 +79,13 @@ def _read_json(path: Path):
 
 
 def _cmd_keygen(args) -> int:
-    config = _resolve_config(args, default_set="cca-1024")
-    sk, pk = bfv.keygen(config.params, config.rng())
-    prefix = config.out or Path("key")
+    params, _ = _resolve_config(args, default_set="cca-1024")
+    sk, pk = bfv.keygen(params, np.random.default_rng(args.seed))
+    prefix = Path(args.out or "key")
     sk_path = prefix.with_name(prefix.name + ".sk.json")
     pk_path = prefix.with_name(prefix.name + ".pk.json")
-    _write_json(sk_path, bfv.secret_key_to_json(sk, config.params))
-    _write_json(pk_path, bfv.public_key_to_json(pk, config.params))
+    _write_json(sk_path, bfv.secret_key_to_json(sk, params))
+    _write_json(pk_path, bfv.public_key_to_json(pk, params))
     print(f"wrote {sk_path} and {pk_path}")
     return EXIT_OK
 
@@ -135,9 +114,8 @@ def _cmd_decrypt(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    config = _resolve_config(args, default_set=_ATTACK_DEFAULT_SET[args.attack])
-    rng = config.rng()
-    params, name = config.params, config.set_name
+    params, name = _resolve_config(args, default_set=_ATTACK_DEFAULT_SET[args.attack])
+    rng = np.random.default_rng(args.seed)
     start = time.perf_counter()
     if args.attack == "cca":
         report = attacks.run_cca_attack(params, rng, set_name=name)
@@ -152,7 +130,7 @@ def _cmd_attack(args) -> int:
         report = attacks.run_encoder_leak_demo(params, rng, set_name=name)
     elapsed = time.perf_counter() - start
 
-    out = config.out or Path(f"{args.attack}-report.json")
+    out = Path(args.out or f"{args.attack}-report.json")
     # Timing stays off the report file so identical seeded runs are
     # byte-identical; it is printed instead.
     _write_json(out, report.to_json())
@@ -162,7 +140,7 @@ def _cmd_attack(args) -> int:
         f"({report.oracle_calls} oracle calls, {elapsed:.3f}s), "
         f"report in {out}"
     )
-    if config.verbose:
+    if args.verbose:
         print(json.dumps(report.details, indent=2, sort_keys=True))
 
     if args.attack == "circuit" and args.flood is not None:
@@ -176,7 +154,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_psi(args) -> int:
-    config = _resolve_config(args, default_set="psi-83")
+    params, _ = _resolve_config(args, default_set="psi-83")
     if args.strategy == "honest":
         strategy = psi.Honest()
     elif args.strategy == "flooding":
@@ -184,18 +162,21 @@ def _cmd_psi(args) -> int:
     else:
         strategy = psi.MaliciousBitProbe(index=args.index)
     transcript = psi.run_session(
-        config.params, args.alice, args.bob, config.rng(), strategy=strategy
+        params, args.alice, args.bob, np.random.default_rng(args.seed), strategy=strategy
     )
-    out = config.out or Path("psi-transcript.json")
+    out = Path(args.out or "psi-transcript.json")
     transcript.save(out)
     outcome = psi.Outcome(transcript.outcome)
     print("EQUAL" if outcome is psi.Outcome.EQUAL else "NOT-EQUAL")
-    if config.verbose:
+    if args.verbose:
         print(f"transcript in {out}")
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The bfvlab parser, built once per process and shared by every call
+    to main, so callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="bfvlab",
         description="Toy BFV encryption plus a lab of decryption-oracle, "

@@ -10,6 +10,8 @@ encoder-leakage experiment exploits.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .bfv import BfvParams, Plaintext
 from .ring import Polynomial
 
@@ -31,12 +33,12 @@ def integer_encode(n: int, params: BfvParams) -> Plaintext:
     # centered residues mod 2 are {-1, 0}: no bit value survives t <= 2
     if n != 0 and params.t <= 2:
         raise ValueError("nonzero values are not representable with t <= 2")
-    sign = 1 if n >= 0 else -1
-    coeffs = [0] * params.d
-    for i in range(magnitude.bit_length()):
-        if (magnitude >> i) & 1:
-            coeffs[i] = sign
-    return Plaintext(Polynomial(coeffs, params.t))
+    bits = np.unpackbits(
+        np.frombuffer(magnitude.to_bytes((params.d + 7) // 8, "little"), dtype=np.uint8),
+        count=params.d,
+        bitorder="little",
+    ).astype(np.int64)
+    return Plaintext(Polynomial(bits if n >= 0 else -bits, params.t))
 
 
 def integer_decode(m: Plaintext) -> int:

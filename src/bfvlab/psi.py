@@ -2,14 +2,14 @@
 
 Alice holds m_a, Bob holds m_b.  Alice sends her public key and an
 encryption c_a of m_a; Bob replies with r * (m_b - c_a) for a random
-nonzero scalar r; Alice decrypts and learns Equal exactly when the
-result is zero.  The outcome stays with Alice.
+nonzero scalar r (attacks.bob_reply); Alice decrypts and learns Equal
+exactly when the result is zero.  The outcome stays with Alice.
 
 Every hop is serialized: messages travel as length-prefixed JSON
-frames, and a Transcript records the whole session so it can be
-re-verified offline.  Bob's response strategy is pluggable, which is
-where the countermeasure (noise flooding) and the malicious probe
-(key-bit leakage through the equality answer) plug in.
+frames, and run_session returns a Transcript that records the whole
+session so it can be re-verified offline.  Bob's response strategy is
+pluggable, which is where the countermeasure (noise flooding) and the
+malicious probe (key-bit leakage through the equality answer) plug in.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "alice_finish",
     "Transcript",
     "run_session",
-    "run_session_detailed",
     "verify_transcript",
     "SessionRegistry",
     "session_zero_check_oracle",
@@ -133,7 +132,9 @@ def decode_frame(frame: bytes) -> WireMessage:
 
 @dataclass
 class AliceState:
-    """Alice's side: key pair, input, and a phase tag enforcing message order."""
+    """Alice's side: key pair, input, the encryption witness of her query,
+    and a phase tag enforcing message order.  Like sk, the witness never
+    leaves this state."""
 
     params: BfvParams
     sk: SecretKey
@@ -141,9 +142,7 @@ class AliceState:
     m_a: Plaintext
     session_id: str
     rng: np.random.Generator
-    retain_witness: bool = False
     witness: Optional[bfv.EncryptionWitness] = None
-    query_ct: Optional[Ciphertext] = None
     outcome: Optional[Outcome] = None
     phase: str = "init"
 
@@ -192,7 +191,6 @@ def alice_init(
     params: BfvParams,
     m_a,
     rng: np.random.Generator,
-    retain_witness: bool = False,
     keys: Optional[tuple[SecretKey, PublicKey]] = None,
 ) -> tuple[AliceState, WireMessage]:
     """Start a session: generate (or reuse) keys and emit the pubkey message."""
@@ -205,7 +203,6 @@ def alice_init(
         m_a=_as_plaintext(m_a, params),
         session_id=session_id,
         rng=rng,
-        retain_witness=retain_witness,
     )
     msg = WireMessage(session_id, "pubkey", bfv.public_key_to_json(pk, params))
     return state, msg
@@ -215,10 +212,7 @@ def alice_query(state: AliceState) -> WireMessage:
     """Encrypt m_a and emit the query message."""
     if state.phase != "init":
         raise ProtocolError(f"alice cannot send a query in phase {state.phase!r}")
-    ct, witness = bfv.encrypt(state.pk, state.m_a, state.params, state.rng)
-    state.query_ct = ct
-    if state.retain_witness:
-        state.witness = witness
+    ct, state.witness = bfv.encrypt(state.pk, state.m_a, state.params, state.rng)
     state.phase = "sent"
     return WireMessage(
         state.session_id, "query", bfv.ciphertext_to_json(ct, state.params)
@@ -256,16 +250,10 @@ def bob_respond(state: BobState, query: WireMessage) -> WireMessage:
     if isinstance(strategy, MaliciousBitProbe):
         response = attacks.bit_leak_probe(state.pk, strategy.index, state.params)
     else:
-        response = bfv.mul_plain(
-            bfv.sub_from_plain(state.m_b, c_a, state.params), state.r, state.params
+        bound = strategy.bound if isinstance(strategy, Flooding) else None
+        response = attacks.bob_reply(
+            c_a, state.m_b, state.r, state.pk, state.params, state.rng, bound
         )
-        if isinstance(strategy, Flooding):
-            response = bfv.add(
-                response,
-                bfv.encrypt_zero_flood(
-                    state.pk, state.params, strategy.bound, state.rng
-                ),
-            )
     state.phase = "done"
     return WireMessage(
         state.session_id, "response", bfv.ciphertext_to_json(response, state.params)
@@ -285,11 +273,18 @@ def alice_finish(state: AliceState, response: WireMessage) -> Outcome:
 
 @dataclass
 class Transcript:
-    """Full record of one session: every frame in order, plus the outcome."""
+    """Full record of one session: every frame in order, plus the outcome.
+
+    A transcript returned by run_session also carries the parties' final
+    states in alice and bob.  They stay in memory: to_json and save leave
+    them out, and a loaded transcript has None there.
+    """
 
     session_id: str
     frames: list[dict]
     outcome: str
+    alice: Optional[AliceState] = field(default=None, repr=False, compare=False)
+    bob: Optional[BobState] = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -338,22 +333,20 @@ def _deliver(msg: WireMessage, frames: list[dict]) -> WireMessage:
     return received
 
 
-def run_session_detailed(
+def run_session(
     params: BfvParams,
     m_a,
     m_b,
     rng: np.random.Generator,
     strategy: Strategy = Honest(),
-    retain_witness: bool = False,
     alice_keys: Optional[tuple[SecretKey, PublicKey]] = None,
     registry: Optional[SessionRegistry] = None,
-) -> tuple[Transcript, AliceState, BobState]:
-    """Run one full session over serialized frames; return transcript and states."""
+) -> Transcript:
+    """Run one full session over serialized frames; return its transcript,
+    which also holds both parties' final states."""
     alice_rng, bob_rng = rng.spawn(2)
     frames: list[dict] = []
-    alice, pubkey_msg = alice_init(
-        params, m_a, alice_rng, retain_witness=retain_witness, keys=alice_keys
-    )
+    alice, pubkey_msg = alice_init(params, m_a, alice_rng, keys=alice_keys)
     if registry is not None:
         registry.register(alice.session_id)
     bob = bob_init(params, m_b, _deliver(pubkey_msg, frames), bob_rng, strategy)
@@ -361,32 +354,7 @@ def run_session_detailed(
     outcome = alice_finish(alice, _deliver(response_msg, frames))
     result_msg = WireMessage(alice.session_id, "result", {"outcome": outcome.value})
     _deliver(result_msg, frames)
-    transcript = Transcript(alice.session_id, frames, outcome.value)
-    return transcript, alice, bob
-
-
-def run_session(
-    params: BfvParams,
-    m_a,
-    m_b,
-    rng: np.random.Generator,
-    strategy: Strategy = Honest(),
-    retain_witness: bool = False,
-    alice_keys: Optional[tuple[SecretKey, PublicKey]] = None,
-    registry: Optional[SessionRegistry] = None,
-) -> Transcript:
-    """Run one session and return only its transcript."""
-    transcript, _, _ = run_session_detailed(
-        params,
-        m_a,
-        m_b,
-        rng,
-        strategy=strategy,
-        retain_witness=retain_witness,
-        alice_keys=alice_keys,
-        registry=registry,
-    )
-    return transcript
+    return Transcript(alice.session_id, frames, outcome.value, alice=alice, bob=bob)
 
 
 def verify_transcript(transcript: Transcript) -> Outcome:

@@ -54,6 +54,12 @@ def hex_oracle(coeffs: list[int], modulus: int) -> str:
     return "".join(format(c & mask, f"0{2 * nbytes}x") for c in coeffs)
 
 
+def integer_encode_oracle(n: int, d: int) -> list[int]:
+    """Bits of |n| in coefficients 0.. by shifting, each carrying the sign of n."""
+    sign = 1 if n >= 0 else -1
+    return [sign * ((abs(n) >> i) & 1) for i in range(d)]
+
+
 def round_ratio_oracle(num: int, den: int) -> int:
     """Nearest integer to num/den, halves away from zero, via Fraction."""
     f = Fraction(num, den)

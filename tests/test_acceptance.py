@@ -100,9 +100,8 @@ def test_circuit_privacy_recovery_and_flooding_defense(capsys):
     rng = make_rng(2026)
     for _ in range(500):
         m_a, m_b = _random_pair(rng)
-        transcript, alice, bob = psi.run_session_detailed(
-            params, m_a, m_b, rng.spawn(1)[0], retain_witness=True
-        )
+        transcript = psi.run_session(params, m_a, m_b, rng.spawn(1)[0])
+        alice, bob = transcript.alice, transcript.bob
         expected = "equal" if reduce_centered(m_a - m_b, t) == 0 else "not-equal"
         if transcript.outcome == expected:
             honest_outcomes += 1
@@ -124,14 +123,10 @@ def test_circuit_privacy_recovery_and_flooding_defense(capsys):
     rng = make_rng(2027)
     for _ in range(500):
         m_a, m_b = _random_pair(rng)
-        transcript, alice, bob = psi.run_session_detailed(
-            params,
-            m_a,
-            m_b,
-            rng.spawn(1)[0],
-            strategy=psi.Flooding(bound=2**30),
-            retain_witness=True,
+        transcript = psi.run_session(
+            params, m_a, m_b, rng.spawn(1)[0], strategy=psi.Flooding(bound=2**30)
         )
+        alice, bob = transcript.alice, transcript.bob
         expected = "equal" if reduce_centered(m_a - m_b, t) == 0 else "not-equal"
         if transcript.outcome == expected:
             flood_outcomes += 1

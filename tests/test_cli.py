@@ -1,6 +1,7 @@
 """End-to-end command line checks: key handling, attack reports,
 exit codes, and byte-level determinism of written artifacts."""
 
+import hashlib
 import json
 
 import pytest
@@ -199,10 +200,8 @@ def test_psi_malicious_probe_reports_key_bit(tmp_path, capsys):
 
     # replay the session directly to learn the true key bit
     params = BfvParams(ring=RingParams(d=64, q=2**30), t=256)
-    _, alice, _ = psi.run_session_detailed(
-        params, 9, 0, make_rng(13), strategy=psi.MaliciousBitProbe(5)
-    )
-    s_5 = alice.sk.s.to_coeff_list()[5]
+    transcript = psi.run_session(params, 9, 0, make_rng(13), strategy=psi.MaliciousBitProbe(5))
+    s_5 = transcript.alice.sk.s.to_coeff_list()[5]
     assert printed_equal == (s_5 == 0)
 
 
@@ -245,3 +244,72 @@ def test_unknown_arguments_are_rejected():
     with pytest.raises(SystemExit) as exc:
         run_cli(["attack", "cca", "--bogus"])
     assert exc.value.code == 2
+
+
+# --- pinned artifacts ------------------------------------------------------------------
+
+
+PINNED_SHA256 = {
+    # recorded under numpy 2.4.6; a numpy release that changes the
+    # Generator streams changes these files too
+    "keygen.sk": "9ee82af5cd5fdb73d2ef63bde0493a390b27247692264b666b779a3c2ef497eb",
+    "keygen.pk": "ea0d2f3055886933ea1a210203718f017c44d9623c467669d066ec7a3654e886",
+    "encrypt": "313704caf8e944f9dd9292505039265d99dec410ed7a3a430a97b82430dc510f",
+    "decrypt": "44f53844227696c29d9c0d89d2b6c4b3b958be411f66712d78f36ea4e6fc820f",
+    "attack.cca": "8648086daea251c2a65af51c1b82bbc4fcecae465c21619db6c82e35c30c8724",
+    "attack.encoder": "a27257d30323e2384c01b2c7f6b75639832cfceeb186c6355cfe92f723d7c12a",
+    "attack.circuit": "4d872239f88ae47dd484034d55790614bdea9ac123b08bf3269af7d0c8640b61",
+    "attack.circuit-flood": "cf1663cf48ff2c95990459bf4e8cdba1cf7b055a9a699d1c9ddef2612d5ffebc",
+    "psi.honest": "6f88d7738c618582da1fad8e26872ed6c86fbc152c609f81a17e553fce8d539e",
+    "psi.flooding": "acac46b746c2ca4802baa0f765a27215461242b65ec873c79c37696ef31caf87",
+    "psi.malicious-probe": "3af7dccd20647c9548b353f7d9b769bd1df026c5a73bfafa3057110fe711e2da",
+}
+
+
+def _seeded_artifacts(tmp_path):
+    """Write one file per seeded subcommand; return {name: path}."""
+    files = {}
+    prefix = tmp_path / "key"
+    assert run_cli(["keygen", *SMALL, "--seed", 3, "--out", prefix]) == 0
+    files["keygen.sk"] = tmp_path / "key.sk.json"
+    files["keygen.pk"] = tmp_path / "key.pk.json"
+    plain = tmp_path / "m.json"
+    plain.write_text("[7, 0, 255, -3]")
+    files["encrypt"] = tmp_path / "ct.json"
+    argv = ["encrypt", "--key", files["keygen.pk"], "--in", plain, "--seed", 4]
+    assert run_cli([*argv, "--out", files["encrypt"]]) == 0
+    files["decrypt"] = tmp_path / "pt.json"
+    argv = ["decrypt", "--key", files["keygen.sk"], "--in", files["encrypt"]]
+    assert run_cli([*argv, "--out", files["decrypt"]]) == 0
+    for name, argv, code in (
+        ("attack.cca", ["attack", "cca", *SMALL, "--seed", 5], 0),
+        ("attack.encoder", ["attack", "encoder", *SMALL, "--seed", 6], 0),
+        ("attack.circuit", ["attack", "circuit", "--seed", 7, "--trials", 3], 0),
+        (
+            "attack.circuit-flood",
+            ["attack", "circuit", "--seed", 7, "--trials", 3, "--flood", 30],
+            2,
+        ),
+        ("psi.honest", ["psi", "--seed", 8, "--alice", 5, "--bob", 5], 0),
+        (
+            "psi.flooding",
+            ["psi", "--seed", 8, "--alice", 5, "--bob", 6, "--strategy", "flooding"],
+            0,
+        ),
+        (
+            "psi.malicious-probe",
+            ["psi", "--seed", 8, "--alice", 5, "--bob", 0]
+            + ["--strategy", "malicious-probe", "--index", 3],
+            0,
+        ),
+    ):
+        files[name] = tmp_path / f"{name}.json"
+        assert run_cli([*argv, "--out", files[name]]) == code
+    return files
+
+
+def test_seeded_artifacts_are_pinned(tmp_path):
+    """Every seeded file is byte-for-byte what the pinned hashes say."""
+    files = _seeded_artifacts(tmp_path)
+    got = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
+    assert got == PINNED_SHA256

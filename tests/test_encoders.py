@@ -6,6 +6,7 @@ import pytest
 from bfvlab import BfvParams, Plaintext, Polynomial, RingParams, integer_decode, integer_encode
 
 from conftest import make_rng
+from oracles import integer_encode_oracle
 
 
 @pytest.fixture
@@ -20,6 +21,18 @@ def test_encode_frozen_examples(params):
     assert integer_encode(2, params).poly.to_coeff_list()[:3] == [0, 1, 0]
     assert integer_encode(4, params).poly.to_coeff_list()[:4] == [0, 0, 1, 0]
     assert integer_encode(-3, params).poly.to_coeff_list()[:3] == [-1, -1, 0]
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 64, 1024])
+@pytest.mark.parametrize("t", [3, 256])
+def test_encode_matches_bit_loop_oracle(d, t):
+    params = BfvParams(ring=RingParams(d=d, q=2**30), t=t)
+    rng = make_rng(d + t)
+    top = 2**d - 1
+    drawn = int.from_bytes(rng.bytes((d + 7) // 8), "little") & top
+    values = [0, 1, -1, top, -top, top >> 1, -(top >> 1), drawn, -drawn]
+    for n in values:
+        assert integer_encode(n, params).poly.to_coeff_list() == integer_encode_oracle(n, d)
 
 
 def test_decode_frozen_examples(params):

@@ -31,7 +31,6 @@ from bfvlab.psi import (
     decode_frame,
     encode_frame,
     run_session,
-    run_session_detailed,
     session_zero_check_oracle,
     verify_transcript,
 )
@@ -146,8 +145,8 @@ def test_query_decrypts_to_alice_input(small_params):
 
 def test_sessions_use_fresh_randomness(small_params):
     rng = make_rng(9)
-    t1, a1, _ = run_session_detailed(small_params, 5, 5, rng.spawn(1)[0])
-    t2, a2, _ = run_session_detailed(small_params, 5, 5, rng.spawn(1)[0])
+    t1 = run_session(small_params, 5, 5, rng.spawn(1)[0])
+    t2 = run_session(small_params, 5, 5, rng.spawn(1)[0])
     assert t1.session_id != t2.session_id
     assert t1.frames[1]["body"]["payload"] != t2.frames[1]["body"]["payload"]
 
@@ -173,7 +172,7 @@ def test_message_order_violations_raise_protocol_errors(small_params):
 
 def test_receivers_reject_every_wrong_kind(small_params):
     rng = make_rng(11)
-    transcript, _, _ = run_session_detailed(small_params, 1, 2, rng.spawn(1)[0])
+    transcript = run_session(small_params, 1, 2, rng.spawn(1)[0])
     by_kind = {
         frame["kind"]: WireMessage(frame["session_id"], frame["kind"], frame["body"])
         for frame in transcript.frames
@@ -236,6 +235,11 @@ def test_transcript_roundtrip_and_verification(tmp_path, small_params):
     loaded = Transcript.load(path)
     assert loaded == transcript
     assert verify_transcript(loaded) is Outcome.EQUAL
+    # the parties' states stay in memory: never saved, never compared
+    assert transcript.alice is not None and transcript.bob is not None
+    assert loaded.alice is None and loaded.bob is None
+    assert set(transcript.to_json()) == {"session_id", "frames", "outcome"}
+    assert Transcript.from_json(transcript.to_json()) == transcript
 
 
 def test_transcript_tampering_is_detected(small_params):
@@ -341,14 +345,13 @@ def test_attacker_alice_recovers_bob_secrets_from_transcript():
     for _ in range(20):
         m_a = int(rng.integers(-41, 42))
         m_b = int(rng.integers(-41, 42))
-        transcript, alice, bob = run_session_detailed(
-            params, m_a, m_b, rng.spawn(1)[0], retain_witness=True
-        )
+        transcript = run_session(params, m_a, m_b, rng.spawn(1)[0])
+        alice = transcript.alice
         c_ab, _ = bfv.ciphertext_from_json(transcript.frames[2]["body"])
         r_rec, m_b_rec = circuit_privacy_recover(
             alice.sk, alice.pk, alice.witness, alice.m_a, c_ab, params
         )
-        assert r_rec.poly == bob.r.poly
+        assert r_rec.poly == transcript.bob.r.poly
         assert m_b_rec.poly.to_coeff_list()[0] == reduce_centered(m_b, params.t)
         hits += 1
     assert hits == 20
@@ -360,25 +363,12 @@ def test_attacker_alice_blocked_by_flooding_bob():
     for _ in range(20):
         m_a = int(rng.integers(-41, 42))
         m_b = int(rng.integers(-41, 42))
-        transcript, alice, _ = run_session_detailed(
-            params,
-            m_a,
-            m_b,
-            rng.spawn(1)[0],
-            strategy=Flooding(bound=2**30),
-            retain_witness=True,
+        transcript = run_session(
+            params, m_a, m_b, rng.spawn(1)[0], strategy=Flooding(bound=2**30)
         )
+        alice = transcript.alice
         c_ab, _ = bfv.ciphertext_from_json(transcript.frames[2]["body"])
         with pytest.raises(FloodedOrMalformedError):
             circuit_privacy_recover(
                 alice.sk, alice.pk, alice.witness, alice.m_a, c_ab, params
             )
-
-
-def test_witness_only_retained_on_request(small_params):
-    _, alice_plain, _ = run_session_detailed(small_params, 1, 2, make_rng(25))
-    assert alice_plain.witness is None
-    _, alice_attacker, _ = run_session_detailed(
-        small_params, 1, 2, make_rng(26), retain_witness=True
-    )
-    assert alice_attacker.witness is not None
