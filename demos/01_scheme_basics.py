@@ -4,7 +4,7 @@ at the cca-1024 parameter set."""
 import numpy as np
 
 import bfvlab.bfv as bfv
-from bfvlab import Plaintext, get_params
+from bfvlab import Plaintext, gaussian_tail, get_params
 
 params = get_params("cca-1024")
 print(f"ring degree d = {params.d}, ciphertext modulus q = 2^{params.q.bit_length() - 1}")
@@ -15,7 +15,7 @@ sk, pk = bfv.keygen(params, rng)
 
 # the public key hides the secret: pk0 + pk1 * s = -e for a short e
 e = -(pk.pk0 + pk.pk1 * sk.s)
-print(f"key relation noise: max |e_i| = {e.max_abs()} (tail bound {int(6 * params.sigma)})")
+print(f"key relation noise: max |e_i| = {e.max_abs()} (tail bound {gaussian_tail(params.sigma)})")
 
 m = Plaintext.from_coeffs([7, 1, 255], params)
 ct, _ = bfv.encrypt(pk, m, params, rng)

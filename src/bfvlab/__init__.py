@@ -15,7 +15,7 @@ from .ring import (
     RingParams,
     monomial,
     reduce_centered,
-    round_half_away,
+    gaussian_tail,
     sample_binary,
     sample_gaussian,
     sample_uniform,
@@ -29,7 +29,7 @@ from .bfv import (
     PublicKey,
     SecretKey,
     add,
-    add_plain,
+    check_decrypt_margin,
     decrypt,
     decrypt_raw,
     encrypt,
@@ -50,7 +50,7 @@ __all__ = [
     "RingParams",
     "monomial",
     "reduce_centered",
-    "round_half_away",
+    "gaussian_tail",
     "sample_binary",
     "sample_gaussian",
     "sample_uniform",
@@ -62,7 +62,7 @@ __all__ = [
     "PublicKey",
     "SecretKey",
     "add",
-    "add_plain",
+    "check_decrypt_margin",
     "decrypt",
     "decrypt_raw",
     "encrypt",

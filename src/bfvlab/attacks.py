@@ -21,7 +21,6 @@ through a counting oracle and returns an AttackReport.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from math import gcd
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,7 +35,7 @@ from .bfv import (
     SecretKey,
 )
 from .encoders import integer_decode, integer_encode
-from .ring import Polynomial, monomial, reduce_centered, round_half_away
+from .ring import Polynomial, gaussian_tail, monomial, reduce_centered
 
 __all__ = [
     "AttackError",
@@ -49,6 +48,7 @@ __all__ = [
     "bit_leak_offset",
     "bit_leak_probe",
     "bit_leak_attack",
+    "random_multiplier",
     "bob_reply",
     "evaluation_noise",
     "circuit_privacy_recover",
@@ -130,18 +130,28 @@ def cca_one_query(oracle: DecryptionOracle, params: BfvParams) -> SecretKey:
 
 
 def bit_leak_offset(params: BfvParams) -> int:
-    """The probe amplitude M = floor(delta/4) + 20 used by bit_leak_probe."""
-    return params.delta // 4 + 20
+    """The probe amplitude M = floor(delta/4) + tail + 1 used by bit_leak_probe.
+
+    tail = gaussian_tail(sigma) bounds every |e_j| of the key relation.
+    Raises AttackError, before any probe is built, unless M + tail is
+    within the decrypt margin.
+    """
+    tail = gaussian_tail(params.sigma)
+    m_val = params.delta // 4 + tail + 1
+    bfv.check_decrypt_margin(m_val + tail, params, "probe amplitude M + tail", AttackError)
+    return m_val
 
 
 def bit_leak_probe(pk: PublicKey, index: int, params: BfvParams) -> Ciphertext:
     """Chosen ciphertext whose decryption is zero exactly when s_index = 0.
 
     With M = bit_leak_offset(params) the probe (pk0 + M*x^index, pk1 + M)
-    satisfies c0 + c1*s = -e + M*x^index + M*s.  Coefficients of size
-    about M scale to 1/4 and round to zero; the target coefficient
-    reaches about 2M when s_index = 1 and crosses the rounding
-    threshold q/(2t).
+    satisfies c0 + c1*s = -e + M*x^index + M*s.  Every coefficient but
+    the target is -e_j + M*s_j, and the target is M - e_index when
+    s_index = 0: all have |v| <= M + tail, within the decrypt margin, so
+    they decrypt to zero.  When s_index = 1 the target is
+    2M - e_index >= delta/2 + tail + 1/2, so 2t*(2M - e_index) > q and it
+    rounds to 1.
     """
     m_val = bit_leak_offset(params)
     c0 = pk.pk0 + monomial(index, m_val, params.ring)
@@ -160,6 +170,11 @@ def bit_leak_attack(
     return SecretKey(Polynomial(bits, params.q))
 
 
+def random_multiplier(params: BfvParams, rng: np.random.Generator) -> int:
+    """Bob's blinding scalar r: uniform over the nonzero centered residues mod t."""
+    return reduce_centered(int(rng.integers(1, params.t)), params.t)
+
+
 def bob_reply(
     c_a: Ciphertext,
     m_b: Plaintext,
@@ -173,10 +188,20 @@ def bob_reply(
     operations only, plus an encryption of zero with uniform noise on
     [-flood_bound, flood_bound] when a bound is given.  Without the
     flood the reply keeps Alice's encryption noise, scaled by r.
+
+    A flooded reply must still decrypt.  Its noise is at most
+    |r|_1*((2d+1)*tail + (q mod t)) + flood_bound + 2d*tail: Alice's
+    fresh noise times r, the (q mod t) carry of delta*r*(m_b - m_a), and
+    the flooded zero.  A bound whose total misses the decrypt margin
+    raises ValueError before any randomness is drawn.
     """
     reply = bfv.mul_plain(bfv.sub_from_plain(m_b, c_a, params), r, params)
     if flood_bound is None:
         return reply
+    d, tail = params.d, gaussian_tail(params.sigma)
+    r_norm = int(np.abs(r.poly.coeffs).sum())
+    worst = r_norm * ((2 * d + 1) * tail + params.q % params.t) + flood_bound + 2 * d * tail
+    bfv.check_decrypt_margin(worst, params, "flooded reply noise")
     return bfv.add(reply, bfv.encrypt_zero_flood(pk, params, flood_bound, rng))
 
 
@@ -204,14 +229,18 @@ def circuit_privacy_recover(
 
     Assumes c_ab is an unflooded bob_reply, r * (m_b - c_a) computed
     with plain operations only, where c_a is Alice's encryption of the
-    scalar m_a with witness (u, e1, e2).  Then [c_ab0 + c_ab1*s]_q = r*delta*(m_b - m_a) - r*n
-    with n the known evaluation noise, so every non-constant raw
-    coefficient equals -r*n_j exactly over the integers.  The constant
-    coefficient then yields [r*(m_b - m_a)]_t after rounding by delta.
-    Raises FloodedOrMalformedError whenever the response is not an
-    exact noise-free evaluation (noise flooding), and
-    InsufficientNoiseStructureError when n has no nonzero non-constant
-    coefficient to divide by.
+    scalar m_a with witness (u, e1, e2).  Then
+    [c_ab0 + c_ab1*s]_q = [r*(delta*(m_b - m_a) - n)]_q with n the known
+    evaluation noise.  Nothing is rounded: r ranges over the nonzero
+    centered residues mod t and must give -r*n on the first nonzero
+    non-constant coefficient of n, then on the whole non-constant tail;
+    m_b ranges over the centered residues mod t and must give the
+    constant coefficient.  Both are congruences mod q, so scaled noise
+    that wraps mod q is still read exactly.  Raises
+    FloodedOrMalformedError unless exactly one pair (r, m_b) reproduces
+    the response (noise flooding, or inputs the response cannot tell
+    apart), and InsufficientNoiseStructureError when n has no nonzero
+    non-constant coefficient.
     """
     if m_a.poly.coeffs[1:].any():
         raise ValueError("recovery assumes a scalar (constant) plaintext m_a")
@@ -219,73 +248,41 @@ def circuit_privacy_recover(
 
     noise = evaluation_noise(sk, pk, witness, params)
     raw = bfv.decrypt_raw(sk, c_ab, params).coeffs
-    noise_0, raw_0 = int(noise.coeffs[0]), int(raw[0])
-
-    # r from the first usable noise coefficient, cross-checked on a second.
-    probe_indices = np.flatnonzero(noise.coeffs[1:])[:2] + 1
-    if not probe_indices.size:
+    nonzero = np.flatnonzero(noise.coeffs[1:])
+    if not nonzero.size:
         raise InsufficientNoiseStructureError(
             "evaluation noise has no nonzero non-constant coefficient"
         )
-    candidates = []
-    for j in probe_indices:
-        quotient, remainder = divmod(-int(raw[j]), int(noise.coeffs[j]))
-        if remainder:
-            raise FloodedOrMalformedError(
-                f"raw coefficient {j} is not an exact multiple of the known noise"
-            )
-        candidates.append(quotient)
-    if len(set(candidates)) != 1:
-        raise FloodedOrMalformedError(
-            "noise coefficients disagree on the multiplier"
-        )
-    r_value = candidates[0]
-    if r_value == 0 or reduce_centered(r_value, t) != r_value:
-        raise FloodedOrMalformedError(
-            f"recovered multiplier {r_value} is not a nonzero centered mod-{t} scalar"
-        )
-
-    # Constant coefficient: [raw_0 + r*n_0]_q = delta*k - w*(q mod t) with
-    # k = [r*(m_b - m_a)]_t, and |w*(q mod t)| < delta/2, so rounding by
-    # delta returns k exactly.
-    constant = reduce_centered(raw_0 + r_value * noise_0, q)
-    k = round_half_away(constant, delta)
-
-    # Solve r * diff = k (mod t) for diff = m_b - m_a.
-    m_a_value = int(m_a.poly.coeffs[0])
-    r_mod = r_value % t
-    shared = gcd(r_mod, t)
-    if k % shared:
-        raise FloodedOrMalformedError(
-            "constant term is inconsistent with the recovered multiplier"
-        )
-    diff_candidates = [
-        diff for diff in range(t) if (r_mod * diff - k) % t == 0
+    j = int(nonzero[0]) + 1
+    noise_j, raw_j = int(noise.coeffs[j]), int(raw[j])
+    scalars = range(-(t // 2), (t + 1) // 2)
+    r_values = [
+        r
+        for r in scalars
+        if r
+        and (r * noise_j + raw_j) % q == 0
+        and np.array_equal((noise * -r).coeffs[1:], raw[1:])
     ]
-
-    # Re-derive the raw vector; plain evaluation makes the match exact,
-    # so anything else is flooded or malformed.  The non-constant part
-    # does not depend on the candidate.
-    if not np.array_equal((noise * -r_value).coeffs[1:], raw[1:]):
+    if not r_values:
         raise FloodedOrMalformedError(
-            "response tail does not match noise-free plain evaluation"
-        )
-    matches = []
-    for diff in diff_candidates:
-        m_b_value = reduce_centered(m_a_value + diff, t)
-        # Plain evaluation computes r*(delta*m_b - delta*m_a) over the
-        # integers, so the full product goes into the re-derivation.
-        constant_term = r_value * delta * (m_b_value - m_a_value) - r_value * noise_0
-        if reduce_centered(constant_term, q) == raw_0:
-            matches.append(m_b_value)
-    if len(matches) != 1:
-        raise FloodedOrMalformedError(
-            "no unique scalar input reproduces the response exactly"
+            f"response tail is not -r times the known noise for any nonzero scalar r mod {t}"
         )
 
-    r_plain = Plaintext.constant(r_value, params)
-    m_b_plain = Plaintext.constant(matches[0], params)
-    return r_plain, m_b_plain
+    # Plain evaluation computes r*(delta*m_b - delta*m_a) over the
+    # integers, so the full product goes into the re-derivation.
+    m_a_value, noise_0, raw_0 = int(m_a.poly.coeffs[0]), int(noise.coeffs[0]), int(raw[0])
+    pairs = [
+        (r, m_b)
+        for r in r_values
+        for m_b in scalars
+        if (r * (delta * (m_b - m_a_value) - noise_0) - raw_0) % q == 0
+    ]
+    if len(pairs) != 1:
+        raise FloodedOrMalformedError(
+            f"{len(pairs)} scalar pairs (r, m_b) reproduce the response exactly, not one"
+        )
+    [(r_value, m_b_value)] = pairs
+    return Plaintext.constant(r_value, params), Plaintext.constant(m_b_value, params)
 
 
 @dataclass
@@ -349,10 +346,6 @@ def _random_scalar(params: BfvParams, rng: np.random.Generator) -> int:
     return reduce_centered(int(rng.integers(0, params.t)), params.t)
 
 
-def _random_nonzero_scalar(params: BfvParams, rng: np.random.Generator) -> int:
-    return reduce_centered(int(rng.integers(1, params.t)), params.t)
-
-
 def run_circuit_privacy_attack(
     params: BfvParams,
     rng: np.random.Generator,
@@ -380,7 +373,7 @@ def run_circuit_privacy_attack(
         m_b_value = (
             m_a_value if rng.random() < 0.5 else _random_scalar(params, rng)
         )
-        r_value = _random_nonzero_scalar(params, rng)
+        r_value = random_multiplier(params, rng)
         m_a = Plaintext.constant(m_a_value, params)
         m_b = Plaintext.constant(m_b_value, params)
         c_a, witness = bfv.encrypt(pk, m_a, params, rng)

@@ -20,6 +20,7 @@ from .ring import (
     Polynomial,
     RingParams,
     _mul_divmod,
+    gaussian_tail,
     sample_binary,
     sample_gaussian,
     sample_uniform,
@@ -39,9 +40,9 @@ __all__ = [
     "decrypt",
     "decrypt_raw",
     "add",
-    "add_plain",
     "sub_from_plain",
     "mul_plain",
+    "check_decrypt_margin",
     "encrypt_zero_flood",
     "noise_norm",
     "SCHEME_TAG",
@@ -217,11 +218,6 @@ def add(ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
     return Ciphertext(ct1.c0 + ct2.c0, ct1.c1 + ct2.c1)
 
 
-def add_plain(ct: Ciphertext, m: Plaintext, params: BfvParams) -> Ciphertext:
-    """Add the plaintext m to the encrypted message without fresh noise."""
-    return Ciphertext(ct.c0 + _lift(m, params) * params.delta, ct.c1)
-
-
 def sub_from_plain(m: Plaintext, ct: Ciphertext, params: BfvParams) -> Ciphertext:
     """Encrypt m minus the message of ct: (delta*m - c0, -c1)."""
     return Ciphertext(_lift(m, params) * params.delta - ct.c0, -ct.c1)
@@ -233,22 +229,38 @@ def mul_plain(ct: Ciphertext, r: Plaintext, params: BfvParams) -> Ciphertext:
     return Ciphertext(r_q * ct.c0, r_q * ct.c1)
 
 
+def check_decrypt_margin(
+    noise: int, params: BfvParams, name: str, error: type[Exception] = ValueError
+) -> None:
+    """Raise `error` unless every noise v with |v| <= noise decrypts correctly
+    under every centered message m: unless 2t*noise + t*(q mod t) < q.
+
+    As q = t*delta + (q mod t), decryption rounds t*(delta*m + v)/q =
+    m + (t*v - (q mod t)*m)/q, and for |m| <= t/2 that error stays below 1/2.
+    """
+    t, q = params.t, params.q
+    lhs = 2 * t * noise + t * (q % t)
+    if lhs >= q:
+        raise error(
+            f"{name} = {noise} misses the decrypt margin: "
+            f"2t*{noise} + t*(q mod t) = {lhs} >= q = {q}"
+        )
+
+
 def encrypt_zero_flood(
     pk: PublicKey, params: BfvParams, flood_bound: int, rng: np.random.Generator
 ) -> Ciphertext:
     """Encryption of zero whose c0-noise is uniform on [-flood_bound, flood_bound].
 
     Adding this to a ciphertext drowns the structured evaluation noise
-    that the circuit-privacy attack relies on.  flood_bound must stay
-    below delta/2 or correct decryption would no longer be guaranteed.
+    that the circuit-privacy attack relies on.  Its whole noise
+    flood - e*u + e2*s stays within flood_bound + 2d*tail, and a bound
+    whose total misses the decrypt margin raises ValueError.
     """
     if flood_bound < 0:
         raise ValueError("flood_bound must be non-negative")
-    if 2 * flood_bound >= params.delta:
-        raise ValueError(
-            f"flood_bound {flood_bound} reaches delta/2 = {params.delta / 2}; "
-            "decryption correctness would be lost"
-        )
+    tail = gaussian_tail(params.sigma)
+    check_decrypt_margin(flood_bound + 2 * params.d * tail, params, "flood_bound + 2d*tail")
     u = sample_binary(params.ring, rng)
     flood = rng.integers(-flood_bound, flood_bound + 1, size=params.d, dtype=np.int64)
     e2 = sample_gaussian(params.ring, params.sigma, rng)

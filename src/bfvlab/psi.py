@@ -25,7 +25,6 @@ import numpy as np
 
 from . import attacks, bfv
 from .bfv import BfvParams, Ciphertext, Plaintext, PublicKey, SecretKey
-from .ring import reduce_centered
 
 __all__ = [
     "ProtocolError",
@@ -228,12 +227,11 @@ def bob_init(
 ) -> BobState:
     """Accept Alice's pubkey message and fix the blinding scalar r."""
     pk, _ = _read_message(pubkey_msg, "pubkey", None, params)
-    r_value = reduce_centered(int(rng.integers(1, params.t)), params.t)
     return BobState(
         params=params,
         pk=pk,
         m_b=_as_plaintext(m_b, params),
-        r=Plaintext.constant(r_value, params),
+        r=Plaintext.constant(attacks.random_multiplier(params, rng), params),
         session_id=pubkey_msg.session_id,
         rng=rng,
         strategy=strategy,

@@ -20,10 +20,10 @@ __all__ = [
     "RingParams",
     "Polynomial",
     "reduce_centered",
-    "round_half_away",
     "monomial",
     "sample_uniform",
     "sample_binary",
+    "gaussian_tail",
     "sample_gaussian",
 ]
 
@@ -40,18 +40,6 @@ def reduce_centered(value: int, modulus: int) -> int:
     if r >= (modulus + 1) // 2:
         r -= modulus
     return r
-
-
-def round_half_away(numerator: int, denominator: int) -> int:
-    """Round numerator/denominator to the nearest integer, halves away from zero.
-
-    Exact integer arithmetic; denominator must be positive.
-    """
-    if denominator <= 0:
-        raise ValueError("denominator must be positive")
-    if numerator >= 0:
-        return (2 * numerator + denominator) // (2 * denominator)
-    return -((2 * -numerator + denominator) // (2 * denominator))
 
 
 def _center_int64(arr: np.ndarray, modulus: int) -> np.ndarray:
@@ -323,18 +311,25 @@ def sample_binary(params: RingParams, rng: np.random.Generator) -> Polynomial:
     return Polynomial(raw, params.q)
 
 
+def gaussian_tail(sigma: float) -> int:
+    """floor(6 * sigma): the largest |c| sample_gaussian can return.
+
+    Every noise bound in the library is derived from this one.
+    """
+    return int(6 * sigma)
+
+
 def sample_gaussian(
     params: RingParams, sigma: float, rng: np.random.Generator
 ) -> Polynomial:
     """Discrete Gaussian coefficients via an inverse-CDF table.
 
-    The support is cut at floor(6 * sigma), so every coefficient
-    satisfies |c| <= 6 * sigma; weights are proportional to
-    exp(-x^2 / (2 sigma^2)) on the retained support.
+    The support is cut at gaussian_tail(sigma); weights are proportional
+    to exp(-x^2 / (2 sigma^2)) on the retained support.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    tail = int(6 * sigma)
+    tail = gaussian_tail(sigma)
     support = np.arange(-tail, tail + 1, dtype=np.int64)
     weights = np.exp(-(support.astype(np.float64) ** 2) / (2.0 * sigma * sigma))
     cdf = np.cumsum(weights)

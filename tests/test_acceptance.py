@@ -19,10 +19,10 @@ from bfvlab.attacks import (
     circuit_privacy_recover,
     encoder_leak_demo,
 )
-from bfvlab.ring import Polynomial, monomial, reduce_centered, round_half_away
+from bfvlab.ring import Polynomial, monomial, reduce_centered
 
 from conftest import make_rng
-from oracles import negacyclic_mul_oracle
+from oracles import negacyclic_mul_oracle, round_ratio_oracle
 
 
 def _report(capsys, ok: bool, label: str) -> None:
@@ -260,7 +260,7 @@ def test_probe_rounding_margins(capsys):
                 non_target_ok
                 and noise <= 19
                 and margin >= 2 * (20 - noise) * t > 0
-                and round_half_away(value * t, q) == s[index]
+                and round_ratio_oracle(value * t, q) == s[index]
             ):
                 good += 1
     _report(

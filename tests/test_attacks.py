@@ -24,6 +24,7 @@ from bfvlab.attacks import (
     bit_leak_attack,
     bit_leak_offset,
     bit_leak_probe,
+    bob_reply,
     cca_one_query,
     circuit_privacy_recover,
     encoder_leak_demo,
@@ -129,6 +130,29 @@ def test_bit_leak_works_when_t_does_not_divide_q(small_prime_t_params):
     assert bit_leak_attack(oracle, pk, small_prime_t_params).s == sk.s
 
 
+@pytest.mark.parametrize("sigma", [3.2, 16, 64])
+def test_bit_leak_recovers_full_key_across_sigma(sigma):
+    # The probe amplitude follows the sampler's tail, so wider noise
+    # still leaves every probe on its side of the rounding threshold.
+    params = BfvParams(ring=RingParams(d=256, q=2**54), t=256, sigma=sigma)
+    for seed in range(3):
+        sk, pk = bfv.keygen(params, make_rng(seed + 200))
+        oracle = ZeroCheckOracle.honest(sk, params)
+        assert bit_leak_attack(oracle, pk, params).s == sk.s
+        assert oracle.calls == params.d
+
+
+def test_bit_leak_refuses_unsound_parameters_before_any_query():
+    # tail = 1200 at sigma = 200, so M + tail = 1024 + 1201 + 1200 = 3425
+    # against a margin of (2^20 - 1) // 512 = 2047.
+    params = BfvParams(ring=RingParams(d=64, q=2**20), t=256, sigma=200)
+    sk, pk = bfv.keygen(params, make_rng(25))
+    oracle = ZeroCheckOracle.honest(sk, params)
+    with pytest.raises(AttackError, match=r"probe amplitude M \+ tail = 3425 misses"):
+        bit_leak_attack(oracle, pk, params)
+    assert oracle.calls == 0
+
+
 def test_bit_leak_at_full_size_spot_indices():
     params = get_params("bitleak-2048")
     sk, pk = bfv.keygen(params, make_rng(9))
@@ -185,6 +209,34 @@ def test_circuit_privacy_recovery_equal_inputs():
     r_rec, m_b_rec = circuit_privacy_recover(sk, pk, witness, m_a_pt, response, params)
     assert r_rec.poly.to_coeff_list()[0] == 5
     assert m_b_rec.poly.to_coeff_list()[0] == 13
+
+
+def test_circuit_privacy_recovers_every_honest_trial_when_noise_wraps():
+    # At q = 97 the scaled noise r*n_j wraps mod q and the rounding by
+    # delta is off, yet the reply still determines (r, m_b) exactly.
+    params = BfvParams(ring=RingParams(d=8, q=97), t=7)
+    report = run_circuit_privacy_attack(params, make_rng(26), trials=750)
+    assert report.details["recoveries"] == 750
+    assert report.details["blocked"] == 0
+
+
+def test_bob_reply_refuses_flood_its_reply_cannot_carry(small_prime_t_params):
+    params = small_prime_t_params
+    q, t, d = params.q, params.t, params.d
+    rng = make_rng(27)
+    sk, pk = bfv.keygen(params, rng)
+    m_a, m_b, r = (Plaintext.constant(v, params) for v in (-41, 41, 41))
+    c_a, _ = bfv.encrypt(pk, m_a, params, rng)
+    # worst case |r|*((2d+1)*tail + (q mod t)) + F + 2d*tail within the margin
+    margin = (q - t * (q % t) - 1) // (2 * t)
+    largest = margin - 41 * ((2 * d + 1) * 19 + q % t) - 2 * d * 19
+    with pytest.raises(ValueError, match="flooded reply noise"):
+        bob_reply(c_a, m_b, r, pk, params, rng, largest + 1)
+    bfv.encrypt_zero_flood(pk, params, largest + 1, rng)  # the zero alone is fine
+    expected = Plaintext.constant(41 * 82, params)
+    for _ in range(100):
+        reply = bob_reply(c_a, m_b, r, pk, params, rng, largest)
+        assert bfv.decrypt(sk, reply, params) == expected
 
 
 def test_circuit_privacy_blocked_by_flooding():

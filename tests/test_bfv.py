@@ -14,11 +14,10 @@ from bfvlab import (
     RingParams,
     SecretKey,
     get_params,
-    round_half_away,
 )
 
 from conftest import make_rng
-from oracles import center_mod
+from oracles import center_mod, round_ratio_oracle
 
 GAUSS_TAIL = 19  # floor(6 * 3.2)
 
@@ -169,7 +168,7 @@ def test_decrypt_is_rounding_of_raw(q, t):
         drawn = rng.integers(-(q // 2), (q + 1) // 2, d - len(chosen), dtype=np.int64)
         raw = chosen + [int(x) for x in drawn]
         ct = Ciphertext(Polynomial(raw, q), Polynomial.zero(d, q))
-        expected = [center_mod(round_half_away(center_mod(c, q) * t, q), t) for c in raw]
+        expected = [center_mod(round_ratio_oracle(center_mod(c, q) * t, q), t) for c in raw]
         assert bfv.decrypt(sk, ct, params).poly.to_coeff_list() == expected
 
 
@@ -191,6 +190,46 @@ def test_decrypt_noiseless_ciphertexts(small_params):
         bfv.decrypt(sk, ct_key, small_params).poly.to_coeff_list()
         == sk.s.to_coeff_list()
     )
+
+
+def _largest_admitted_noise(params):
+    """Scan upwards for the largest noise check_decrypt_margin admits (-1 if none)."""
+    noise = 0
+    while True:
+        try:
+            bfv.check_decrypt_margin(noise, params, "noise")
+        except ValueError:
+            return noise - 1
+        noise += 1
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(q, t) for q in range(3, 140) for t in range(2, q)],
+        [(q, t) for q in (2**16, 2**16 + 1) for t in (2, 3, 7, 83, 255, 256, 257, 4093, 2**15)],
+    ],
+    ids=["all-q-below-140", "q-2^16-and-2^16+1"],
+)
+def test_decrypt_margin_is_sound_exhaustively(pairs):
+    # Every (message, noise) pair the check admits decrypts to the message
+    # under the library's own decrypt.  Where t | q the next noise up
+    # already decrypts 0 wrongly, so there the check is also tight.
+    tight = 0
+    for q, t in pairs:
+        params = BfvParams(ring=RingParams(d=2, q=q), t=t)
+        largest = _largest_admitted_noise(params)
+        messages = range(-(t // 2), (t + 1) // 2)
+        noises = range(-largest, largest + 1)
+        raw = [params.delta * m + v for m in messages for v in noises] + [largest + 1]
+        n = len(raw)
+        ct = Ciphertext(Polynomial(raw, q), Polynomial.zero(n, q))
+        got = bfv.decrypt(SecretKey(Polynomial.zero(n, q)), ct, params).poly.to_coeff_list()
+        assert got[:-1] == [m for m in messages for _ in noises], (q, t)
+        if q % t == 0:
+            assert got[-1] != 0, (q, t)
+            tight += 1
+    assert tight
 
 
 # --- homomorphic operations ------------------------------------------------------------
@@ -232,7 +271,7 @@ def test_addition_noise_is_subadditive(small_params):
 
 
 def test_plain_operand_ops_agree_with_plaintext_arithmetic(small_params):
-    # add_plain / sub_from_plain / mul_plain against mod-t expectations.
+    # sub_from_plain / mul_plain against mod-t expectations.
     rng = make_rng(16)
     sk, pk = bfv.keygen(small_params, rng)
     t, d = small_params.t, small_params.d
@@ -240,10 +279,6 @@ def test_plain_operand_ops_agree_with_plaintext_arithmetic(small_params):
         ma = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
         mb = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
         ct, _ = bfv.encrypt(pk, Plaintext(ma), small_params, rng)
-        assert (
-            bfv.decrypt(sk, bfv.add_plain(ct, Plaintext(mb), small_params), small_params).poly
-            == ma + mb
-        )
         assert (
             bfv.decrypt(
                 sk, bfv.sub_from_plain(Plaintext(mb), ct, small_params), small_params
@@ -258,18 +293,6 @@ def test_plain_operand_ops_agree_with_plaintext_arithmetic(small_params):
             bfv.decrypt(sk, bfv.mul_plain(ct, Plaintext(r), small_params), small_params).poly
             == r * ma
         )
-
-
-def test_add_plain_identity_and_noise_preservation(small_params):
-    rng = make_rng(17)
-    sk, pk = bfv.keygen(small_params, rng)
-    m = Plaintext.constant(7, small_params)
-    ct, _ = bfv.encrypt(pk, m, small_params, rng)
-    before = bfv.noise_norm(sk, ct, m, small_params)
-    shifted = bfv.add_plain(ct, Plaintext.constant(0, small_params), small_params)
-    assert bfv.decrypt(sk, shifted, small_params).poly == m.poly
-    # t divides q here, so adding a plain operand changes no noise at all
-    assert bfv.noise_norm(sk, shifted, m, small_params) == before
 
 
 def test_sub_from_plain_of_equal_messages_is_zero(small_params):
@@ -322,17 +345,31 @@ def test_flooded_zero_with_zero_bound_degenerates(small_params):
     )
 
 
+def _largest_flood_bound(params):
+    """The largest F with 2t*(F + 2d*tail) + t*(q mod t) < q."""
+    q, t, d = params.q, params.t, params.d
+    return (q - t * (q % t) - 1) // (2 * t) - 2 * d * GAUSS_TAIL
+
+
 def test_flood_bound_validation(small_params):
     rng = make_rng(22)
     _, pk = bfv.keygen(small_params, rng)
     delta = small_params.delta
-    with pytest.raises(ValueError):
-        bfv.encrypt_zero_flood(pk, small_params, delta // 2, rng)
-    with pytest.raises(ValueError):
-        bfv.encrypt_zero_flood(pk, small_params, delta, rng)
-    with pytest.raises(ValueError):
-        bfv.encrypt_zero_flood(pk, small_params, -1, rng)
-    bfv.encrypt_zero_flood(pk, small_params, delta // 2 - 1, rng)
+    largest = _largest_flood_bound(small_params)
+    assert largest == 2**21 - 1 - 2 * 64 * GAUSS_TAIL
+    for unsound in (largest + 1, delta // 2 - 1, delta // 2, delta, -1):
+        with pytest.raises(ValueError):
+            bfv.encrypt_zero_flood(pk, small_params, unsound, rng)
+    bfv.encrypt_zero_flood(pk, small_params, largest, rng)
+
+
+def test_flooded_zeros_at_largest_bound_decrypt_to_zero(small_params):
+    rng = make_rng(25)
+    sk, pk = bfv.keygen(small_params, rng)
+    largest = _largest_flood_bound(small_params)
+    for _ in range(20000):
+        ct = bfv.encrypt_zero_flood(pk, small_params, largest, rng)
+        assert bfv.decrypt(sk, ct, small_params).is_zero()
 
 
 def test_adding_flooded_zero_preserves_decryption(small_params):

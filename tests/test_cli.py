@@ -116,6 +116,23 @@ def test_attack_bitleak_small_parameters(tmp_path):
     assert report["success"] is True
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_attack_bitleak_wide_noise(tmp_path, seed):
+    out = tmp_path / "bitleak.json"
+    argv = ["--d", 1024, "--q", 2**54, "--t", 256, "--sigma", 16, "--seed", seed]
+    assert run_cli(["attack", "bitleak", *argv, "--out", out]) == 0
+    assert json.loads(out.read_text())["success"] is True
+
+
+def test_attack_bitleak_refuses_unsound_parameters(tmp_path, capsys):
+    out = tmp_path / "bitleak.json"
+    argv = ["--d", 64, "--q", 2**20, "--t", 256, "--sigma", 200]
+    assert run_cli(["attack", "bitleak", *argv, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "error: probe amplitude M + tail = 3425 misses the decrypt margin" in err
+    assert not out.exists()
+
+
 def test_attack_circuit_demonstrates_then_flooding_blocks(tmp_path):
     out = tmp_path / "c.json"
     rc = run_cli(["attack", "circuit", "--seed", 11, "--trials", 2, "--out", out])
@@ -226,6 +243,10 @@ def test_psi_flooding_strategy(tmp_path, capsys):
     )
     assert rc == 0
     assert "EQUAL" in capsys.readouterr().out
+    # 2^47 is beyond psi-83's decrypt margin of about delta/2 = 2^46.6
+    argv = ["psi", "--alice", 6, "--bob", 6, "--strategy", "flooding", "--flood", 47]
+    assert run_cli([*argv, "--out", tmp_path / "g.json"]) == 1
+    assert "error: flooded reply noise" in capsys.readouterr().err
 
 
 # --- parser behaviour ------------------------------------------------------------------

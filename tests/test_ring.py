@@ -7,8 +7,8 @@ from bfvlab.ring import (
     Polynomial,
     RingParams,
     monomial,
+    gaussian_tail,
     reduce_centered,
-    round_half_away,
     sample_binary,
     sample_gaussian,
     sample_uniform,
@@ -21,7 +21,6 @@ from oracles import (
     centered_scan,
     hex_oracle,
     negacyclic_mul_oracle,
-    round_ratio_oracle,
 )
 
 
@@ -68,35 +67,6 @@ def test_reduce_centered_is_additive_after_reduction():
 def test_reduce_centered_rejects_tiny_modulus():
     with pytest.raises(ValueError):
         reduce_centered(5, 1)
-
-
-# --- rounding ----------------------------------------------------------------
-
-
-def test_round_half_away_matches_fraction_oracle():
-    for den in range(1, 14):
-        for num in range(-500, 501):
-            assert round_half_away(num, den) == round_ratio_oracle(num, den)
-    rng = make_rng(13)
-    for _ in range(300):
-        num = int.from_bytes(rng.bytes(12), "big", signed=True)
-        den = int(rng.integers(1, 2**60))
-        assert round_half_away(num, den) == round_ratio_oracle(num, den)
-
-
-def test_round_half_away_frozen_examples():
-    assert round_half_away(5, 2) == 3
-    assert round_half_away(-5, 2) == -3
-    assert round_half_away(1, 3) == 0
-    assert round_half_away(2, 3) == 1
-    assert round_half_away(0, 7) == 0
-
-
-def test_round_half_away_rejects_bad_denominator():
-    with pytest.raises(ValueError):
-        round_half_away(1, 0)
-    with pytest.raises(ValueError):
-        round_half_away(1, -2)
 
 
 # --- construction ------------------------------------------------------------
@@ -338,7 +308,7 @@ def test_sample_gaussian_tail_and_moments():
     for seed in range(8):
         draws.extend(sample_gaussian(params, sigma, make_rng(seed)).to_coeff_list())
     arr = np.array(draws, dtype=np.float64)
-    assert np.abs(arr).max() <= int(6 * sigma)
+    assert np.abs(arr).max() <= gaussian_tail(sigma) == 19
     assert abs(arr.mean()) < 0.1
     assert abs(arr.std() / sigma - 1.0) < 0.1
 

@@ -1,0 +1,130 @@
+"""Write one BENCH_<n>.json entry from the benchmark's .bench_out/ records.
+
+    python3 tools/bench_record.py --tier1 TIER1.xml --out BENCH_<n>.json
+
+The records must come from the tree being recorded, made beforehand:
+
+    for w in bitleak-sweep psi-mixed circuit-recovery cli-1024; do
+      for s in 1 2 3; do python3 perfbench/run.py --workload $w --seed $s --seconds 25 --trace 0; done
+      python3 perfbench/run.py --workload $w --seed 0 --seconds 10 --trace 1
+    done
+    PYTHONPATH=src python3 -m pytest -q --junitxml=TIER1.xml
+
+The entry holds the commit, whether src/ or tests/ differed from it and
+a digest of the measured src/ files, per
+workload the median and the runs of each end-to-end metric over the
+seeds, the traced per-layer counts, the machine record, and the Tier-1
+wall time with its five slowest tests.  Nothing is gated on it; a later
+entry is diffed against it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import statistics
+import subprocess
+import sys
+import xml.etree.ElementTree as ET
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = [1, 2, 3]  # untraced runs whose end-to-end metrics are summarised
+TRACE_SEED = 0  # the traced run that gives the per-layer counts
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def src_digest() -> str:
+    """sha256 over the path and bytes of every Python file under src/."""
+    digest = hashlib.sha256()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        digest.update(path.relative_to(ROOT).as_posix().encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def _load(records: Path, workload: str, seed: int, trace: int) -> dict:
+    path = records / f"{workload}-seed{seed}-trace{trace}.json"
+    record = json.loads(path.read_text())
+    if not record["result"]["correct"]:
+        raise ValueError(f"{path} records a run whose checks failed")
+    return record
+
+
+def tier1_summary(junit: Path) -> dict:
+    """Wall time, counts and the five slowest test cases of a pytest JUnit XML report."""
+    suite = ET.parse(junit).getroot()
+    if suite.tag == "testsuites":
+        suite = suite.find("testsuite")
+    cases = [
+        (float(case.get("time", 0)), f"{case.get('classname')}::{case.get('name')}")
+        for case in suite.iter("testcase")
+    ]
+    cases.sort(reverse=True)
+    return {
+        "wall_s": float(suite.get("time")),
+        **{key: int(suite.get(key)) for key in ("tests", "failures", "errors", "skipped")},
+        "slowest": [{"test": name, "s": round(s, 2)} for s, name in cases[:5]],
+    }
+
+
+def _summary(runs: list[dict], name: str) -> dict:
+    values = [r["result"]["metrics"][name]["value"] for r in runs]
+    unit = runs[0]["result"]["metrics"][name]["unit"]
+    return {"median": statistics.median(values), "unit": unit, "runs": values}
+
+
+def build_entry(records: Path, junit: Path) -> dict:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    end_to_end = [m["name"] for m in benchmark["end_to_end"]]
+    machines = []
+    workloads = {}
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        runs = [_load(records, workload, seed, 0) for seed in SEEDS]
+        traced = _load(records, workload, TRACE_SEED, 1)
+        machines += [r["machine"] for r in (*runs, traced)]
+        workloads[workload] = {
+            "end_to_end": {name: _summary(runs, name) for name in end_to_end},
+            "per_layer": {
+                name: metric["value"] for name, metric in traced["result"]["metrics"].items()
+            },
+        }
+    if any(m != machines[0] for m in machines):
+        raise ValueError("the records were made on different machines")
+    return {
+        "commit": _git("rev-parse", "HEAD"),
+        "dirty": bool(_git("status", "--porcelain", "--", "src", "tests")),
+        "src_sha256": src_digest(),
+        "seeds": SEEDS,
+        "trace_seed": TRACE_SEED,
+        "machine": machines[0],
+        "workloads": workloads,
+        "tier1": tier1_summary(junit),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tier1", type=Path, required=True, help="pytest --junitxml report")
+    parser.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to write")
+    parser.add_argument(
+        "--records", type=Path, default=ROOT / ".bench_out", help="perfbench record directory"
+    )
+    args = parser.parse_args(argv)
+    try:
+        entry = build_entry(args.records, args.tier1)
+    except (OSError, ValueError, KeyError, ET.ParseError, subprocess.CalledProcessError) as exc:
+        print(f"error: {exc!r}", file=sys.stderr)
+        return 1
+    args.out.write_text(json.dumps(entry, indent=2) + "\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
