@@ -153,6 +153,8 @@ def test_add_rejects_mismatched_operands():
         # one-bit digits in _mul_mod, and the widest digits
         (64, 2**62 - 57, 40),
         (8, 3, 300),
+        # saturated rows only, at the largest deployed geometry
+        (2048, 2**54, 0),
     ],
 )
 def test_mul_matches_bruteforce_oracle(d, q, pairs):
@@ -163,6 +165,27 @@ def test_mul_matches_bruteforce_oracle(d, q, pairs):
         b = [int(x) for x in rng.integers(lo, hi, d, dtype=np.int64)]
         got = (Polynomial(a, q) * Polynomial(b, q)).to_coeff_list()
         assert got == negacyclic_mul_oracle(a, b, q)
+    for a, b in saturated_pairs(d, q):
+        got = (Polynomial(a, q) * Polynomial(b, q)).to_coeff_list()
+        assert got == negacyclic_mul_oracle(a, b, q), (a[0], b[0])
+
+
+def saturated_pairs(d: int, q: int) -> list[tuple[list[int], list[int]]]:
+    """Constant operands whose limb sums reach the kernel's bound.
+
+    Every output coefficient sums d equal limb products, so random
+    operands, whose sums stay about sqrt(d) below it, cannot show a limb
+    budget one bit too large; these do.
+    """
+    bits = (q // 2).bit_length()
+    width_a, _, width_b, _ = _limb_plan(bits, bits, d)
+    rows = [
+        (-(q // 2), -(q // 2)),
+        ((q - 1) // 2, (q - 1) // 2),
+        ((1 << width_a) - 1, (1 << width_b) - 1),
+        ((q - 1) // 2, 1),
+    ]
+    return [([x] * d, [y] * d) for x, y in rows]
 
 
 def test_mul_matches_bruteforce_oracle_at_full_size():
