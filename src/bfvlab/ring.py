@@ -1,13 +1,10 @@
 """Exact arithmetic in Z_m[x] / (x^d + 1) with centered coefficients.
 
-Every coefficient is kept as the centered residue in the half-open
-interval [-m/2, m/2).  Multiplication is schoolbook negacyclic
-convolution in int64 only, exact for moduli below 2**62: the operands
-are split into narrow limbs so every folded limb convolution sums to
-less than 2**62, and _mul_divmod scales each limb product by its weight
-(and a polynomial by a scalar) mod m in digits of k = 63 - bits(m - 1)
-bits, keeping rem * 2**k below 2**63; decryption rounds with its quotient.
-No NTT or floating-point path, deliberately: exactness over asymptotics.
+Coefficients are int64 centered residues in [-m/2, m/2), for m < 2**62.
+Multiplication convolves narrow limbs in float64, exact because every
+sum stays below 2**53 (see _negacyclic_mul), and _mul_divmod recombines
+the limb products mod m in int64; decryption rounds with its quotient.
+Coefficients, sampled values and rounding stay integer; there is no NTT.
 """
 
 from __future__ import annotations
@@ -27,9 +24,10 @@ __all__ = [
     "sample_gaussian",
 ]
 
-# Limb products are accumulated by np.convolve and one negacyclic fold,
-# so |limb_a| * |limb_b| * d * 2 must stay below 2**63.
+# Residues and the _mul_divmod recombination are int64, so q < 2**62;
+# limb products are summed in float64, which is exact below 2**53.
 _INT64_BUDGET = 62
+_FLOAT64_BUDGET = 53
 
 
 def reduce_centered(value: int, modulus: int) -> int:
@@ -219,25 +217,20 @@ def _hex_field_bytes(modulus: int) -> int:
 
 
 def _limb_plan(bits_a: int, bits_b: int, d: int) -> tuple[int, int, int, int]:
-    """Choose limb widths so every limb convolution stays inside int64.
+    """Choose limb widths so every limb convolution is exact in float64.
 
     Returns (width_a, count_a, width_b, count_b) minimising the number
     of convolutions count_a * count_b subject to
-    width_a + width_b + log2(d) + 1 <= 62.
+    width_a + width_b + log2(d) <= 53, the bound _negacyclic_mul proves.
     """
-    slack = _INT64_BUDGET - (d.bit_length() - 1) - 1
+    slack = _FLOAT64_BUDGET - (d.bit_length() - 1)
     if slack < 2:
-        raise ValueError("ring degree too large for exact int64 convolution")
-    best = None
+        raise ValueError("ring degree too large for exact float64 convolution")
+    plans = []
     for width_a in range(1, min(bits_a, slack - 1) + 1):
         width_b = min(slack - width_a, bits_b)
-        count_a = -(-bits_a // width_a)
-        count_b = -(-bits_b // width_b)
-        cost = count_a * count_b
-        if best is None or cost < best[0]:
-            best = (cost, width_a, count_a, width_b, count_b)
-    _, width_a, count_a, width_b, count_b = best
-    return width_a, count_a, width_b, count_b
+        plans.append((width_a, -(-bits_a // width_a), width_b, -(-bits_b // width_b)))
+    return min(plans, key=lambda plan: plan[1] * plan[3])
 
 
 def _split_limbs(arr: np.ndarray, width: int, count: int) -> list[np.ndarray]:
@@ -273,20 +266,27 @@ def _mul_divmod(x: np.ndarray, c: int, modulus: int) -> tuple[np.ndarray, np.nda
 
 
 def _negacyclic_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
-    """Exact negacyclic product of two nonzero centered int64 vectors, in [0, modulus)."""
+    """Exact negacyclic product of two nonzero centered int64 vectors, in [0, modulus).
+
+    Each folded output coefficient of a float64 limb convolution is a
+    signed sum of exactly d limb products, each below 2**(width_a + width_b),
+    so every partial sum, in any order BLAS uses (FMA included), is an
+    integer below 2**(width_a + width_b + log2(d)) <= 2**53: exact in float64.
+    """
     d = int(a.size)
     width_a, count_a, width_b, count_b = _limb_plan(
         int(np.abs(a).max()).bit_length(), int(np.abs(b).max()).bit_length(), d
     )
-    limbs_b = _split_limbs(b, width_b, count_b)
+    limbs_b = [lb.astype(np.float64) for lb in _split_limbs(b, width_b, count_b)]
     acc = np.zeros(d, dtype=np.int64)
     for i, la in enumerate(_split_limbs(a, width_a, count_a)):
+        la = la.astype(np.float64)
         for j, lb in enumerate(limbs_b):
             conv = np.convolve(la, lb)
-            head = conv[:d]
-            head[: d - 1] -= conv[d:]
+            conv[: d - 1] -= conv[d:]
+            head = conv[:d].astype(np.int64) % modulus
             weight = pow(2, i * width_a + j * width_b, modulus)
-            acc = (acc + _mul_divmod(head % modulus, weight, modulus)[1]) % modulus
+            acc = (acc + _mul_divmod(head, weight, modulus)[1]) % modulus
     return acc
 
 

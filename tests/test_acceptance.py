@@ -19,7 +19,7 @@ from bfvlab.attacks import (
     circuit_privacy_recover,
     encoder_leak_demo,
 )
-from bfvlab.ring import Polynomial, monomial, reduce_centered
+from bfvlab.ring import Polynomial, gaussian_tail, monomial, reduce_centered
 
 from conftest import make_rng
 from oracles import negacyclic_mul_oracle, round_ratio_oracle
@@ -226,6 +226,8 @@ def test_probe_rounding_margins(capsys):
     params = get_params("bitleak-2048")
     q, t, d = params.q, params.t, params.d
     m_val = bit_leak_offset(params)
+    # noise never exceeds the sampler's tail; the probe adds tail + 1 of slack
+    tail = gaussian_tail(params.sigma)
     checked = 0
     good = 0
     sampled_ok = True
@@ -258,8 +260,8 @@ def test_probe_rounding_margins(capsys):
             margin = abs(2 * value * t - q)
             if (
                 non_target_ok
-                and noise <= 19
-                and margin >= 2 * (20 - noise) * t > 0
+                and noise <= tail
+                and margin >= 2 * (tail + 1 - noise) * t > 0
                 and round_ratio_oracle(value * t, q) == s[index]
             ):
                 good += 1
