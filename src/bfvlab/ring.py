@@ -4,7 +4,7 @@ Coefficients are int64 centered residues in [-m/2, m/2), for m < 2**62.
 Multiplication convolves narrow limbs in float64, exact because every
 sum stays below 2**53 (see _negacyclic_mul), and _mul_divmod recombines
 the limb products mod m in int64; decryption rounds with its quotient.
-Coefficients, sampled values and rounding stay integer; there is no NTT.
+Sampled values and rounding stay integer too; there is no NTT.
 """
 
 from __future__ import annotations
