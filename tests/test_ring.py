@@ -77,6 +77,11 @@ def test_polynomial_centers_inputs():
     for c in p.to_coeff_list():
         assert -128 <= c < 128
     assert p.to_coeff_list() == [-56, -44, -1, 0]
+    # 256 divides 2**64, so the row above never makes quotient * modulus
+    # wrap in int64; these moduli do, at the int64 extremes
+    extremes = [2**63 - 1, -(2**63), -(2**63) + 1]
+    for q in (3, 97, 2**30 - 35, 2**62 - 57):
+        assert Polynomial(extremes, q).to_coeff_list() == [center_mod(x, q) for x in extremes], q
     # coefficients beyond int64 are refused, not reduced
     with pytest.raises(ValueError):
         Polynomial([200, -300, 2**90, -(2**90)], 256)
@@ -153,7 +158,8 @@ def test_add_rejects_mismatched_operands():
         # one-bit digits in _mul_mod, and the widest digits
         (64, 2**62 - 57, 40),
         (8, 3, 300),
-        # saturated rows only, at the largest deployed geometry
+        # saturated rows only, at the cli-1024 and the largest deployed geometry
+        (1024, 2**54, 0),
         (2048, 2**54, 0),
     ],
 )
