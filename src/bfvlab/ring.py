@@ -1,15 +1,17 @@
 """Exact arithmetic in Z_m[x] / (x^d + 1) with centered coefficients.
 
 Coefficients are int64 centered residues in [-m/2, m/2), for m < 2**62.
-Multiplication convolves narrow limbs in float64, exact because every
-sum stays below 2**53 (see _negacyclic_mul), and _mul_divmod recombines
-the limb products mod m in int64; decryption rounds with its quotient.
-Sampled values and rounding stay integer too; there is no NTT.
+Multiplication takes "valid" float64 convolutions of [-a, a] limbs with b
+limbs, exact as every sum stays below 2**53 (see _negacyclic_mul), which
+_mul_divmod recombines mod m in int64; decryption rounds with its quotient.
+Every array reduction is one floor division, _divmod. Sampled values and
+rounding stay integer too; there is no NTT.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -40,11 +42,18 @@ def reduce_centered(value: int, modulus: int) -> int:
     return r
 
 
+def _divmod(x: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x // modulus, x mod modulus in [0, modulus)) for an int64 array x."""
+    # // by a scalar runs through libdivide, about 3x faster than % or np.divmod;
+    # a wrap in quo * modulus cancels exactly: the true remainder fits in int64
+    quo = x // modulus
+    return quo, x - quo * modulus
+
+
 def _center_int64(arr: np.ndarray, modulus: int) -> np.ndarray:
     """Vectorised centered reduction of an int64 array."""
-    r = arr % modulus
-    r[r >= (modulus + 1) // 2] -= modulus
-    return r
+    r = _divmod(arr, modulus)[1]
+    return np.where(r >= (modulus + 1) // 2, r - modulus, r)
 
 
 @dataclass(frozen=True)
@@ -138,7 +147,7 @@ class Polynomial:
     def _scalar_mul(self, scalar: int) -> "Polynomial":
         # sign and magnitude of the centered scalar keep the digit count low
         scalar = reduce_centered(scalar, self.modulus)
-        _, product = _mul_divmod(self.coeffs % self.modulus, abs(scalar), self.modulus)
+        product = _mul_divmod(_divmod(self.coeffs, self.modulus)[1], abs(scalar), self.modulus)[1]
         return Polynomial(product if scalar >= 0 else -product, self.modulus)
 
     def _ring_mul(self, other: "Polynomial") -> "Polynomial":
@@ -216,6 +225,7 @@ def _hex_field_bytes(modulus: int) -> int:
     return (bits + 7) // 8
 
 
+@cache
 def _limb_plan(bits_a: int, bits_b: int, d: int) -> tuple[int, int, int, int]:
     """Choose limb widths so every limb convolution is exact in float64.
 
@@ -255,12 +265,12 @@ def _mul_divmod(x: np.ndarray, c: int, modulus: int) -> tuple[np.ndarray, np.nda
     mask = (1 << k) - 1
     quo = rem = np.zeros_like(x)
     for shift in range((c.bit_length() - 1) // k * k, -1, -k):
-        high, rem = np.divmod(rem << k, modulus)
+        high, rem = _divmod(rem << k, modulus)
         quo = (quo << k) + high
         digit = (c >> shift) & mask
         if digit:
-            high, low = np.divmod(x * digit, modulus)
-            carry, rem = np.divmod(rem + low, modulus)
+            high, low = _divmod(x * digit, modulus)
+            carry, rem = _divmod(rem + low, modulus)
             quo = quo + high + carry
     return quo, rem
 
@@ -268,10 +278,10 @@ def _mul_divmod(x: np.ndarray, c: int, modulus: int) -> tuple[np.ndarray, np.nda
 def _negacyclic_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     """Exact negacyclic product of two nonzero centered int64 vectors, in [0, modulus).
 
-    Each folded output coefficient of a float64 limb convolution is a
-    signed sum of exactly d limb products, each below 2**(width_a + width_b),
-    so every partial sum, in any order BLAS uses (FMA included), is an
-    integer below 2**(width_a + width_b + log2(d)) <= 2**53: exact in float64.
+    Each "valid" float64 convolution of an a-limb [-a[1:], a] with a b-limb
+    gives output k = sum_j b[j] * (a[k-j] if j <= k else -a[k-j+d]) directly:
+    d limb products below 2**(width_a + width_b) each, so every partial sum, in
+    any BLAS order (FMA too), is an integer below 2**(width_a + width_b + log2(d)) <= 2**53.
     """
     d = int(a.size)
     width_a, count_a, width_b, count_b = _limb_plan(
@@ -280,13 +290,13 @@ def _negacyclic_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     limbs_b = [lb.astype(np.float64) for lb in _split_limbs(b, width_b, count_b)]
     acc = np.zeros(d, dtype=np.int64)
     for i, la in enumerate(_split_limbs(a, width_a, count_a)):
-        la = la.astype(np.float64)
+        la = np.concatenate((-la[1:], la)).astype(np.float64)
         for j, lb in enumerate(limbs_b):
-            conv = np.convolve(la, lb)
-            conv[: d - 1] -= conv[d:]
-            head = conv[:d].astype(np.int64) % modulus
+            head = _divmod(np.convolve(la, lb, "valid").astype(np.int64), modulus)[1]
             weight = pow(2, i * width_a + j * width_b, modulus)
-            acc = (acc + _mul_divmod(head, weight, modulus)[1]) % modulus
+            if weight != 1:
+                head = _mul_divmod(head, weight, modulus)[1]
+            acc = _divmod(acc + head, modulus)[1]
     return acc
 
 
