@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -21,7 +22,7 @@ def _write_record(records, workload, seed, trace, metrics):
     (records / f"{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(record))
 
 
-def test_entry_holds_medians_layers_machine_and_tier1(tmp_path, monkeypatch):
+def test_entry_holds_medians_layers_machine_and_tier1(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bench_record, "_git", lambda *args: "abc123")
     names = [m["name"] for m in BENCHMARK["end_to_end"]]
     for w in BENCHMARK["workloads"]:
@@ -47,11 +48,22 @@ def test_entry_holds_medians_layers_machine_and_tier1(tmp_path, monkeypatch):
     assert (tier1["wall_s"], tier1["tests"], tier1["failures"]) == (21.5, 7, 0)
     assert [c["test"] for c in tier1["slowest"]] == [f"tests.test_x::t{i}" for i in (6, 5, 4, 3, 2)]
 
+    # a record older than the newest src/ file may come from another tree:
+    # it is refused and named
+    out = tmp_path / "BENCH.json"
+    stale = tmp_path / "cli-1024-seed3-trace0.json"
+    mtime = stale.stat().st_mtime
+    os.utime(stale, (0, 0))
+    argv = ["--tier1", str(junit), "--out", str(out), "--records", str(tmp_path)]
+    assert bench_record.main(argv) == 1
+    assert str(stale) in capsys.readouterr().err
+    assert not out.exists()
+    os.utime(stale, (mtime, mtime))
+
     # a record whose checks failed is refused, not summarised
     _write_record(tmp_path, "psi-mixed", 2, 0, dict.fromkeys(names, 1.0))
     failed = json.loads((tmp_path / "psi-mixed-seed2-trace0.json").read_text())
     failed["result"]["correct"] = False
     (tmp_path / "psi-mixed-seed2-trace0.json").write_text(json.dumps(failed))
-    out = tmp_path / "BENCH.json"
-    assert bench_record.main(["--tier1", str(junit), "--out", str(out), "--records", str(tmp_path)]) == 1
+    assert bench_record.main(argv) == 1
     assert not out.exists()

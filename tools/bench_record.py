@@ -10,8 +10,9 @@ The records must come from the tree being recorded, made beforehand:
     done
     PYTHONPATH=src python3 -m pytest -q --junitxml=TIER1.xml
 
-The entry holds the commit, whether src/ or tests/ differed from it and
-a digest of the measured src/ files, per
+A record older than the newest src/ file is refused and named, since it
+may come from another tree.  The entry holds the commit, whether src/ or
+tests/ differed from it and a digest of the measured src/ files, per
 workload the median and the runs of each end-to-end metric over the
 seeds, the traced per-layer counts, the machine record, and the Tier-1
 wall time with its five slowest tests.  Nothing is gated on it; a later
@@ -40,16 +41,22 @@ def _git(*args: str) -> str:
     ).stdout.strip()
 
 
+def _src_files() -> list[Path]:
+    return sorted((ROOT / "src").rglob("*.py"))
+
+
 def src_digest() -> str:
     """sha256 over the path and bytes of every Python file under src/."""
     digest = hashlib.sha256()
-    for path in sorted((ROOT / "src").rglob("*.py")):
+    for path in _src_files():
         digest.update(path.relative_to(ROOT).as_posix().encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()
 
 
 def _load(records: Path, workload: str, seed: int, trace: int) -> dict:
     path = records / f"{workload}-seed{seed}-trace{trace}.json"
+    if path.stat().st_mtime < max(src.stat().st_mtime for src in _src_files()):
+        raise ValueError(f"{path} is older than the newest src/ file; rerun it on this tree")
     record = json.loads(path.read_text())
     if not record["result"]["correct"]:
         raise ValueError(f"{path} records a run whose checks failed")
