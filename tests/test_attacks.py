@@ -220,6 +220,20 @@ def test_circuit_privacy_recovers_every_honest_trial_when_noise_wraps():
     assert report.details["blocked"] == 0
 
 
+def test_circuit_trial_multiplies_its_response_by_s_once(small_prime_t_params, monkeypatch):
+    # the correctness check and the recovery share one raw decryption c0 + c1*s
+    c1_is_zero = []
+    decrypt_raw = bfv.decrypt_raw
+
+    def counting(sk, ct, params):
+        c1_is_zero.append(ct.c1.is_zero())
+        return decrypt_raw(sk, ct, params)
+
+    monkeypatch.setattr(bfv, "decrypt_raw", counting)
+    report = run_circuit_privacy_attack(small_prime_t_params, make_rng(28), trials=5)
+    assert report.success and c1_is_zero.count(False) == 5
+
+
 def test_bob_reply_refuses_flood_its_reply_cannot_carry(small_prime_t_params):
     params = small_prime_t_params
     q, t, d = params.q, params.t, params.d

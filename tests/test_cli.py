@@ -249,6 +249,14 @@ def test_psi_flooding_strategy(tmp_path, capsys):
     assert "error: flooded reply noise" in capsys.readouterr().err
 
 
+def test_psi_refuses_parameters_an_honest_reply_can_miss(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    argv = ["psi", "--d", 8, "--q", 97, "--t", 7, "--alice", 1, "--bob", 1, "--out", out]
+    assert run_cli(argv) == 1
+    assert "error: honest reply noise = 987 misses the decrypt margin" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- parser behaviour ------------------------------------------------------------------
 
 

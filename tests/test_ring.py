@@ -173,25 +173,40 @@ def test_mul_matches_bruteforce_oracle(d, q, pairs):
         assert got == negacyclic_mul_oracle(a, b, q)
     for a, b in saturated_pairs(d, q):
         got = (Polynomial(a, q) * Polynomial(b, q)).to_coeff_list()
-        assert got == negacyclic_mul_oracle(a, b, q), (a[0], b[0])
+        assert got == negacyclic_mul_oracle(a, b, q), (a[0], b[-1])
 
 
 def saturated_pairs(d: int, q: int) -> list[tuple[list[int], list[int]]]:
-    """Constant operands whose limb sums reach the kernel's bound.
+    """Operands whose limb sums reach the kernel's bounds.
 
-    Every output coefficient sums d equal limb products, so random
-    operands, whose sums stay about sqrt(d) below it, cannot show a limb
-    budget one bit too large; these do.
+    Every output coefficient sums d limb products, so random operands,
+    whose sums stay about sqrt(d) below a bound, cannot show a float
+    budget one bit too large; these do.  The bound rows take, for a
+    binary and a Gaussian-width b, the widest all-ones a the plan
+    convolves as one float32 and as one float64 pair, and set b[0] = 0:
+    output d - 1 is then (d - 1) * a * b, odd, and one budget bit more
+    would put it above 2**24 or 2**53, where the type holds no odd integer.
     """
     bits = (q // 2).bit_length()
-    width_a, _, width_b, _ = _limb_plan(bits, bits, d)
+    width_a, width_b, _ = _limb_plan(bits, bits, d)
     rows = [
-        (-(q // 2), -(q // 2)),
-        ((q - 1) // 2, (q - 1) // 2),
-        ((1 << width_a) - 1, (1 << width_b) - 1),
-        ((q - 1) // 2, 1),
+        (-(q // 2), [-(q // 2)] * d),
+        ((q - 1) // 2, [(q - 1) // 2] * d),
+        ((1 << width_a) - 1, [(1 << width_b) - 1] * d),
+        ((q - 1) // 2, [1] * d),
     ]
-    return [([x] * d, [y] * d) for x, y in rows]
+    top = ((q - 1) // 2 + 1).bit_length() - 1  # 2**top - 1 is a centered residue
+    for bits_b in (1, 5):
+        y = (1 << bits_b) - 1
+        if y > (q - 1) // 2:
+            continue
+        for dtype in (np.float32, np.float64):
+            single = [
+                k for k in range(1, top + 1) if _limb_plan(k, bits_b, d)[2] == ((dtype,),)
+            ]
+            if single:
+                rows.append(((1 << max(single)) - 1, [0] + [y] * (d - 1)))
+    return [([x] * d, b) for x, b in rows]
 
 
 def test_mul_matches_bruteforce_oracle_at_full_size():
@@ -274,17 +289,36 @@ def test_scalar_mul_matches_oracle(q):
         assert got == [divmod(x * c, q) for x in residues], c
 
 
-def test_limb_plan_stays_within_float64_budget():
+def limb_maxima(bits: int, width: int, count: int) -> list[int]:
+    """Largest value of each limb: 2**width - 1, or less for the narrower top limb."""
+    return [min((1 << width) - 1, ((1 << bits) - 1) >> (k * width)) for k in range(count)]
+
+
+def test_limb_plan_keeps_each_pair_within_its_float_budget():
     rng = make_rng(36)
     for _ in range(300):
         bits_a = int(rng.integers(1, 62))
         bits_b = int(rng.integers(1, 62))
         d = 1 << int(rng.integers(1, 13))
-        width_a, count_a, width_b, count_b = _limb_plan(bits_a, bits_b, d)
-        assert width_a * count_a >= bits_a
-        assert width_b * count_b >= bits_b
-        # every limb sum stays below 2**53, where float64 is exact
-        assert width_a + width_b + (d.bit_length() - 1) <= 53
+        width_a, width_b, types = _limb_plan(bits_a, bits_b, d)
+        max_a = limb_maxima(bits_a, width_a, len(types))
+        max_b = limb_maxima(bits_b, width_b, len(types[0]))
+        assert width_a * (len(max_a) - 1) < bits_a <= width_a * len(max_a)
+        assert width_b * (len(max_b) - 1) < bits_b <= width_b * len(max_b)
+        for la, row in zip(max_a, types):
+            for lb, dtype in zip(max_b, row):
+                # every partial sum is an integer of at most d * La * Lb
+                budget = {np.float32: 24, np.float64: 53}[dtype]
+                assert d * la * lb <= 2**budget, (bits_a, bits_b, d)
+
+
+def test_limb_plan_at_the_deployed_geometry():
+    # q = 2**54, d = 2048: a 53-bit wide operand times a binary one is one
+    # float64 pair (40-bit low limb) and one float32 pair (13-bit top limb);
+    # a Gaussian (tail 19, 5 bits) times a binary operand is one float32 pair
+    assert _limb_plan(53, 1, 2048) == (40, 1, ((np.float64,), (np.float32,)))
+    assert _limb_plan(5, 1, 2048) == (5, 1, ((np.float32,),))
+    assert _limb_plan(1, 5, 2048) == (1, 5, ((np.float32,),))
 
 
 # --- monomial constructor -----------------------------------------------------
