@@ -1,11 +1,11 @@
 """Exact arithmetic in Z_m[x] / (x^d + 1) with centered coefficients.
 
 Coefficients are int64 centered residues in [-m/2, m/2), for m < 2**62.
-Multiplication takes "valid" float64 convolutions of [-a, a] limbs with b
-limbs, exact as every sum stays below 2**53 (see _negacyclic_mul), which
-_mul_divmod recombines mod m in int64; decryption rounds with its quotient.
-Every array reduction is one floor division, _divmod. Sampled values and
-rounding stay integer too; there is no NTT.
+Multiplication takes "valid" convolutions of [-a, a] limbs with b limbs, in
+float32 where every sum stays within 2**24 and in float64 within 2**53 (see
+_limb_plan); _mul_divmod recombines them mod m in int64, and decryption
+rounds with its quotient.  Every array reduction is one floor division,
+_divmod.  Sampled values and rounding stay integer too; there is no NTT.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ __all__ = [
     "sample_gaussian",
 ]
 
-# Residues and the _mul_divmod recombination are int64, so q < 2**62;
-# limb products are summed in float64, which is exact below 2**53.
+# Residues and the _mul_divmod recombination are int64, so q < 2**62; float32
+# and float64 hold every integer up to 2**24 and 2**53, the limb sum bounds.
 _INT64_BUDGET = 62
-_FLOAT64_BUDGET = 53
+_FLOAT32_EXACT = 1 << 24
+_FLOAT64_EXACT = 1 << 53
 
 
 def reduce_centered(value: int, modulus: int) -> int:
@@ -226,21 +227,32 @@ def _hex_field_bytes(modulus: int) -> int:
 
 
 @cache
-def _limb_plan(bits_a: int, bits_b: int, d: int) -> tuple[int, int, int, int]:
-    """Choose limb widths so every limb convolution is exact in float64.
+def _limb_plan(bits_a: int, bits_b: int, d: int) -> tuple[int, int, tuple]:
+    """Choose limb widths and a float type per limb pair so every convolution is exact.
 
-    Returns (width_a, count_a, width_b, count_b) minimising the number
-    of convolutions count_a * count_b subject to
-    width_a + width_b + log2(d) <= 53, the bound _negacyclic_mul proves.
+    A limb's largest value L is 2**width - 1, or less for the narrower top
+    limb; pair (i, j) runs in float32 when d * La_i * Lb_j <= 2**24 and in
+    float64 when it is <= 2**53, the bounds _negacyclic_mul proves.  Returns
+    (width_a, width_b, types), types[i][j] the type of pair (i, j), at the
+    least cost, a float64 convolution counting as two float32 ones.
     """
-    slack = _FLOAT64_BUDGET - (d.bit_length() - 1)
-    if slack < 2:
-        raise ValueError("ring degree too large for exact float64 convolution")
-    plans = []
-    for width_a in range(1, min(bits_a, slack - 1) + 1):
-        width_b = min(slack - width_a, bits_b)
-        plans.append((width_a, -(-bits_a // width_a), width_b, -(-bits_b // width_b)))
-    return min(plans, key=lambda plan: plan[1] * plan[3])
+    def maxima(bits: int, width: int) -> list[int]:  # the largest value of each limb
+        return [min((1 << width) - 1, ((1 << bits) - 1) >> s) for s in range(0, bits, width)]
+    best = (float("inf"),)
+    limbs_b = [maxima(bits_b, width) for width in range(bits_b, 0, -1)]
+    for max_a in (maxima(bits_a, width) for width in range(bits_a, 0, -1)):
+        for max_b in limbs_b:
+            # the low limbs are the largest, and every pair costs at least 1
+            if d * max_a[0] * max_b[0] > _FLOAT64_EXACT or len(max_a) * len(max_b) > best[0]:
+                continue
+            types = tuple(
+                tuple(np.float32 if d * la * lb <= _FLOAT32_EXACT else np.float64 for lb in max_b)
+                for la in max_a
+            )
+            cost = sum(1 if t is np.float32 else 2 for row in types for t in row)
+            if cost <= best[0]:  # ties go to the narrower widths
+                best = (cost, max_a[0].bit_length(), max_b[0].bit_length(), types)
+    return best[1:]
 
 
 def _split_limbs(arr: np.ndarray, width: int, count: int) -> list[np.ndarray]:
@@ -278,21 +290,23 @@ def _mul_divmod(x: np.ndarray, c: int, modulus: int) -> tuple[np.ndarray, np.nda
 def _negacyclic_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     """Exact negacyclic product of two nonzero centered int64 vectors, in [0, modulus).
 
-    Each "valid" float64 convolution of an a-limb [-a[1:], a] with a b-limb
-    gives output k = sum_j b[j] * (a[k-j] if j <= k else -a[k-j+d]) directly:
-    d limb products below 2**(width_a + width_b) each, so every partial sum, in
-    any BLAS order (FMA too), is an integer below 2**(width_a + width_b + log2(d)) <= 2**53.
+    Each "valid" convolution of an a-limb [-a[1:], a] with a b-limb gives output
+    k = sum_j b[j] * (a[k-j] if j <= k else -a[k-j+d]) directly: d limb products of
+    at most La * Lb each, so every partial sum, in any BLAS order (FMA too), is an
+    integer of at most d * La * Lb, which _limb_plan keeps within 2**24 for a
+    float32 pair and 2**53 for a float64 pair: both types hold it exactly.
     """
     d = int(a.size)
-    width_a, count_a, width_b, count_b = _limb_plan(
+    width_a, width_b, types = _limb_plan(
         int(np.abs(a).max()).bit_length(), int(np.abs(b).max()).bit_length(), d
     )
-    limbs_b = [lb.astype(np.float64) for lb in _split_limbs(b, width_b, count_b)]
+    limbs_b = _split_limbs(b, width_b, len(types[0]))
     acc = np.zeros(d, dtype=np.int64)
-    for i, la in enumerate(_split_limbs(a, width_a, count_a)):
-        la = np.concatenate((-la[1:], la)).astype(np.float64)
-        for j, lb in enumerate(limbs_b):
-            head = _divmod(np.convolve(la, lb, "valid").astype(np.int64), modulus)[1]
+    for i, la in enumerate(_split_limbs(a, width_a, len(types))):
+        la = np.concatenate((-la[1:], la))
+        for j, (lb, dtype) in enumerate(zip(limbs_b, types[i])):
+            conv = np.convolve(la.astype(dtype), lb.astype(dtype), "valid")
+            head = _divmod(conv.astype(np.int64), modulus)[1]
             weight = pow(2, i * width_a + j * width_b, modulus)
             if weight != 1:
                 head = _mul_divmod(head, weight, modulus)[1]
