@@ -4,8 +4,8 @@ Coefficients are int64 centered residues in [-m/2, m/2), for m < 2**62.
 Multiplication takes "valid" convolutions of [-a, a] limbs with b limbs, in
 float32 where every sum stays within 2**24 and in float64 within 2**53 (see
 _limb_plan); _mul_divmod recombines them mod m in int64, and decryption
-rounds with its quotient.  Every array reduction is one floor division,
-_divmod.  Sampled values and rounding stay integer too; there is no NTT.
+rounds with its quotient.  Every array reduction is one floor division
+(_divmod, _center).  Sampled values stay integer too; there is no NTT.
 """
 
 from __future__ import annotations
@@ -51,10 +51,9 @@ def _divmod(x: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray]:
     return quo, x - quo * modulus
 
 
-def _center_int64(arr: np.ndarray, modulus: int) -> np.ndarray:
-    """Vectorised centered reduction of an int64 array."""
-    r = _divmod(arr, modulus)[1]
-    return np.where(r >= (modulus + 1) // 2, r - modulus, r)
+def _center(x: np.ndarray, modulus: int) -> np.ndarray:
+    """x mod modulus in [-modulus/2, modulus/2), for int64 x below 2**63 - modulus/2."""
+    return x - (x + modulus // 2) // modulus * modulus
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,12 @@ class Polynomial:
         arr = np.asarray(coeffs)
         if arr.dtype.kind != "i" or arr.ndim != 1 or arr.size == 0:
             raise ValueError(f"coefficients must be a non-empty 1-D integer vector: {arr!r:.40}")
-        arr = _center_int64(arr.astype(np.int64, copy=False), modulus)
+        arr = arr.astype(np.int64)  # a copy: never alias the caller's array
+        low, high = arr.min(), arr.max()
+        if low < -(modulus // 2) or high >= (modulus + 1) // 2:  # free when centered
+            if high > np.iinfo(np.int64).max - modulus // 2:  # would wrap in _center
+                arr = _divmod(arr, modulus)[1]
+            arr = _center(arr, modulus)
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
         object.__setattr__(self, "modulus", modulus)
@@ -288,7 +292,7 @@ def _mul_divmod(x: np.ndarray, c: int, modulus: int) -> tuple[np.ndarray, np.nda
 
 
 def _negacyclic_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
-    """Exact negacyclic product of two nonzero centered int64 vectors, in [0, modulus).
+    """Exact centered negacyclic product of two nonzero centered int64 vectors.
 
     Each "valid" convolution of an a-limb [-a[1:], a] with a b-limb gives output
     k = sum_j b[j] * (a[k-j] if j <= k else -a[k-j+d]) directly: d limb products of
@@ -310,7 +314,7 @@ def _negacyclic_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
             weight = pow(2, i * width_a + j * width_b, modulus)
             if weight != 1:
                 head = _mul_divmod(head, weight, modulus)[1]
-            acc = _divmod(acc + head, modulus)[1]
+            acc = _center(acc + head, modulus)
     return acc
 
 
