@@ -382,14 +382,14 @@ def run_circuit_privacy_attack(
 
         # The response must still decrypt to r*(m_b - m_a) regardless of flooding.
         expected = reduce_centered(r_value * (m_b_value - m_a_value), params.t)
-        decrypted = bfv.decrypt(sk, response, params)
-        if decrypted.poly != Polynomial.constant(expected, params.d, params.t):
+        raw = bfv.decrypt_raw(sk, response, params)
+        if bfv.round_raw(raw, params).poly != Polynomial.constant(expected, params.d, params.t):
             correctness_failures += 1
 
+        # (raw, 0) has the response's raw decryption, so recovery needs no second c1*s
+        trivial = Ciphertext(raw, Polynomial.zero(params.d, params.q))
         try:
-            r_rec, m_b_rec = circuit_privacy_recover(
-                sk, pk, witness, m_a, response, params
-            )
+            r_rec, m_b_rec = circuit_privacy_recover(sk, pk, witness, m_a, trivial, params)
         except AttackError:
             blocked += 1
             continue

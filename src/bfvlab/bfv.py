@@ -39,6 +39,7 @@ __all__ = [
     "encrypt",
     "decrypt",
     "decrypt_raw",
+    "round_raw",
     "add",
     "sub_from_plain",
     "mul_plain",
@@ -206,11 +207,15 @@ def decrypt_raw(sk: SecretKey, ct: Ciphertext, params: BfvParams) -> Polynomial:
 
 
 def decrypt(sk: SecretKey, ct: Ciphertext, params: BfvParams) -> Plaintext:
-    """Decrypt: scale [c0 + c1*s]_q by t/q, round half away from zero, reduce mod t."""
-    raw = decrypt_raw(sk, ct, params).coeffs
-    quo, rem = _mul_divmod(np.abs(raw), params.t, params.q)
+    """Decrypt: round_raw of decrypt_raw."""
+    return round_raw(decrypt_raw(sk, ct, params), params)
+
+
+def round_raw(raw: Polynomial, params: BfvParams) -> Plaintext:
+    """Scale a raw decryption [c0 + c1*s]_q by t/q, round half away from zero, reduce mod t."""
+    quo, rem = _mul_divmod(np.abs(raw.coeffs), params.t, params.q)
     rounded = quo + (2 * rem >= params.q)
-    return Plaintext(Polynomial(np.where(raw < 0, -rounded, rounded), params.t))
+    return Plaintext(Polynomial(np.where(raw.coeffs < 0, -rounded, rounded), params.t))
 
 
 def add(ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
