@@ -25,6 +25,7 @@ import numpy as np
 
 from . import attacks, bfv
 from .bfv import BfvParams, Ciphertext, Plaintext, PublicKey, SecretKey
+from .ring import gaussian_tail
 
 __all__ = [
     "ProtocolError",
@@ -192,7 +193,13 @@ def alice_init(
     rng: np.random.Generator,
     keys: Optional[tuple[SecretKey, PublicKey]] = None,
 ) -> tuple[AliceState, WireMessage]:
-    """Start a session: generate (or reuse) keys and emit the pubkey message."""
+    """Start a session: generate (or reuse) keys and emit the pubkey message.
+
+    Raises ValueError, before any draw, if an honest reply can miss the decrypt margin.
+    """
+    t, tail = params.t, gaussian_tail(params.sigma)
+    reply_noise = (t // 2) * ((2 * params.d + 1) * tail + params.q % t)
+    bfv.check_decrypt_margin(reply_noise, params, "honest reply noise")
     sk, pk = keys if keys is not None else bfv.keygen(params, rng)
     session_id = rng.bytes(16).hex()
     state = AliceState(
