@@ -193,10 +193,8 @@ def alice_init(
     rng: np.random.Generator,
     keys: Optional[tuple[SecretKey, PublicKey]] = None,
 ) -> tuple[AliceState, WireMessage]:
-    """Start a session: generate (or reuse) keys and emit the pubkey message.
-
-    Raises ValueError, before any draw, if an honest reply can miss the decrypt margin.
-    """
+    """Start a session: generate (or reuse) keys and emit the pubkey message;
+    raise ValueError, before any draw, if an honest reply can miss the margin."""
     t, tail = params.t, gaussian_tail(params.sigma)
     reply_noise = (t // 2) * ((2 * params.d + 1) * tail + params.q % t)
     bfv.check_decrypt_margin(reply_noise, params, "honest reply noise")

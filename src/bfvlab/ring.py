@@ -234,27 +234,28 @@ def _hex_field_bytes(modulus: int) -> int:
 def _limb_plan(bits_a: int, bits_b: int, d: int) -> tuple[int, int, tuple]:
     """Choose limb widths and a float type per limb pair so every convolution is exact.
 
-    A limb's largest value L is 2**width - 1, or less for the narrower top
-    limb; pair (i, j) runs in float32 when d * La_i * Lb_j <= 2**24 and in
-    float64 when it is <= 2**53, the bounds _negacyclic_mul proves.  Returns
-    (width_a, width_b, types), types[i][j] the type of pair (i, j), at the
-    least cost, a float64 convolution counting as two float32 ones.
+    A limb's largest value L is 2**width - 1, or less for the narrower top limb;
+    pair (i, j) runs in float32 when d * La_i * Lb_j <= 2**24 and in float64 when
+    it is <= 2**53, the bounds _negacyclic_mul proves.  Returns (width_a, width_b,
+    types), types[i][j] the type of pair (i, j), at the least cost, a float64
+    convolution counting as two float32 ones; ties go to fewer convolutions.
     """
     def maxima(bits: int, width: int) -> list[int]:  # the largest value of each limb
         return [min((1 << width) - 1, ((1 << bits) - 1) >> s) for s in range(0, bits, width)]
-    best = (float("inf"),)
+    best = ((float("inf"),),)
     limbs_b = [maxima(bits_b, width) for width in range(bits_b, 0, -1)]
     for max_a in (maxima(bits_a, width) for width in range(bits_a, 0, -1)):
         for max_b in limbs_b:
             # the low limbs are the largest, and every pair costs at least 1
-            if d * max_a[0] * max_b[0] > _FLOAT64_EXACT or len(max_a) * len(max_b) > best[0]:
+            pairs = len(max_a) * len(max_b)
+            if d * max_a[0] * max_b[0] > _FLOAT64_EXACT or pairs > best[0][0]:
                 continue
             types = tuple(
                 tuple(np.float32 if d * la * lb <= _FLOAT32_EXACT else np.float64 for lb in max_b)
                 for la in max_a
             )
-            cost = sum(1 if t is np.float32 else 2 for row in types for t in row)
-            if cost <= best[0]:  # ties go to the narrower widths
+            cost = (sum(1 if t is np.float32 else 2 for row in types for t in row), pairs)
+            if cost <= best[0]:  # then to the narrower widths
                 best = (cost, max_a[0].bit_length(), max_b[0].bit_length(), types)
     return best[1:]
 
