@@ -49,6 +49,7 @@ __all__ = [
     "bit_leak_probe",
     "bit_leak_attack",
     "random_multiplier",
+    "reply_noise_bound",
     "bob_reply",
     "evaluation_noise",
     "circuit_privacy_recover",
@@ -92,16 +93,8 @@ class DecryptionOracle:
         return cls(lambda ct: bfv.decrypt(sk, ct, params))
 
 
-class ZeroCheckOracle:
-    """Decrypts-to-zero oracle that counts its queries."""
-
-    def __init__(self, fn: Callable[[Ciphertext], bool]):
-        self._fn = fn
-        self.calls = 0
-
-    def __call__(self, ct: Ciphertext) -> bool:
-        self.calls += 1
-        return bool(self._fn(ct))
+class ZeroCheckOracle(DecryptionOracle):
+    """Decrypts-to-zero oracle: a DecryptionOracle whose answer is a bool."""
 
     @classmethod
     def honest(cls, sk: SecretKey, params: BfvParams) -> "ZeroCheckOracle":
@@ -175,6 +168,18 @@ def random_multiplier(params: BfvParams, rng: np.random.Generator) -> int:
     return reduce_centered(int(rng.integers(1, params.t)), params.t)
 
 
+def reply_noise_bound(params: BfvParams, r_norm: int, flood_bound: Optional[int] = None) -> int:
+    """Worst noise of a reply r*(m_b - c_a) with |r|_1 <= r_norm:
+    r_norm*((2d+1)*tail + (q mod t)), Alice's fresh noise times r plus the
+    (q mod t) carry of delta*r*(m_b - m_a), and flood_bound + 2d*tail more
+    when the reply is flooded."""
+    d, tail = params.d, gaussian_tail(params.sigma)
+    bound = r_norm * ((2 * d + 1) * tail + params.q % params.t)
+    if flood_bound is not None:
+        bound += flood_bound + 2 * d * tail
+    return bound
+
+
 def bob_reply(
     c_a: Ciphertext,
     m_b: Plaintext,
@@ -189,18 +194,14 @@ def bob_reply(
     [-flood_bound, flood_bound] when a bound is given.  Without the
     flood the reply keeps Alice's encryption noise, scaled by r.
 
-    A flooded reply must still decrypt.  Its noise is at most
-    |r|_1*((2d+1)*tail + (q mod t)) + flood_bound + 2d*tail: Alice's
-    fresh noise times r, the (q mod t) carry of delta*r*(m_b - m_a), and
-    the flooded zero.  A bound whose total misses the decrypt margin
-    raises ValueError before any randomness is drawn.
+    A flooded reply must still decrypt: a bound whose reply_noise_bound
+    misses the decrypt margin raises ValueError before any randomness is
+    drawn.
     """
     reply = bfv.mul_plain(bfv.sub_from_plain(m_b, c_a, params), r, params)
     if flood_bound is None:
         return reply
-    d, tail = params.d, gaussian_tail(params.sigma)
-    r_norm = int(np.abs(r.poly.coeffs).sum())
-    worst = r_norm * ((2 * d + 1) * tail + params.q % params.t) + flood_bound + 2 * d * tail
+    worst = reply_noise_bound(params, int(np.abs(r.poly.coeffs).sum()), flood_bound)
     bfv.check_decrypt_margin(worst, params, "flooded reply noise")
     return bfv.add(reply, bfv.encrypt_zero_flood(pk, params, flood_bound, rng))
 

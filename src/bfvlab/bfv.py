@@ -53,8 +53,6 @@ __all__ = [
     "public_key_from_json",
     "ciphertext_to_json",
     "ciphertext_from_json",
-    "plaintext_to_json",
-    "plaintext_from_json",
 ]
 
 
@@ -330,13 +328,13 @@ def _coeff_array(values) -> np.ndarray:
 
 
 def _to_json(obj, params: BfvParams) -> dict:
-    """Header plus one coefficient list per field of a key, ciphertext or plaintext."""
+    """Header plus one coefficient list per field of a key or ciphertext."""
     payload = [getattr(obj, f.name).to_coeff_list() for f in fields(obj)]
     return {**_header(params), "payload": payload}
 
 
 def _from_json(cls, obj: dict):
-    """Inverse of _to_json for the dataclass `cls`; plaintexts are mod t, the rest mod q."""
+    """Inverse of _to_json for the dataclass `cls`, whose fields are mod q."""
     params = _params_from_header(obj)
     count = len(fields(cls))
     payload = obj.get("payload")
@@ -345,8 +343,7 @@ def _from_json(cls, obj: dict):
     vectors = [_coeff_array(values) for values in payload]
     if any(v.size != params.d for v in vectors):
         raise ValueError("payload vectors must match the ring degree")
-    modulus = params.t if cls is Plaintext else params.q
-    return cls(*(Polynomial(v, modulus) for v in vectors)), params
+    return cls(*(Polynomial(v, params.q) for v in vectors)), params
 
 
 def secret_key_to_json(sk: SecretKey, params: BfvParams) -> dict:
@@ -371,11 +368,3 @@ def ciphertext_to_json(ct: Ciphertext, params: BfvParams) -> dict:
 
 def ciphertext_from_json(obj: dict) -> tuple[Ciphertext, BfvParams]:
     return _from_json(Ciphertext, obj)
-
-
-def plaintext_to_json(m: Plaintext, params: BfvParams) -> dict:
-    return _to_json(m, params)
-
-
-def plaintext_from_json(obj: dict) -> tuple[Plaintext, BfvParams]:
-    return _from_json(Plaintext, obj)

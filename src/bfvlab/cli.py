@@ -47,10 +47,9 @@ def _add_common_flags(parser: argparse.ArgumentParser, default_set: Optional[str
     parser.add_argument("--d", type=int, help="ring degree (power of two); overrides --params")
     parser.add_argument("--q", type=int, help="coefficient modulus; use with --d and --t")
     parser.add_argument("--t", type=int, help="plaintext modulus; use with --d and --q")
-    parser.add_argument("--sigma", type=float, default=3.2, help="noise width (default 3.2)")
+    parser.add_argument("--sigma", type=float, help="noise width with --d/--q/--t (default 3.2)")
     parser.add_argument("--seed", type=int, default=0, help="64-bit RNG seed (default 0)")
     parser.add_argument("--out", metavar="PATH", default=None, help="output path")
-    parser.add_argument("--verbose", action="store_true", help="print extra progress detail")
 
 
 def _resolve_config(args, default_set: Optional[str]) -> tuple[BfvParams, Optional[str]]:
@@ -62,7 +61,10 @@ def _resolve_config(args, default_set: Optional[str]) -> tuple[BfvParams, Option
             raise ValueError("explicit parameters need all of --d, --q and --t")
         if args.params is not None:
             raise ValueError("give either --params or explicit --d/--q/--t, not both")
-        return BfvParams(ring=RingParams(d=args.d, q=args.q), t=args.t, sigma=args.sigma), None
+        sigma = BfvParams.sigma if args.sigma is None else args.sigma
+        return BfvParams(ring=RingParams(d=args.d, q=args.q), t=args.t, sigma=sigma), None
+    if args.sigma is not None:
+        raise ValueError("--sigma needs explicit --d, --q and --t")
     set_name = args.params or default_set
     return get_params(set_name), set_name
 
@@ -206,6 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         "attack", choices=("cca", "bitleak", "circuit", "encoder"), help="which attack to run"
     )
     _add_common_flags(p_attack, None)
+    p_attack.add_argument("--verbose", action="store_true", help="print the report details")
     p_attack.add_argument(
         "--flood",
         type=int,
@@ -238,6 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--index", type=int, default=0, help="malicious-probe strategy: key bit to probe"
     )
     _add_common_flags(p_psi, "psi-83")
+    p_psi.add_argument("--verbose", action="store_true", help="print the transcript path")
     p_psi.set_defaults(handler=_cmd_psi)
 
     return parser

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import attacks, bfv
 from .bfv import BfvParams, Ciphertext, Plaintext, PublicKey, SecretKey
-from .ring import gaussian_tail
 
 __all__ = [
     "ProtocolError",
@@ -121,6 +120,11 @@ def decode_frame(frame: bytes) -> WireMessage:
         obj = json.loads(payload.decode())
     except ValueError as exc:  # bad UTF-8, bad JSON or an over-long integer
         raise ProtocolError(f"frame payload is not valid JSON: {exc}") from exc
+    return _message(obj)
+
+
+def _message(obj) -> WireMessage:
+    """The one message check, for decoded frames and stored transcript frames."""
     if not isinstance(obj, dict) or set(obj) != {"session_id", "kind", "body"}:
         raise ProtocolError("frame object must have session_id, kind and body")
     if obj["kind"] not in _KINDS:
@@ -195,8 +199,7 @@ def alice_init(
 ) -> tuple[AliceState, WireMessage]:
     """Start a session: generate (or reuse) keys and emit the pubkey message;
     raise ValueError, before any draw, if an honest reply can miss the margin."""
-    t, tail = params.t, gaussian_tail(params.sigma)
-    reply_noise = (t // 2) * ((2 * params.d + 1) * tail + params.q % t)
+    reply_noise = attacks.reply_noise_bound(params, params.t // 2)
     bfv.check_decrypt_margin(reply_noise, params, "honest reply noise")
     sk, pk = keys if keys is not None else bfv.keygen(params, rng)
     session_id = rng.bytes(16).hex()
@@ -300,7 +303,10 @@ class Transcript:
     def from_json(cls, obj: dict) -> "Transcript":
         if not isinstance(obj, dict) or set(obj) != {"session_id", "frames", "outcome"}:
             raise ProtocolError("transcript must have session_id, frames and outcome")
-        _check_frames(obj["frames"])
+        if not isinstance(obj["frames"], list):
+            raise ProtocolError("transcript frames must be a list")
+        for frame in obj["frames"]:
+            _message(frame)
         return cls(obj["session_id"], obj["frames"], obj["outcome"])
 
     def save(self, path) -> None:
@@ -309,11 +315,6 @@ class Transcript:
     @classmethod
     def load(cls, path) -> "Transcript":
         return cls.from_json(json.loads(Path(path).read_text()))
-
-
-def _check_frames(frames) -> None:
-    if not isinstance(frames, list) or not all(isinstance(f, dict) for f in frames):
-        raise ProtocolError("transcript frames must be a list of objects")
 
 
 class SessionRegistry:
@@ -363,19 +364,19 @@ def run_session(
 def verify_transcript(transcript: Transcript) -> Outcome:
     """Re-check a stored transcript: frame order, session ids, payload shapes,
     and agreement between the result frame and the recorded outcome."""
-    _check_frames(transcript.frames)
-    kinds = [frame.get("kind") for frame in transcript.frames]
+    if not isinstance(transcript.frames, list):
+        raise ProtocolError("transcript frames must be a list")
+    messages = [_message(frame) for frame in transcript.frames]
+    kinds = [msg.kind for msg in messages]
     if kinds != list(_KINDS):
         raise ProtocolError(f"unexpected frame order {kinds}")
     params = None
-    for frame in transcript.frames[:-1]:
-        msg = WireMessage(frame.get("session_id"), frame["kind"], frame.get("body"))
+    for msg in messages[:-1]:
         _, params = _read_message(msg, msg.kind, transcript.session_id, params)
-    result = transcript.frames[-1]
-    if result.get("session_id") != transcript.session_id:
+    result = messages[-1]
+    if result.session_id != transcript.session_id:
         raise ProtocolError("result message belongs to a different session")
-    body = result.get("body")
-    if not isinstance(body, dict) or body.get("outcome") != transcript.outcome:
+    if result.body.get("outcome") != transcript.outcome:
         raise ProtocolError("result frame disagrees with the recorded outcome")
     try:
         return Outcome(transcript.outcome)

@@ -157,11 +157,12 @@ class Polynomial:
 
     def _ring_mul(self, other: "Polynomial") -> "Polynomial":
         for a, b in ((self, other), (other, self)):
+            if np.count_nonzero(b.coeffs) > 1:
+                continue
             nz = np.flatnonzero(b.coeffs)
             if nz.size == 0:
                 return Polynomial.zero(self.d, self.modulus)
-            if nz.size == 1:
-                return a._mul_monomial(int(nz[0]), int(b.coeffs[nz[0]]))
+            return a._mul_monomial(int(nz[0]), int(b.coeffs[nz[0]]))
         product = _negacyclic_mul(self.coeffs, other.coeffs, self.modulus)
         return Polynomial(product, self.modulus)
 

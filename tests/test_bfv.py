@@ -407,12 +407,10 @@ def test_json_roundtrips(small_params):
     sk2, p_sk = bfv.secret_key_from_json(bfv.secret_key_to_json(sk, small_params))
     pk2, p_pk = bfv.public_key_from_json(bfv.public_key_to_json(pk, small_params))
     ct2, p_ct = bfv.ciphertext_from_json(bfv.ciphertext_to_json(ct, small_params))
-    m2, p_m = bfv.plaintext_from_json(bfv.plaintext_to_json(m, small_params))
 
     assert sk2.s == sk.s and pk2.pk0 == pk.pk0 and pk2.pk1 == pk.pk1
     assert ct2.c0 == ct.c0 and ct2.c1 == ct.c1
-    assert m2.poly == m.poly
-    assert p_sk == p_pk == p_ct == p_m == small_params
+    assert p_sk == p_pk == p_ct == small_params
     assert bfv.decrypt(sk2, ct2, p_ct).poly == m.poly
 
 

@@ -13,6 +13,7 @@ from bfvlab.attacks import (
     bit_leak_attack,
     bit_leak_probe,
     circuit_privacy_recover,
+    reply_noise_bound,
 )
 from bfvlab.psi import (
     AliceState,
@@ -95,7 +96,9 @@ def test_session_refuses_parameters_an_honest_reply_can_miss(seed):
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="honest reply noise = 987 misses the decrypt margin"):
         run_session(params, 1, 1, rng)
-    with pytest.raises(ValueError, match="honest reply noise"):
+    # the refusal names the one bound that bob_reply also checks
+    bound = reply_noise_bound(params, params.t // 2)
+    with pytest.raises(ValueError, match=f"honest reply noise = {bound} misses"):
         alice_init(params, 1, rng)
     assert rng.bit_generator.state == state  # refused before any draw
 
@@ -270,9 +273,35 @@ def test_transcript_tampering_is_detected(small_params):
         verify_transcript(Transcript(base.session_id, foreign, base.outcome))
     with pytest.raises(ProtocolError):
         Transcript.from_json({"frames": []})
+    # a frame with a key no message has is refused even where all else is intact
+    extra = [dict(f) for f in base.frames]
+    extra[1]["note"] = "added"
+    with pytest.raises(ProtocolError, match="frame object must have"):
+        verify_transcript(Transcript(base.session_id, extra, base.outcome))
+    with pytest.raises(ProtocolError, match="frame object must have"):
+        Transcript.from_json({**base.to_json(), "frames": extra})
 
 
-@pytest.mark.parametrize("frames", [None, [1, 2, 3, 4], [[], [], [], []], "abcd"])
+def _frames_with(**changes):
+    """Four well-formed frames in protocol order, the first one changed."""
+    kinds = ("pubkey", "query", "response", "result")
+    frames = [{"session_id": "00" * 16, "kind": kind, "body": {}} for kind in kinds]
+    frames[0].update(changes)
+    return frames
+
+
+@pytest.mark.parametrize(
+    "frames",
+    [
+        None,
+        [1, 2, 3, 4],
+        [[], [], [], []],
+        "abcd",
+        pytest.param(_frames_with(extra=1), id="extra-key"),
+        pytest.param(_frames_with(kind="hello"), id="unknown-kind"),
+        pytest.param(_frames_with(session_id=7), id="int-session-id"),
+    ],
+)
 def test_malformed_transcript_frames_raise_protocol_errors(frames):
     session_id = "00" * 16
     with pytest.raises(ProtocolError):
