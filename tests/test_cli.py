@@ -93,30 +93,14 @@ def test_partial_custom_parameters_are_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["attack", "cca", "--sigma", 50],
-        ["attack", "bitleak", "--params", "bitleak-2048", "--sigma", 50],
-        ["keygen", "--params", "cca-1024", "--sigma", 50],
-        ["psi", "--alice", 1, "--bob", 1, "--sigma", 50],
-    ],
-    ids=["attack-default-set", "attack-named-set", "keygen", "psi"],
+    [["attack", "cca", "--sigma", 50], ["keygen", "--params", "cca-1024", "--sigma", 50]],
+    ids=["attack-default-set", "keygen-named-set"],
 )
 def test_sigma_without_explicit_parameters_is_rejected(tmp_path, capsys, argv):
     # a named set fixes sigma; --sigma used to be dropped with exit 0
-    out = tmp_path / "out"
-    assert run_cli([*argv, "--out", out]) == 1
+    assert run_cli([*argv, "--out", tmp_path / "out"]) == 1
     assert "error: --sigma needs explicit --d, --q and --t" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
-
-
-def test_explicit_sigma_reaches_the_key(tmp_path):
-    prefix = tmp_path / "k"
-    assert run_cli(["keygen", *SMALL, "--sigma", 50, "--out", prefix]) == 0
-    _, params = bfv.public_key_from_json(json.loads((tmp_path / "k.pk.json").read_text()))
-    assert params.sigma == 50.0
-    assert run_cli(["keygen", *SMALL, "--out", prefix]) == 0
-    _, params = bfv.public_key_from_json(json.loads((tmp_path / "k.pk.json").read_text()))
-    assert params.sigma == 3.2
 
 
 # --- attack subcommands -----------------------------------------------------------
@@ -304,9 +288,8 @@ def test_unknown_arguments_are_rejected():
 
 
 def test_verbose_is_offered_only_where_it_prints(tmp_path):
-    for argv in (["attack", "cca", "--verbose"], ["psi", "--alice", 1, "--bob", 1, "--verbose"]):
-        args = cli.build_parser().parse_args([str(a) for a in argv])
-        assert args.verbose is True
+    for argv in (["attack", "cca", "--verbose"], ["psi", "--alice", "1", "--bob", "1", "--verbose"]):
+        assert cli.build_parser().parse_args(argv).verbose is True
     with pytest.raises(SystemExit) as exc:
         run_cli(["keygen", "--verbose", "--out", tmp_path / "k"])
     assert exc.value.code == 2
