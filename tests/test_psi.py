@@ -283,7 +283,7 @@ def test_transcript_tampering_is_detected(small_params):
 
 
 def _frames_with(**changes):
-    """Four well-formed frames in protocol order, the first one changed."""
+    """Four frames of the right shape in protocol order, the first one changed."""
     kinds = ("pubkey", "query", "response", "result")
     frames = [{"session_id": "00" * 16, "kind": kind, "body": {}} for kind in kinds]
     frames[0].update(changes)
