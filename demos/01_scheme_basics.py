@@ -18,7 +18,7 @@ e = -(pk.pk0 + pk.pk1 * sk.s)
 print(f"key relation noise: max |e_i| = {e.max_abs()} (tail bound {gaussian_tail(params.sigma)})")
 
 m = Plaintext.from_coeffs([7, 1, 255], params)
-ct, _ = bfv.encrypt(pk, m, params, rng)
+ct = bfv.encrypt(pk, m, params, rng)
 decrypted = bfv.decrypt(sk, ct, params)
 print(f"plaintext  {m.poly.to_coeff_list()[:4]} ...")
 print(f"decrypted  {decrypted.poly.to_coeff_list()[:4]} ...  (255 centers to -1 mod 256)")
@@ -32,7 +32,7 @@ print(f"noise after encryption: {noise} of a q/2t budget of {params.q // (2 * pa
 # ciphertext addition is plaintext addition
 a = Plaintext.from_coeffs([3, 10], params)
 b = Plaintext.from_coeffs([4, 20], params)
-ct_a, _ = bfv.encrypt(pk, a, params, rng)
-ct_b, _ = bfv.encrypt(pk, b, params, rng)
+ct_a = bfv.encrypt(pk, a, params, rng)
+ct_b = bfv.encrypt(pk, b, params, rng)
 total = bfv.decrypt(sk, bfv.add(ct_a, ct_b), params)
 print(f"Dec(Enc(3 + 10x) + Enc(4 + 20x)) = {total.poly.to_coeff_list()[:3]} ...")

@@ -19,14 +19,14 @@ transcript = psi.run_session(params, 17, 29, rng.spawn(1)[0])
 print(f"m_a = 17, m_b = 29  ->  {transcript.outcome}")
 
 # but the response reuses the noise of Alice's own query, scaled by r.
-# Alice holds her encryption randomness, so she can strip the blinding;
-# the transcript carries both parties' final states for the comparison
+# Alice reads that noise off her query with her key alone, so she can
+# strip the blinding; the transcript carries both parties' final states
+# for the comparison
 transcript = psi.run_session(params, 17, 29, rng.spawn(1)[0])
 alice, bob = transcript.alice, transcript.bob
+query_ct, _ = bfv.ciphertext_from_json(transcript.frames[1]["body"])
 response_ct, _ = bfv.ciphertext_from_json(transcript.frames[2]["body"])
-r, m_b = circuit_privacy_recover(
-    alice.sk, alice.pk, alice.witness, alice.m_a, response_ct, params
-)
+r, m_b = circuit_privacy_recover(alice.sk, query_ct, alice.m_a, response_ct, params)
 print(f"recovered blinding r = {r.poly.to_coeff_list()[0]}"
       f" (truth {bob.r.poly.to_coeff_list()[0]})")
 print(f"recovered Bob input = {m_b.poly.to_coeff_list()[0]}"
@@ -39,11 +39,10 @@ transcript = psi.run_session(
 )
 alice = transcript.alice
 print(f"flooded session outcome: {transcript.outcome} (still correct)")
+query_ct, _ = bfv.ciphertext_from_json(transcript.frames[1]["body"])
 response_ct, _ = bfv.ciphertext_from_json(transcript.frames[2]["body"])
 try:
-    circuit_privacy_recover(
-        alice.sk, alice.pk, alice.witness, alice.m_a, response_ct, params
-    )
+    circuit_privacy_recover(alice.sk, query_ct, alice.m_a, response_ct, params)
     print("recovery still worked (unexpected)")
 except FloodedOrMalformedError as exc:
     print(f"recovery failed: {exc}")

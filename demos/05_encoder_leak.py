@@ -16,7 +16,7 @@ sk, pk = bfv.keygen(params, rng)
 for pair in ((1, 3), (2, 2)):
     ct_sum = None
     for value in pair:
-        ct, _ = bfv.encrypt(pk, integer_encode(value, params), params, rng)
+        ct = bfv.encrypt(pk, integer_encode(value, params), params, rng)
         ct_sum = ct if ct_sum is None else bfv.add(ct_sum, ct)
     decrypted = bfv.decrypt(sk, ct_sum, params)
     coeffs = decrypted.poly.to_coeff_list()[:4]

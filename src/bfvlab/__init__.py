@@ -24,7 +24,6 @@ from .bfv import (
     PARAM_SETS,
     BfvParams,
     Ciphertext,
-    EncryptionWitness,
     Plaintext,
     PublicKey,
     SecretKey,
@@ -57,7 +56,6 @@ __all__ = [
     "PARAM_SETS",
     "BfvParams",
     "Ciphertext",
-    "EncryptionWitness",
     "Plaintext",
     "PublicKey",
     "SecretKey",

@@ -6,8 +6,8 @@ Four experiments, each with the oracle or side information it needs:
                          decryption oracle returns the secret key.
 * bit_leak_attack      - d chosen ciphertexts through a decrypts-to-zero
                          oracle recover the key one bit per query.
-* circuit_privacy_recover - the encryptor of c_a, keeping her encryption
-                         randomness, reads Bob's scalar r and input m_b
+* circuit_privacy_recover - the encryptor of c_a, reading its noise with
+                         her key, reads Bob's scalar r and input m_b
                          out of r*(m_b - c_a) because plain evaluation
                          adds no fresh noise.
 * encoder_leak_demo    - homomorphic sums of integer-encoded inputs
@@ -26,14 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import bfv
-from .bfv import (
-    BfvParams,
-    Ciphertext,
-    EncryptionWitness,
-    Plaintext,
-    PublicKey,
-    SecretKey,
-)
+from .bfv import BfvParams, Ciphertext, Plaintext, PublicKey, SecretKey
 from .encoders import integer_decode, integer_encode
 from .ring import Polynomial, gaussian_tail, monomial, reduce_centered
 
@@ -207,21 +200,19 @@ def bob_reply(
 
 
 def evaluation_noise(
-    sk: SecretKey, pk: PublicKey, witness: EncryptionWitness, params: BfvParams
+    sk: SecretKey, c_a: Ciphertext, m_a: Plaintext, params: BfvParams
 ) -> Polynomial:
-    """The noise n = e1 + e2*s - e*u carried by a fresh encryption.
+    """The noise n = [c0 + c1*s - delta*m_a]_q of Alice's query c_a.
 
-    Everything on the right is known to the encryptor who kept her
-    witness and also holds the key pair: e = -(pk0 + pk1*s).
+    Her key alone reads it; for a fresh encryption it equals
+    e1 + e2*s - e*u, but she needs none of that randomness.
     """
-    e = -(pk.pk0 + pk.pk1 * sk.s)
-    return witness.e1 + witness.e2 * sk.s - e * witness.u
+    return bfv.noise(sk, c_a, m_a, params)
 
 
 def circuit_privacy_recover(
     sk: SecretKey,
-    pk: PublicKey,
-    witness: EncryptionWitness,
+    c_a: Ciphertext,
     m_a: Plaintext,
     c_ab: Ciphertext,
     params: BfvParams,
@@ -230,13 +221,13 @@ def circuit_privacy_recover(
 
     Assumes c_ab is an unflooded bob_reply, r * (m_b - c_a) computed
     with plain operations only, where c_a is Alice's encryption of the
-    scalar m_a with witness (u, e1, e2).  Then
-    [c_ab0 + c_ab1*s]_q = [r*(delta*(m_b - m_a) - n)]_q with n the known
-    evaluation noise.  Nothing is rounded: r ranges over the nonzero
-    centered residues mod t and must give -r*n on the first nonzero
-    non-constant coefficient of n, then on the whole non-constant tail;
-    m_b ranges over the centered residues mod t and must give the
-    constant coefficient.  Both are congruences mod q, so scaled noise
+    scalar m_a.  Then [c_ab0 + c_ab1*s]_q = [r*(delta*(m_b - m_a) - n)]_q
+    with n = evaluation_noise(sk, c_a, m_a, params), which Alice reads
+    with her key.  Nothing is rounded: r ranges over the nonzero centered
+    residues mod t and must give -r*n on the first nonzero non-constant
+    coefficient of n, then on the whole non-constant tail; m_b ranges
+    over the centered residues mod t and must give the constant
+    coefficient.  Both are congruences mod q, so scaled noise
     that wraps mod q is still read exactly.  Raises
     FloodedOrMalformedError unless exactly one pair (r, m_b) reproduces
     the response (noise flooding, or inputs the response cannot tell
@@ -247,7 +238,7 @@ def circuit_privacy_recover(
         raise ValueError("recovery assumes a scalar (constant) plaintext m_a")
     t, q, delta = params.t, params.q, params.delta
 
-    noise = evaluation_noise(sk, pk, witness, params)
+    noise = evaluation_noise(sk, c_a, m_a, params)
     raw = bfv.decrypt_raw(sk, c_ab, params).coeffs
     nonzero = np.flatnonzero(noise.coeffs[1:])
     if not nonzero.size:
@@ -377,7 +368,7 @@ def run_circuit_privacy_attack(
         r_value = random_multiplier(params, rng)
         m_a = Plaintext.constant(m_a_value, params)
         m_b = Plaintext.constant(m_b_value, params)
-        c_a, witness = bfv.encrypt(pk, m_a, params, rng)
+        c_a = bfv.encrypt(pk, m_a, params, rng)
         r = Plaintext.constant(r_value, params)
         response = bob_reply(c_a, m_b, r, pk, params, rng, flood_bound)
 
@@ -390,7 +381,7 @@ def run_circuit_privacy_attack(
         # (raw, 0) has the response's raw decryption, so recovery needs no second c1*s
         trivial = Ciphertext(raw, Polynomial.zero(params.d, params.q))
         try:
-            r_rec, m_b_rec = circuit_privacy_recover(sk, pk, witness, m_a, trivial, params)
+            r_rec, m_b_rec = circuit_privacy_recover(sk, c_a, m_a, trivial, params)
         except AttackError:
             blocked += 1
             continue
@@ -431,7 +422,7 @@ def encoder_leak_demo(
         sk, pk = bfv.keygen(params, rng)
         ct_sum = None
         for value in pair:
-            ct, _ = bfv.encrypt(pk, integer_encode(value, params), params, rng)
+            ct = bfv.encrypt(pk, integer_encode(value, params), params, rng)
             ct_sum = ct if ct_sum is None else bfv.add(ct_sum, ct)
         decrypted = bfv.decrypt(sk, ct_sum, params)
         records.append(

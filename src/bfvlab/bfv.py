@@ -34,7 +34,6 @@ __all__ = [
     "PublicKey",
     "Plaintext",
     "Ciphertext",
-    "EncryptionWitness",
     "keygen",
     "encrypt",
     "decrypt",
@@ -45,6 +44,7 @@ __all__ = [
     "mul_plain",
     "check_decrypt_margin",
     "encrypt_zero_flood",
+    "noise",
     "noise_norm",
     "SCHEME_TAG",
     "secret_key_to_json",
@@ -148,19 +148,6 @@ class Ciphertext:
     c1: Polynomial
 
 
-@dataclass(frozen=True)
-class EncryptionWitness:
-    """The randomness (u, e1, e2) used by one encryption.
-
-    Normally discarded; the circuit-privacy attack works precisely
-    because the encryptor may keep it.
-    """
-
-    u: Polynomial
-    e1: Polynomial
-    e2: Polynomial
-
-
 def _lift(m: Plaintext, params: BfvParams) -> Polynomial:
     """Reinterpret the centered mod-t coefficients as mod-q values."""
     return m.poly.with_modulus(params.q)
@@ -184,19 +171,19 @@ def keygen(
 
 def encrypt(
     pk: PublicKey, m: Plaintext, params: BfvParams, rng: np.random.Generator
-) -> tuple[Ciphertext, EncryptionWitness]:
-    """Encrypt m under pk, returning the ciphertext and its randomness.
+) -> Ciphertext:
+    """Encrypt m under pk.
 
     Draw order is u, e1, e2.  The ciphertext is
         c0 = pk0*u + e1 + delta*m,  c1 = pk1*u + e2  (mod q)
-    with delta = floor(q/t).
+    with delta = floor(q/t), so its noise is e1 + e2*s - e*u.
     """
     u = sample_binary(params.ring, rng)
     e1 = sample_gaussian(params.ring, params.sigma, rng)
     e2 = sample_gaussian(params.ring, params.sigma, rng)
     c0 = pk.pk0 * u + e1 + _lift(m, params) * params.delta
     c1 = pk.pk1 * u + e2
-    return Ciphertext(c0, c1), EncryptionWitness(u, e1, e2)
+    return Ciphertext(c0, c1)
 
 
 def decrypt_raw(sk: SecretKey, ct: Ciphertext, params: BfvParams) -> Polynomial:
@@ -272,12 +259,18 @@ def encrypt_zero_flood(
     return Ciphertext(c0, c1)
 
 
+def noise(
+    sk: SecretKey, ct: Ciphertext, expected_m: Plaintext, params: BfvParams
+) -> Polynomial:
+    """The noise [c0 + c1*s - delta*expected_m]_q of ct as an encryption of expected_m."""
+    return decrypt_raw(sk, ct, params) - _lift(expected_m, params) * params.delta
+
+
 def noise_norm(
     sk: SecretKey, ct: Ciphertext, expected_m: Plaintext, params: BfvParams
 ) -> int:
-    """Infinity norm of [c0 + c1*s - delta*expected_m]_q."""
-    raw = decrypt_raw(sk, ct, params)
-    return (raw - _lift(expected_m, params) * params.delta).max_abs()
+    """Infinity norm of noise(sk, ct, expected_m, params)."""
+    return noise(sk, ct, expected_m, params).max_abs()
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ def _cmd_encrypt(args) -> int:
     pk, params = bfv.public_key_from_json(_read_json(Path(args.key)))
     m = Plaintext.from_coeffs(_read_json(Path(args.infile)), params)
     rng = np.random.default_rng(args.seed)
-    ct, _witness = bfv.encrypt(pk, m, params, rng)
+    ct = bfv.encrypt(pk, m, params, rng)
     out = Path(args.out)
     _write_json(out, bfv.ciphertext_to_json(ct, params))
     print(f"wrote {out}")
@@ -248,8 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if not exc.code:  # --help
+            raise
+        return EXIT_FAILURE  # a usage error is bad input, not a held countermeasure
     try:
         return args.handler(args)
     except (ValueError, OSError, psi.ProtocolError, attacks.AttackError) as exc:

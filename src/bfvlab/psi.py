@@ -136,9 +136,8 @@ def _message(obj) -> WireMessage:
 
 @dataclass
 class AliceState:
-    """Alice's side: key pair, input, the encryption witness of her query,
-    and a phase tag enforcing message order.  Like sk, the witness never
-    leaves this state."""
+    """Alice's side: key pair, input, outcome, and a phase tag enforcing
+    message order."""
 
     params: BfvParams
     sk: SecretKey
@@ -146,7 +145,6 @@ class AliceState:
     m_a: Plaintext
     session_id: str
     rng: np.random.Generator
-    witness: Optional[bfv.EncryptionWitness] = None
     outcome: Optional[Outcome] = None
     phase: str = "init"
 
@@ -219,7 +217,7 @@ def alice_query(state: AliceState) -> WireMessage:
     """Encrypt m_a and emit the query message."""
     if state.phase != "init":
         raise ProtocolError(f"alice cannot send a query in phase {state.phase!r}")
-    ct, state.witness = bfv.encrypt(state.pk, state.m_a, state.params, state.rng)
+    ct = bfv.encrypt(state.pk, state.m_a, state.params, state.rng)
     state.phase = "sent"
     return WireMessage(
         state.session_id, "query", bfv.ciphertext_to_json(ct, state.params)
@@ -307,6 +305,10 @@ class Transcript:
             raise ProtocolError("transcript frames must be a list")
         for frame in obj["frames"]:
             _message(frame)
+        if not isinstance(obj["session_id"], str):
+            raise ProtocolError("transcript session_id must be a string")
+        if obj["outcome"] not in [outcome.value for outcome in Outcome]:
+            raise ProtocolError(f"unknown outcome {obj['outcome']!r}")
         return cls(obj["session_id"], obj["frames"], obj["outcome"])
 
     def save(self, path) -> None:

@@ -1,11 +1,24 @@
+import copy
+
 import numpy as np
 import pytest
 
-from bfvlab import BfvParams, RingParams
+from bfvlab import BfvParams, Polynomial, RingParams, sample_binary, sample_gaussian
 
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def encrypt_draws(
+    params: BfvParams, rng: np.random.Generator
+) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """The u, e1, e2 that bfv.encrypt will draw next from rng, replayed from a copy."""
+    replay = copy.deepcopy(rng)
+    u = sample_binary(params.ring, replay)
+    e1 = sample_gaussian(params.ring, params.sigma, replay)
+    e2 = sample_gaussian(params.ring, params.sigma, replay)
+    return u, e1, e2
 
 
 @pytest.fixture

@@ -105,11 +105,10 @@ def test_circuit_privacy_recovery_and_flooding_defense(capsys):
         expected = "equal" if reduce_centered(m_a - m_b, t) == 0 else "not-equal"
         if transcript.outcome == expected:
             honest_outcomes += 1
+        c_a, _ = bfv.ciphertext_from_json(transcript.frames[1]["body"])
         c_ab, _ = bfv.ciphertext_from_json(transcript.frames[2]["body"])
         try:
-            r_rec, m_b_rec = circuit_privacy_recover(
-                alice.sk, alice.pk, alice.witness, alice.m_a, c_ab, params
-            )
+            r_rec, m_b_rec = circuit_privacy_recover(alice.sk, c_a, alice.m_a, c_ab, params)
         except AttackError:
             continue
         if (
@@ -130,11 +129,10 @@ def test_circuit_privacy_recovery_and_flooding_defense(capsys):
         expected = "equal" if reduce_centered(m_a - m_b, t) == 0 else "not-equal"
         if transcript.outcome == expected:
             flood_outcomes += 1
+        c_a, _ = bfv.ciphertext_from_json(transcript.frames[1]["body"])
         c_ab, _ = bfv.ciphertext_from_json(transcript.frames[2]["body"])
         try:
-            r_rec, m_b_rec = circuit_privacy_recover(
-                alice.sk, alice.pk, alice.witness, alice.m_a, c_ab, params
-            )
+            r_rec, m_b_rec = circuit_privacy_recover(alice.sk, c_a, alice.m_a, c_ab, params)
         except AttackError:
             continue
         if (
@@ -192,8 +190,8 @@ def test_scheme_roundtrip_and_additive_homomorphism(capsys):
             b = Plaintext.from_coeffs(
                 [int(c) for c in rng.integers(0, params.t, size=params.d)], params
             )
-            ct_a, _ = bfv.encrypt(pk, a, params, rng)
-            ct_b, _ = bfv.encrypt(pk, b, params, rng)
+            ct_a = bfv.encrypt(pk, a, params, rng)
+            ct_b = bfv.encrypt(pk, b, params, rng)
             if (
                 bfv.decrypt(sk, ct_a, params).poly == a.poly
                 and bfv.decrypt(sk, ct_b, params).poly == b.poly

@@ -36,7 +36,7 @@ from bfvlab.attacks import (
 )
 from bfvlab.ring import sample_gaussian, sample_uniform
 
-from conftest import make_rng
+from conftest import encrypt_draws, make_rng
 
 
 # --- one-query chosen-ciphertext recovery ----------------------------------------
@@ -169,13 +169,13 @@ def test_bit_leak_at_full_size_spot_indices():
 def _honest_exchange(params, rng, m_a_value, m_b_value, r_value):
     sk, pk = bfv.keygen(params, rng)
     m_a = Plaintext.constant(m_a_value, params)
-    c_a, witness = bfv.encrypt(pk, m_a, params, rng)
+    c_a = bfv.encrypt(pk, m_a, params, rng)
     response = bfv.mul_plain(
         bfv.sub_from_plain(Plaintext.constant(m_b_value, params), c_a, params),
         Plaintext.constant(r_value, params),
         params,
     )
-    return sk, pk, witness, m_a, response
+    return sk, c_a, m_a, response
 
 
 def test_circuit_privacy_recovery_exact():
@@ -186,8 +186,8 @@ def test_circuit_privacy_recovery_exact():
         m_b = int(rng.integers(-41, 42))
         r = int(rng.integers(1, 83))
         r = r - 83 if r > 41 else r
-        sk, pk, witness, m_a_pt, response = _honest_exchange(params, rng, m_a, m_b, r)
-        r_rec, m_b_rec = circuit_privacy_recover(sk, pk, witness, m_a_pt, response, params)
+        sk, c_a, m_a_pt, response = _honest_exchange(params, rng, m_a, m_b, r)
+        r_rec, m_b_rec = circuit_privacy_recover(sk, c_a, m_a_pt, response, params)
         assert r_rec.poly.to_coeff_list()[0] == r
         assert m_b_rec.poly.to_coeff_list()[0] == m_b
 
@@ -196,8 +196,8 @@ def test_circuit_privacy_recovery_edge_multipliers():
     params = get_params("psi-83")
     rng = make_rng(11)
     for r in (1, -1, 41, -41):
-        sk, pk, witness, m_a_pt, response = _honest_exchange(params, rng, 7, -29, r)
-        r_rec, m_b_rec = circuit_privacy_recover(sk, pk, witness, m_a_pt, response, params)
+        sk, c_a, m_a_pt, response = _honest_exchange(params, rng, 7, -29, r)
+        r_rec, m_b_rec = circuit_privacy_recover(sk, c_a, m_a_pt, response, params)
         assert r_rec.poly.to_coeff_list()[0] == r
         assert m_b_rec.poly.to_coeff_list()[0] == -29
 
@@ -205,8 +205,8 @@ def test_circuit_privacy_recovery_edge_multipliers():
 def test_circuit_privacy_recovery_equal_inputs():
     params = get_params("psi-83")
     rng = make_rng(12)
-    sk, pk, witness, m_a_pt, response = _honest_exchange(params, rng, 13, 13, 5)
-    r_rec, m_b_rec = circuit_privacy_recover(sk, pk, witness, m_a_pt, response, params)
+    sk, c_a, m_a_pt, response = _honest_exchange(params, rng, 13, 13, 5)
+    r_rec, m_b_rec = circuit_privacy_recover(sk, c_a, m_a_pt, response, params)
     assert r_rec.poly.to_coeff_list()[0] == 5
     assert m_b_rec.poly.to_coeff_list()[0] == 13
 
@@ -221,17 +221,21 @@ def test_circuit_privacy_recovers_every_honest_trial_when_noise_wraps():
 
 
 def test_circuit_trial_multiplies_its_response_by_s_once(small_prime_t_params, monkeypatch):
-    # the correctness check and the recovery share one raw decryption c0 + c1*s
-    c1_is_zero = []
+    # two products c1*s per trial: one reads the query's noise, and the
+    # correctness check and the recovery share the response's one
+    multiplied = []
     decrypt_raw = bfv.decrypt_raw
 
     def counting(sk, ct, params):
-        c1_is_zero.append(ct.c1.is_zero())
+        if not ct.c1.is_zero():
+            multiplied.append(ct)
         return decrypt_raw(sk, ct, params)
 
     monkeypatch.setattr(bfv, "decrypt_raw", counting)
     report = run_circuit_privacy_attack(small_prime_t_params, make_rng(28), trials=5)
-    assert report.success and c1_is_zero.count(False) == 5
+    assert report.success and len(multiplied) == 10
+    # the list keeps every ciphertext alive, so distinct ids are distinct ciphertexts
+    assert len({id(ct) for ct in multiplied}) == 10
 
 
 def test_bob_reply_refuses_flood_its_reply_cannot_carry(small_prime_t_params):
@@ -240,7 +244,7 @@ def test_bob_reply_refuses_flood_its_reply_cannot_carry(small_prime_t_params):
     rng = make_rng(27)
     sk, pk = bfv.keygen(params, rng)
     m_a, m_b, r = (Plaintext.constant(v, params) for v in (-41, 41, 41))
-    c_a, _ = bfv.encrypt(pk, m_a, params, rng)
+    c_a = bfv.encrypt(pk, m_a, params, rng)
     # worst case |r|*((2d+1)*tail + (q mod t)) + F + 2d*tail within the margin
     margin = (q - t * (q % t) - 1) // (2 * t)
     largest = margin - 41 * ((2 * d + 1) * 19 + q % t) - 2 * d * 19
@@ -259,7 +263,7 @@ def test_circuit_privacy_blocked_by_flooding():
     for bound in (50, 2**20, 2**30):
         sk, pk = bfv.keygen(params, rng)
         m_a = Plaintext.constant(3, params)
-        c_a, witness = bfv.encrypt(pk, m_a, params, rng)
+        c_a = bfv.encrypt(pk, m_a, params, rng)
         response = bfv.mul_plain(
             bfv.sub_from_plain(Plaintext.constant(10, params), c_a, params),
             Plaintext.constant(4, params),
@@ -267,26 +271,24 @@ def test_circuit_privacy_blocked_by_flooding():
         )
         flooded = bfv.add(response, bfv.encrypt_zero_flood(pk, params, bound, rng))
         with pytest.raises(FloodedOrMalformedError):
-            circuit_privacy_recover(sk, pk, witness, m_a, flooded, params)
+            circuit_privacy_recover(sk, c_a, m_a, flooded, params)
 
 
 def test_circuit_privacy_needs_noise_structure():
     params = get_params("psi-83")
     rng = make_rng(14)
-    sk, pk = bfv.keygen(params, rng)
+    sk, _ = bfv.keygen(params, rng)
     d, q, delta = params.d, params.q, params.delta
-    # noiseless encryption of m_a = 3 with zero witness: n = 0 identically
+    # noiseless encryption of m_a = 3: n = 0 identically
     m_a = Plaintext.constant(3, params)
     c_a = Ciphertext(m_a.poly.with_modulus(q) * delta, Polynomial.zero(d, q))
-    zero = Polynomial.zero(d, q)
-    witness = bfv.EncryptionWitness(u=zero, e1=zero, e2=zero)
     response = bfv.mul_plain(
         bfv.sub_from_plain(Plaintext.constant(9, params), c_a, params),
         Plaintext.constant(2, params),
         params,
     )
     with pytest.raises(InsufficientNoiseStructureError):
-        circuit_privacy_recover(sk, pk, witness, m_a, response, params)
+        circuit_privacy_recover(sk, c_a, m_a, response, params)
 
 
 def test_circuit_privacy_rejects_non_scalar_m_a():
@@ -294,19 +296,25 @@ def test_circuit_privacy_rejects_non_scalar_m_a():
     rng = make_rng(15)
     sk, pk = bfv.keygen(params, rng)
     m_a = Plaintext.from_coeffs([1, 2], params)
-    c_a, witness = bfv.encrypt(pk, m_a, params, rng)
+    c_a = bfv.encrypt(pk, m_a, params, rng)
     with pytest.raises(ValueError):
-        circuit_privacy_recover(sk, pk, witness, m_a, c_a, params)
+        circuit_privacy_recover(sk, c_a, m_a, c_a, params)
 
 
-def test_evaluation_noise_matches_fresh_encryption(small_params):
-    rng = make_rng(16)
-    sk, pk = bfv.keygen(small_params, rng)
-    m = Plaintext.constant(0, small_params)
-    ct, witness = bfv.encrypt(pk, m, small_params, rng)
-    assert evaluation_noise(sk, pk, witness, small_params) == bfv.decrypt_raw(
-        sk, ct, small_params
-    )
+def test_evaluation_noise_is_the_encryption_randomness_combination():
+    # the key alone reads n = e1 + e2*s - e*u, with e = -(pk0 + pk1*s) and
+    # u, e1, e2 replayed from a copy of the generator encrypt draws from;
+    # at q = 97 the identity holds mod q, where n can exceed q/2
+    wrapping = BfvParams(ring=RingParams(d=8, q=97), t=7)
+    for params, trials in ((get_params("psi-83"), 3), (wrapping, 50)):
+        rng = make_rng(16)
+        sk, pk = bfv.keygen(params, rng)
+        e = -(pk.pk0 + pk.pk1 * sk.s)
+        for _ in range(trials):
+            m_a = Plaintext.constant(int(rng.integers(0, params.t)), params)
+            u, e1, e2 = encrypt_draws(params, rng)
+            c_a = bfv.encrypt(pk, m_a, params, rng)
+            assert evaluation_noise(sk, c_a, m_a, params) == e1 + e2 * sk.s - e * u
 
 
 # --- encoder leak ---------------------------------------------------------------------
@@ -376,7 +384,7 @@ def test_oracle_counters_track_every_call(small_params):
     sk, pk = bfv.keygen(small_params, make_rng(23))
     dec = DecryptionOracle.honest(sk, small_params)
     zc = ZeroCheckOracle.honest(sk, small_params)
-    ct, _ = bfv.encrypt(pk, Plaintext.constant(1, small_params), small_params, make_rng(24))
+    ct = bfv.encrypt(pk, Plaintext.constant(1, small_params), small_params, make_rng(24))
     for expected in (1, 2, 3):
         dec(ct)
         assert dec.calls == expected

@@ -16,7 +16,7 @@ from bfvlab import (
     get_params,
 )
 
-from conftest import make_rng
+from conftest import encrypt_draws, make_rng
 from oracles import center_mod, round_ratio_oracle
 
 GAUSS_TAIL = 19  # floor(6 * 3.2)
@@ -86,7 +86,7 @@ def test_roundtrip_random_plaintexts(small_params):
     t, d = small_params.t, small_params.d
     for _ in range(100):
         m = Plaintext(Polynomial(rng.integers(0, t, d, dtype=np.int64), t))
-        ct, _ = bfv.encrypt(pk, m, small_params, rng)
+        ct = bfv.encrypt(pk, m, small_params, rng)
         assert bfv.decrypt(sk, ct, small_params).poly == m.poly
 
 
@@ -99,7 +99,7 @@ def test_roundtrip_at_named_sets(name):
         m = Plaintext(
             Polynomial(rng.integers(0, params.t, params.d, dtype=np.int64), params.t)
         )
-        ct, _ = bfv.encrypt(pk, m, params, rng)
+        ct = bfv.encrypt(pk, m, params, rng)
         assert bfv.decrypt(sk, ct, params).poly == m.poly
 
 
@@ -109,8 +109,9 @@ def test_raw_decryption_equals_predicted_noise(small_params):
     e = -(pk.pk0 + pk.pk1 * sk.s)
     zero = Plaintext.constant(0, small_params)
     for _ in range(20):
-        ct, w = bfv.encrypt(pk, zero, small_params, rng)
-        predicted = w.e1 + w.e2 * sk.s - e * w.u
+        u, e1, e2 = encrypt_draws(small_params, rng)
+        ct = bfv.encrypt(pk, zero, small_params, rng)
+        predicted = e1 + e2 * sk.s - e * u
         assert bfv.decrypt_raw(sk, ct, small_params) == predicted
 
 
@@ -120,10 +121,9 @@ def test_noise_respects_componentwise_bound(small_params):
     e = -(pk.pk0 + pk.pk1 * sk.s)
     for _ in range(20):
         m = Plaintext.constant(int(rng.integers(0, small_params.t)), small_params)
-        ct, w = bfv.encrypt(pk, m, small_params, rng)
-        bound = (
-            (e * w.u).max_abs() + w.e1.max_abs() + (w.e2 * sk.s).max_abs()
-        )
+        u, e1, e2 = encrypt_draws(small_params, rng)
+        ct = bfv.encrypt(pk, m, small_params, rng)
+        bound = (e * u).max_abs() + e1.max_abs() + (e2 * sk.s).max_abs()
         assert bfv.noise_norm(sk, ct, m, small_params) <= bound
 
 
@@ -132,7 +132,7 @@ def test_fresh_noise_below_parameter_bound():
     rng = make_rng(10)
     sk, pk = bfv.keygen(params, rng)
     m = Plaintext.constant(3, params)
-    ct, _ = bfv.encrypt(pk, m, params, rng)
+    ct = bfv.encrypt(pk, m, params, rng)
     assert bfv.noise_norm(sk, ct, m, params) <= GAUSS_TAIL * (2 * params.d + 1)
 
 
@@ -239,8 +239,8 @@ def test_addition_of_one_and_three():
     params = get_params("psi-83")
     rng = make_rng(13)
     sk, pk = bfv.keygen(params, rng)
-    ct1, _ = bfv.encrypt(pk, Plaintext.constant(1, params), params, rng)
-    ct3, _ = bfv.encrypt(pk, Plaintext.constant(3, params), params, rng)
+    ct1 = bfv.encrypt(pk, Plaintext.constant(1, params), params, rng)
+    ct3 = bfv.encrypt(pk, Plaintext.constant(3, params), params, rng)
     total = bfv.add(ct1, ct3)
     assert bfv.decrypt(sk, total, params).poly == Polynomial.constant(4, params.d, params.t)
 
@@ -252,8 +252,8 @@ def test_addition_is_homomorphic_mod_t(small_params):
     for _ in range(50):
         ma = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
         mb = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
-        ca, _ = bfv.encrypt(pk, Plaintext(ma), small_params, rng)
-        cb, _ = bfv.encrypt(pk, Plaintext(mb), small_params, rng)
+        ca = bfv.encrypt(pk, Plaintext(ma), small_params, rng)
+        cb = bfv.encrypt(pk, Plaintext(mb), small_params, rng)
         assert bfv.decrypt(sk, bfv.add(ca, cb), small_params).poly == ma + mb
 
 
@@ -262,8 +262,8 @@ def test_addition_noise_is_subadditive(small_params):
     sk, pk = bfv.keygen(small_params, rng)
     ma = Plaintext.constant(5, small_params)
     mb = Plaintext.constant(9, small_params)
-    ca, _ = bfv.encrypt(pk, ma, small_params, rng)
-    cb, _ = bfv.encrypt(pk, mb, small_params, rng)
+    ca = bfv.encrypt(pk, ma, small_params, rng)
+    cb = bfv.encrypt(pk, mb, small_params, rng)
     msum = Plaintext(ma.poly + mb.poly)
     assert bfv.noise_norm(sk, bfv.add(ca, cb), msum, small_params) <= bfv.noise_norm(
         sk, ca, ma, small_params
@@ -278,7 +278,7 @@ def test_plain_operand_ops_agree_with_plaintext_arithmetic(small_params):
     for _ in range(500):
         ma = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
         mb = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
-        ct, _ = bfv.encrypt(pk, Plaintext(ma), small_params, rng)
+        ct = bfv.encrypt(pk, Plaintext(ma), small_params, rng)
         assert (
             bfv.decrypt(
                 sk, bfv.sub_from_plain(Plaintext(mb), ct, small_params), small_params
@@ -288,7 +288,7 @@ def test_plain_operand_ops_agree_with_plaintext_arithmetic(small_params):
     for _ in range(500):
         ma = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
         r = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
-        ct, _ = bfv.encrypt(pk, Plaintext(ma), small_params, rng)
+        ct = bfv.encrypt(pk, Plaintext(ma), small_params, rng)
         assert (
             bfv.decrypt(sk, bfv.mul_plain(ct, Plaintext(r), small_params), small_params).poly
             == r * ma
@@ -299,7 +299,7 @@ def test_sub_from_plain_of_equal_messages_is_zero(small_params):
     rng = make_rng(18)
     sk, pk = bfv.keygen(small_params, rng)
     m = Plaintext.constant(42, small_params)
-    ct, _ = bfv.encrypt(pk, m, small_params, rng)
+    ct = bfv.encrypt(pk, m, small_params, rng)
     diff = bfv.sub_from_plain(m, ct, small_params)
     assert bfv.decrypt(sk, diff, small_params).is_zero()
 
@@ -308,7 +308,7 @@ def test_mul_plain_scales_message_and_noise(small_params):
     rng = make_rng(19)
     sk, pk = bfv.keygen(small_params, rng)
     m = Plaintext.constant(3, small_params)
-    ct, _ = bfv.encrypt(pk, m, small_params, rng)
+    ct = bfv.encrypt(pk, m, small_params, rng)
     base_noise = bfv.noise_norm(sk, ct, m, small_params)
 
     one = Plaintext.constant(1, small_params)
@@ -379,7 +379,7 @@ def test_adding_flooded_zero_preserves_decryption(small_params):
     bound = 2**10  # well below delta/2 = 2**21
     for _ in range(100):
         m = Plaintext(Polynomial(rng.integers(0, t, d, dtype=np.int64), t))
-        ct, _ = bfv.encrypt(pk, m, small_params, rng)
+        ct = bfv.encrypt(pk, m, small_params, rng)
         flooded = bfv.add(ct, bfv.encrypt_zero_flood(pk, small_params, bound, rng))
         assert bfv.decrypt(sk, flooded, small_params).poly == m.poly
 
@@ -390,7 +390,7 @@ def test_adding_flooded_zero_preserves_decryption_at_full_size():
     sk, pk = bfv.keygen(params, rng)
     for value in (0, 1, -41, 41):
         m = Plaintext.constant(value, params)
-        ct, _ = bfv.encrypt(pk, m, params, rng)
+        ct = bfv.encrypt(pk, m, params, rng)
         flooded = bfv.add(ct, bfv.encrypt_zero_flood(pk, params, 2**30, rng))
         assert bfv.decrypt(sk, flooded, params).poly == m.poly
 
@@ -402,7 +402,7 @@ def test_json_roundtrips(small_params):
     rng = make_rng(25)
     sk, pk = bfv.keygen(small_params, rng)
     m = Plaintext.constant(9, small_params)
-    ct, _ = bfv.encrypt(pk, m, small_params, rng)
+    ct = bfv.encrypt(pk, m, small_params, rng)
 
     sk2, p_sk = bfv.secret_key_from_json(bfv.secret_key_to_json(sk, small_params))
     pk2, p_pk = bfv.public_key_from_json(bfv.public_key_to_json(pk, small_params))

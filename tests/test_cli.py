@@ -281,18 +281,18 @@ def test_help_lists_subcommands(capsys):
         assert name in text
 
 
-def test_unknown_arguments_are_rejected():
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["attack", "cca", "--bogus"])
-    assert exc.value.code == 2
+def test_unknown_arguments_are_rejected(capsys):
+    # a usage error is bad input (1), never a held countermeasure (2)
+    assert run_cli(["attack", "cca", "--bogus"]) == 1
+    assert run_cli(["attack", "circuit", "--flod", 30]) == 1
+    assert "unrecognized arguments: --flod" in capsys.readouterr().err
 
 
 def test_verbose_is_offered_only_where_it_prints(tmp_path):
     for argv in (["attack", "cca", "--verbose"], ["psi", "--alice", "1", "--bob", "1", "--verbose"]):
         assert cli.build_parser().parse_args(argv).verbose is True
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["keygen", "--verbose", "--out", tmp_path / "k"])
-    assert exc.value.code == 2
+    assert run_cli(["keygen", "--verbose", "--out", tmp_path / "k"]) == 1
+    assert not (tmp_path / "k.sk.json").exists()
 
 
 # --- pinned artifacts ------------------------------------------------------------------

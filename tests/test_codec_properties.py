@@ -48,7 +48,7 @@ D, Q, T = PARAMS.d, PARAMS.q, PARAMS.t
 
 _rng = np.random.default_rng(4)
 SK, PK = bfv.keygen(PARAMS, _rng)
-CT, _ = bfv.encrypt(PK, Plaintext.constant(5, PARAMS), PARAMS, _rng)
+CT = bfv.encrypt(PK, Plaintext.constant(5, PARAMS), PARAMS, _rng)
 
 # kind -> (valid JSON object, loader)
 OBJECTS = {

@@ -273,6 +273,13 @@ def test_transcript_tampering_is_detected(small_params):
         verify_transcript(Transcript(base.session_id, foreign, base.outcome))
     with pytest.raises(ProtocolError):
         Transcript.from_json({"frames": []})
+    # a loaded session id is a string and a loaded outcome an Outcome value
+    for fields in ({"session_id": 5}, {"session_id": None}, {"outcome": ["x"]}, {"outcome": "no"}):
+        tampered = {**base.to_json(), **fields}
+        with pytest.raises(ProtocolError):
+            Transcript.from_json(tampered)
+        with pytest.raises(ProtocolError):
+            verify_transcript(Transcript(**tampered))
     # a frame with a key no message has is refused even where all else is intact
     extra = [dict(f) for f in base.frames]
     extra[1]["note"] = "added"
@@ -364,9 +371,7 @@ def test_session_oracle_rejects_non_probe_queries(small_params):
     rng = make_rng(22)
     keys = bfv.keygen(small_params, rng)
     oracle = session_zero_check_oracle(small_params, 9, keys, rng.spawn(1)[0])
-    ct, _ = bfv.encrypt(
-        keys[1], Plaintext.constant(1, small_params), small_params, rng
-    )
+    ct = bfv.encrypt(keys[1], Plaintext.constant(1, small_params), small_params, rng)
     with pytest.raises(ProtocolError):
         oracle(ct)
     # a probe whose c1 or amplitude is off is not a probe either
@@ -390,10 +395,9 @@ def test_attacker_alice_recovers_bob_secrets_from_transcript():
         m_b = int(rng.integers(-41, 42))
         transcript = run_session(params, m_a, m_b, rng.spawn(1)[0])
         alice = transcript.alice
+        c_a, _ = bfv.ciphertext_from_json(transcript.frames[1]["body"])
         c_ab, _ = bfv.ciphertext_from_json(transcript.frames[2]["body"])
-        r_rec, m_b_rec = circuit_privacy_recover(
-            alice.sk, alice.pk, alice.witness, alice.m_a, c_ab, params
-        )
+        r_rec, m_b_rec = circuit_privacy_recover(alice.sk, c_a, alice.m_a, c_ab, params)
         assert r_rec.poly == transcript.bob.r.poly
         assert m_b_rec.poly.to_coeff_list()[0] == reduce_centered(m_b, params.t)
         hits += 1
@@ -410,8 +414,7 @@ def test_attacker_alice_blocked_by_flooding_bob():
             params, m_a, m_b, rng.spawn(1)[0], strategy=Flooding(bound=2**30)
         )
         alice = transcript.alice
+        c_a, _ = bfv.ciphertext_from_json(transcript.frames[1]["body"])
         c_ab, _ = bfv.ciphertext_from_json(transcript.frames[2]["body"])
         with pytest.raises(FloodedOrMalformedError):
-            circuit_privacy_recover(
-                alice.sk, alice.pk, alice.witness, alice.m_a, c_ab, params
-            )
+            circuit_privacy_recover(alice.sk, c_a, alice.m_a, c_ab, params)
