@@ -36,7 +36,6 @@ from .bfv import (
     get_params,
     keygen,
     mul_plain,
-    noise_norm,
     sub_from_plain,
 )
 from .encoders import integer_decode, integer_encode
@@ -68,7 +67,6 @@ __all__ = [
     "get_params",
     "keygen",
     "mul_plain",
-    "noise_norm",
     "sub_from_plain",
     "integer_decode",
     "integer_encode",

@@ -10,7 +10,7 @@ Four experiments, each with the oracle or side information it needs:
                          her key, reads Bob's scalar r and input m_b
                          out of r*(m_b - c_a) because plain evaluation
                          adds no fresh noise.
-* encoder_leak_demo    - homomorphic sums of integer-encoded inputs
+* run_encoder_leak_demo - homomorphic sums of integer-encoded inputs
                          decrypt to coefficient vectors that reveal more
                          than the encoded sum.
 
@@ -46,7 +46,6 @@ __all__ = [
     "bob_reply",
     "evaluation_noise",
     "circuit_privacy_recover",
-    "encoder_leak_demo",
     "run_cca_attack",
     "run_bit_leak_attack",
     "run_circuit_privacy_attack",
@@ -91,7 +90,7 @@ class ZeroCheckOracle(DecryptionOracle):
 
     @classmethod
     def honest(cls, sk: SecretKey, params: BfvParams) -> "ZeroCheckOracle":
-        return cls(lambda ct: bfv.decrypt(sk, ct, params).is_zero())
+        return cls(lambda ct: bfv.decrypt(sk, ct, params).poly.is_zero())
 
 
 def cca_one_query(oracle: DecryptionOracle, params: BfvParams) -> SecretKey:
@@ -408,14 +407,15 @@ def run_circuit_privacy_attack(
     )
 
 
-def encoder_leak_demo(
-    params: BfvParams, rng: np.random.Generator
-) -> tuple[dict, dict]:
+def run_encoder_leak_demo(
+    params: BfvParams, rng: np.random.Generator, set_name: Optional[str] = None
+) -> AttackReport:
     """Millionaires'-style sums for the input pairs (1, 3) and (2, 2).
 
     Both pairs sum to 4, yet the decrypted polynomials differ (x + 2
-    versus 2x), so the key holder learns more than the sum.  Returns
-    one record per pair with the decrypted polynomial and its decode.
+    versus 2x), so the key holder learns more than the sum.  The report's
+    details["pairs"] holds one record per pair with the decrypted
+    polynomial and its decode.
     """
     records = []
     for pair in ((1, 3), (2, 2)):
@@ -433,14 +433,7 @@ def encoder_leak_demo(
                 "decoded": integer_decode(decrypted),
             }
         )
-    return records[0], records[1]
-
-
-def run_encoder_leak_demo(
-    params: BfvParams, rng: np.random.Generator, set_name: Optional[str] = None
-) -> AttackReport:
-    """Run the encoder-leakage experiment and report what distinguishes the pairs."""
-    first, second = encoder_leak_demo(params, rng)
+    first, second = records
     polynomials_differ = first["decrypted_hex"] != second["decrypted_hex"]
     decodes_agree = first["decoded"] == second["decoded"]
     return AttackReport(
@@ -453,7 +446,7 @@ def run_encoder_leak_demo(
         },
         success=polynomials_differ and decodes_agree,
         details={
-            "pairs": [first, second],
+            "pairs": records,
             "polynomials_differ": polynomials_differ,
             "decodes_agree": decodes_agree,
         },

@@ -45,7 +45,6 @@ __all__ = [
     "check_decrypt_margin",
     "encrypt_zero_flood",
     "noise",
-    "noise_norm",
     "SCHEME_TAG",
     "secret_key_to_json",
     "secret_key_from_json",
@@ -136,9 +135,6 @@ class Plaintext:
             raise ValueError("too many plaintext coefficients for the ring degree")
         return cls(Polynomial(np.pad(coeffs, (0, params.d - coeffs.size)), params.t))
 
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
 
 @dataclass(frozen=True)
 class Ciphertext:
@@ -146,11 +142,6 @@ class Ciphertext:
 
     c0: Polynomial
     c1: Polynomial
-
-
-def _lift(m: Plaintext, params: BfvParams) -> Polynomial:
-    """Reinterpret the centered mod-t coefficients as mod-q values."""
-    return m.poly.with_modulus(params.q)
 
 
 def keygen(
@@ -181,7 +172,7 @@ def encrypt(
     u = sample_binary(params.ring, rng)
     e1 = sample_gaussian(params.ring, params.sigma, rng)
     e2 = sample_gaussian(params.ring, params.sigma, rng)
-    c0 = pk.pk0 * u + e1 + _lift(m, params) * params.delta
+    c0 = pk.pk0 * u + e1 + m.poly.with_modulus(params.q) * params.delta
     c1 = pk.pk1 * u + e2
     return Ciphertext(c0, c1)
 
@@ -210,12 +201,12 @@ def add(ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
 
 def sub_from_plain(m: Plaintext, ct: Ciphertext, params: BfvParams) -> Ciphertext:
     """Encrypt m minus the message of ct: (delta*m - c0, -c1)."""
-    return Ciphertext(_lift(m, params) * params.delta - ct.c0, -ct.c1)
+    return Ciphertext(m.poly.with_modulus(params.q) * params.delta - ct.c0, -ct.c1)
 
 
 def mul_plain(ct: Ciphertext, r: Plaintext, params: BfvParams) -> Ciphertext:
     """Multiply the encrypted message by the plaintext r: (r*c0, r*c1)."""
-    r_q = _lift(r, params)
+    r_q = r.poly.with_modulus(params.q)
     return Ciphertext(r_q * ct.c0, r_q * ct.c1)
 
 
@@ -263,14 +254,7 @@ def noise(
     sk: SecretKey, ct: Ciphertext, expected_m: Plaintext, params: BfvParams
 ) -> Polynomial:
     """The noise [c0 + c1*s - delta*expected_m]_q of ct as an encryption of expected_m."""
-    return decrypt_raw(sk, ct, params) - _lift(expected_m, params) * params.delta
-
-
-def noise_norm(
-    sk: SecretKey, ct: Ciphertext, expected_m: Plaintext, params: BfvParams
-) -> int:
-    """Infinity norm of noise(sk, ct, expected_m, params)."""
-    return noise(sk, ct, expected_m, params).max_abs()
+    return decrypt_raw(sk, ct, params) - expected_m.poly.with_modulus(params.q) * params.delta
 
 
 # ---------------------------------------------------------------------------

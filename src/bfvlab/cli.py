@@ -76,7 +76,7 @@ def _write_json(path: Path, obj) -> None:
 def _read_json(path: Path):
     try:
         return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, long ints, deep nesting
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -167,7 +167,7 @@ def _cmd_psi(args) -> int:
         params, args.alice, args.bob, np.random.default_rng(args.seed), strategy=strategy
     )
     out = Path(args.out or "psi-transcript.json")
-    transcript.save(out)
+    _write_json(out, transcript.to_json())
     outcome = psi.Outcome(transcript.outcome)
     print("EQUAL" if outcome is psi.Outcome.EQUAL else "NOT-EQUAL")
     if args.verbose:

@@ -18,7 +18,6 @@ import enum
 import json
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
@@ -118,7 +117,7 @@ def decode_frame(frame: bytes) -> WireMessage:
         raise ProtocolError("frame payload length does not match its header")
     try:
         obj = json.loads(payload.decode())
-    except ValueError as exc:  # bad UTF-8, bad JSON or an over-long integer
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, long ints, deep nesting
         raise ProtocolError(f"frame payload is not valid JSON: {exc}") from exc
     return _message(obj)
 
@@ -164,10 +163,8 @@ class BobState:
 
 
 def _as_plaintext(value, params: BfvParams) -> Plaintext:
-    if isinstance(value, Plaintext):
-        return value
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"input must be a Plaintext or an integer, not {value!r}")
+        raise ValueError(f"input must be an integer, not {value!r}")
     return Plaintext.constant(int(value), params)
 
 
@@ -270,7 +267,7 @@ def alice_finish(state: AliceState, response: WireMessage) -> Outcome:
         raise ProtocolError(f"alice cannot finish in phase {state.phase!r}")
     ct, _ = _read_message(response, "response", state.session_id, state.params)
     decrypted = bfv.decrypt(state.sk, ct, state.params)
-    state.outcome = Outcome.EQUAL if decrypted.is_zero() else Outcome.NOT_EQUAL
+    state.outcome = Outcome.EQUAL if decrypted.poly.is_zero() else Outcome.NOT_EQUAL
     state.phase = "done"
     return state.outcome
 
@@ -280,8 +277,8 @@ class Transcript:
     """Full record of one session: every frame in order, plus the outcome.
 
     A transcript returned by run_session also carries the parties' final
-    states in alice and bob.  They stay in memory: to_json and save leave
-    them out, and a loaded transcript has None there.
+    states in alice and bob.  They stay in memory: to_json leaves them
+    out, and a transcript from from_json has None there.
     """
 
     session_id: str
@@ -310,13 +307,6 @@ class Transcript:
         if obj["outcome"] not in [outcome.value for outcome in Outcome]:
             raise ProtocolError(f"unknown outcome {obj['outcome']!r}")
         return cls(obj["session_id"], obj["frames"], obj["outcome"])
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Transcript":
-        return cls.from_json(json.loads(Path(path).read_text()))
 
 
 class SessionRegistry:
@@ -366,9 +356,8 @@ def run_session(
 def verify_transcript(transcript: Transcript) -> Outcome:
     """Re-check a stored transcript: frame order, session ids, payload shapes,
     and agreement between the result frame and the recorded outcome."""
-    if not isinstance(transcript.frames, list):
-        raise ProtocolError("transcript frames must be a list")
-    messages = [_message(frame) for frame in transcript.frames]
+    transcript = Transcript.from_json(transcript.to_json())  # the one transcript check
+    messages = [WireMessage(**frame) for frame in transcript.frames]
     kinds = [msg.kind for msg in messages]
     if kinds != list(_KINDS):
         raise ProtocolError(f"unexpected frame order {kinds}")
@@ -380,10 +369,7 @@ def verify_transcript(transcript: Transcript) -> Outcome:
         raise ProtocolError("result message belongs to a different session")
     if result.body.get("outcome") != transcript.outcome:
         raise ProtocolError("result frame disagrees with the recorded outcome")
-    try:
-        return Outcome(transcript.outcome)
-    except ValueError:
-        raise ProtocolError(f"unknown outcome {transcript.outcome!r}") from None
+    return Outcome(transcript.outcome)
 
 
 def session_zero_check_oracle(

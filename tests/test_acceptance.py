@@ -17,7 +17,7 @@ from bfvlab.attacks import (
     bit_leak_offset,
     bit_leak_probe,
     circuit_privacy_recover,
-    encoder_leak_demo,
+    run_encoder_leak_demo,
 )
 from bfvlab.ring import Polynomial, gaussian_tail, monomial, reduce_centered
 
@@ -158,7 +158,7 @@ def test_circuit_privacy_recovery_and_flooding_defense(capsys):
 
 def test_encoder_sum_leak_is_bit_exact(capsys):
     params = get_params("cca-1024")
-    first, second = encoder_leak_demo(params, make_rng(7))
+    first, second = run_encoder_leak_demo(params, make_rng(7)).details["pairs"]
     x_plus_2 = Plaintext.from_coeffs([2, 1], params).poly
     two_x = Plaintext.from_coeffs([0, 2], params).poly
     ok = (

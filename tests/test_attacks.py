@@ -27,7 +27,6 @@ from bfvlab.attacks import (
     bob_reply,
     cca_one_query,
     circuit_privacy_recover,
-    encoder_leak_demo,
     evaluation_noise,
     run_bit_leak_attack,
     run_cca_attack,
@@ -92,7 +91,7 @@ def test_probe_against_all_zero_key():
     sk = SecretKey(Polynomial.zero(params.d, params.q))
     pk = PublicKey(-e, a)
     for index in range(params.d):
-        assert bfv.decrypt(sk, bit_leak_probe(pk, index, params), params).is_zero()
+        assert bfv.decrypt(sk, bit_leak_probe(pk, index, params), params).poly.is_zero()
 
 
 def test_probe_rounding_margins_sampled():
@@ -322,7 +321,7 @@ def test_evaluation_noise_is_the_encryption_randomness_combination():
 
 def test_encoder_leak_demo_exact_polynomials():
     params = get_params("cca-1024")
-    first, second = encoder_leak_demo(params, make_rng(17))
+    first, second = run_encoder_leak_demo(params, make_rng(17)).details["pairs"]
     assert first["inputs"] == [1, 3]
     assert second["inputs"] == [2, 2]
     x_plus_2 = Polynomial([2, 1] + [0] * (params.d - 2), params.t)

@@ -83,6 +83,12 @@ def test_malformed_inputs_exit_with_error(tmp_path, capsys):
         ["decrypt", "--key", tmp_path / "missing.json", "--in", bad, "--out", tmp_path / "y"]
     )
     assert rc == 1
+    # nesting past the recursion limit is an input error, not a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    rc = run_cli(["decrypt", "--key", deep, "--in", bad, "--out", tmp_path / "y"])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_partial_custom_parameters_are_rejected(tmp_path, capsys):
@@ -188,7 +194,7 @@ def test_psi_honest_outcomes_and_transcript(tmp_path, capsys):
     rc = run_cli(["psi", "--seed", 3, "--alice", 7, "--bob", 7, "--out", out])
     assert rc == 0
     assert "EQUAL" in capsys.readouterr().out
-    transcript = psi.Transcript.load(out)
+    transcript = psi.Transcript.from_json(json.loads(out.read_text()))
     assert psi.verify_transcript(transcript) is psi.Outcome.EQUAL
 
     rc = run_cli(["psi", "--seed", 3, "--alice", 7, "--bob", 8, "--out", out])

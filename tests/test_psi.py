@@ -77,7 +77,21 @@ def test_no_false_positives_over_many_runs(small_prime_t_params):
         assert transcript.outcome == "not-equal", (m_a, m_b)
 
 
-@pytest.mark.parametrize("value", [2.7, "5", True, None, np.float64(2.0)])
+@pytest.mark.parametrize(
+    "value",
+    [
+        2.7,
+        "5",
+        True,
+        None,
+        np.float64(2.0),
+        # small_params' set, so only the integer check can refuse it
+        pytest.param(
+            Plaintext.constant(2, BfvParams(ring=RingParams(d=64, q=2**30), t=256)),
+            id="plaintext",
+        ),
+    ],
+)
 def test_session_inputs_must_be_integers(small_params, value):
     # 2.7 used to be truncated to 2 and compare equal to 2
     with pytest.raises(ValueError):
@@ -140,6 +154,10 @@ def test_frame_rejects_garbage():
     long_int = b'{"session_id": "x", "kind": "result", "body": {"n": 1' + b"0" * 5000 + b"}}"
     with pytest.raises(ProtocolError):
         decode_frame(len(long_int).to_bytes(4, "big") + long_int)
+    # and deep nesting with RecursionError
+    deep = b"[" * 100_000
+    with pytest.raises(ProtocolError):
+        decode_frame(len(deep).to_bytes(4, "big") + deep)
 
 
 def test_pubkey_message_roundtrips_and_satisfies_key_relation(small_params):
@@ -238,25 +256,22 @@ def test_bob_blinding_scalar_is_nonzero(small_prime_t_params):
     for _ in range(50):
         _, pub = alice_init(small_prime_t_params, 1, rng.spawn(1)[0])
         bob = bob_init(small_prime_t_params, 2, pub, rng.spawn(1)[0])
-        assert not bob.r.is_zero()
+        assert not bob.r.poly.is_zero()
 
 
 # --- transcripts ---------------------------------------------------------------------
 
 
-def test_transcript_roundtrip_and_verification(tmp_path, small_params):
+def test_transcript_roundtrip_and_verification(small_params):
     transcript = run_session(small_params, 4, 4, make_rng(15))
     assert verify_transcript(transcript) is Outcome.EQUAL
-    path = tmp_path / "session.json"
-    transcript.save(path)
-    loaded = Transcript.load(path)
+    loaded = Transcript.from_json(json.loads(json.dumps(transcript.to_json())))
     assert loaded == transcript
     assert verify_transcript(loaded) is Outcome.EQUAL
-    # the parties' states stay in memory: never saved, never compared
+    # the parties' states stay in memory: never serialized, never compared
     assert transcript.alice is not None and transcript.bob is not None
     assert loaded.alice is None and loaded.bob is None
     assert set(transcript.to_json()) == {"session_id", "frames", "outcome"}
-    assert Transcript.from_json(transcript.to_json()) == transcript
 
 
 def test_transcript_tampering_is_detected(small_params):
