@@ -4,7 +4,7 @@ at the cca-1024 parameter set."""
 import numpy as np
 
 import bfvlab.bfv as bfv
-from bfvlab import Plaintext, gaussian_tail, get_params
+from bfvlab import gaussian_tail, get_params
 
 params = get_params("cca-1024")
 print(f"ring degree d = {params.d}, ciphertext modulus q = 2^{params.q.bit_length() - 1}")
@@ -17,11 +17,11 @@ sk, pk = bfv.keygen(params, rng)
 e = -(pk.pk0 + pk.pk1 * sk.s)
 print(f"key relation noise: max |e_i| = {e.max_abs()} (tail bound {gaussian_tail(params.sigma)})")
 
-m = Plaintext.from_coeffs([7, 1, 255], params)
+m = bfv.plaintext([7, 1, 255], params)
 ct = bfv.encrypt(pk, m, params, rng)
 decrypted = bfv.decrypt(sk, ct, params)
-print(f"plaintext  {m.poly.to_coeff_list()[:4]} ...")
-print(f"decrypted  {decrypted.poly.to_coeff_list()[:4]} ...  (255 centers to -1 mod 256)")
+print(f"plaintext  {m.to_coeff_list()[:4]} ...")
+print(f"decrypted  {decrypted.to_coeff_list()[:4]} ...  (255 centers to -1 mod 256)")
 
 # before rounding, the raw decryption is delta * m plus a small noise term
 raw = bfv.decrypt_raw(sk, ct, params)
@@ -30,9 +30,9 @@ print(f"raw[0] = {raw.to_coeff_list()[0]} = delta * 7 + {raw.to_coeff_list()[0] 
 print(f"noise after encryption: {noise} of a q/2t budget of {params.q // (2 * params.t)}")
 
 # ciphertext addition is plaintext addition
-a = Plaintext.from_coeffs([3, 10], params)
-b = Plaintext.from_coeffs([4, 20], params)
+a = bfv.plaintext([3, 10], params)
+b = bfv.plaintext([4, 20], params)
 ct_a = bfv.encrypt(pk, a, params, rng)
 ct_b = bfv.encrypt(pk, b, params, rng)
 total = bfv.decrypt(sk, bfv.add(ct_a, ct_b), params)
-print(f"Dec(Enc(3 + 10x) + Enc(4 + 20x)) = {total.poly.to_coeff_list()[:3]} ...")
+print(f"Dec(Enc(3 + 10x) + Enc(4 + 20x)) = {total.to_coeff_list()[:3]} ...")

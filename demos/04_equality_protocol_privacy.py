@@ -27,10 +27,10 @@ alice, bob = transcript.alice, transcript.bob
 query_ct, _ = bfv.ciphertext_from_json(transcript.frames[1]["body"])
 response_ct, _ = bfv.ciphertext_from_json(transcript.frames[2]["body"])
 r, m_b = circuit_privacy_recover(alice.sk, query_ct, alice.m_a, response_ct, params)
-print(f"recovered blinding r = {r.poly.to_coeff_list()[0]}"
-      f" (truth {bob.r.poly.to_coeff_list()[0]})")
-print(f"recovered Bob input = {m_b.poly.to_coeff_list()[0]}"
-      f" (truth {bob.m_b.poly.to_coeff_list()[0]})")
+print(f"recovered blinding r = {r.to_coeff_list()[0]}"
+      f" (truth {bob.r.to_coeff_list()[0]})")
+print(f"recovered Bob input = {m_b.to_coeff_list()[0]}"
+      f" (truth {bob.m_b.to_coeff_list()[0]})")
 
 # countermeasure: Bob adds fresh uniform noise far above the old noise
 # but still far below delta/2, drowning the structure the attack needs

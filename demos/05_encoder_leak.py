@@ -19,7 +19,7 @@ for pair in ((1, 3), (2, 2)):
         ct = bfv.encrypt(pk, integer_encode(value, params), params, rng)
         ct_sum = ct if ct_sum is None else bfv.add(ct_sum, ct)
     decrypted = bfv.decrypt(sk, ct_sum, params)
-    coeffs = decrypted.poly.to_coeff_list()[:4]
+    coeffs = decrypted.to_coeff_list()[:4]
     decoded = integer_decode(decrypted)
     print(f"{pair[0]} + {pair[1]}: decrypted polynomial {coeffs} ..., decodes to {decoded}")
 

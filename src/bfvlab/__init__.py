@@ -24,7 +24,6 @@ from .bfv import (
     PARAM_SETS,
     BfvParams,
     Ciphertext,
-    Plaintext,
     PublicKey,
     SecretKey,
     add,
@@ -36,6 +35,7 @@ from .bfv import (
     get_params,
     keygen,
     mul_plain,
+    plaintext,
     sub_from_plain,
 )
 from .encoders import integer_decode, integer_encode
@@ -55,7 +55,6 @@ __all__ = [
     "PARAM_SETS",
     "BfvParams",
     "Ciphertext",
-    "Plaintext",
     "PublicKey",
     "SecretKey",
     "add",
@@ -67,6 +66,7 @@ __all__ = [
     "get_params",
     "keygen",
     "mul_plain",
+    "plaintext",
     "sub_from_plain",
     "integer_decode",
     "integer_encode",

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import bfv
-from .bfv import BfvParams, Ciphertext, Plaintext, PublicKey, SecretKey
+from .bfv import BfvParams, Ciphertext, PublicKey, SecretKey
 from .encoders import integer_decode, integer_encode
 from .ring import Polynomial, gaussian_tail, monomial, reduce_centered
 
@@ -72,11 +72,11 @@ class FloodedOrMalformedError(AttackError):
 class DecryptionOracle:
     """Decryption oracle that counts its queries."""
 
-    def __init__(self, fn: Callable[[Ciphertext], Plaintext]):
+    def __init__(self, fn: Callable[[Ciphertext], Polynomial]):
         self._fn = fn
         self.calls = 0
 
-    def __call__(self, ct: Ciphertext) -> Plaintext:
+    def __call__(self, ct: Ciphertext) -> Polynomial:
         self.calls += 1
         return self._fn(ct)
 
@@ -90,7 +90,7 @@ class ZeroCheckOracle(DecryptionOracle):
 
     @classmethod
     def honest(cls, sk: SecretKey, params: BfvParams) -> "ZeroCheckOracle":
-        return cls(lambda ct: bfv.decrypt(sk, ct, params).poly.is_zero())
+        return cls(lambda ct: bfv.decrypt(sk, ct, params).is_zero())
 
 
 def cca_one_query(oracle: DecryptionOracle, params: BfvParams) -> SecretKey:
@@ -105,7 +105,7 @@ def cca_one_query(oracle: DecryptionOracle, params: BfvParams) -> SecretKey:
         Polynomial.zero(params.d, params.q),
         Polynomial.constant(params.delta, params.d, params.q),
     )
-    bits = oracle(probe).poly.coeffs % params.t
+    bits = oracle(probe).coeffs % params.t
     if (bits > 1).any():
         raise AttackError(
             "oracle answer has coefficients outside {0, 1}; "
@@ -174,8 +174,8 @@ def reply_noise_bound(params: BfvParams, r_norm: int, flood_bound: Optional[int]
 
 def bob_reply(
     c_a: Ciphertext,
-    m_b: Plaintext,
-    r: Plaintext,
+    m_b: Polynomial,
+    r: Polynomial,
     pk: PublicKey,
     params: BfvParams,
     rng: np.random.Generator,
@@ -193,13 +193,13 @@ def bob_reply(
     reply = bfv.mul_plain(bfv.sub_from_plain(m_b, c_a, params), r, params)
     if flood_bound is None:
         return reply
-    worst = reply_noise_bound(params, int(np.abs(r.poly.coeffs).sum()), flood_bound)
+    worst = reply_noise_bound(params, int(np.abs(r.coeffs).sum()), flood_bound)
     bfv.check_decrypt_margin(worst, params, "flooded reply noise")
     return bfv.add(reply, bfv.encrypt_zero_flood(pk, params, flood_bound, rng))
 
 
 def evaluation_noise(
-    sk: SecretKey, c_a: Ciphertext, m_a: Plaintext, params: BfvParams
+    sk: SecretKey, c_a: Ciphertext, m_a: Polynomial, params: BfvParams
 ) -> Polynomial:
     """The noise n = [c0 + c1*s - delta*m_a]_q of Alice's query c_a.
 
@@ -212,10 +212,10 @@ def evaluation_noise(
 def circuit_privacy_recover(
     sk: SecretKey,
     c_a: Ciphertext,
-    m_a: Plaintext,
+    m_a: Polynomial,
     c_ab: Ciphertext,
     params: BfvParams,
-) -> tuple[Plaintext, Plaintext]:
+) -> tuple[Polynomial, Polynomial]:
     """Recover Bob's scalar multiplier r and scalar input m_b from c_ab.
 
     Assumes c_ab is an unflooded bob_reply, r * (m_b - c_a) computed
@@ -233,8 +233,8 @@ def circuit_privacy_recover(
     apart), and InsufficientNoiseStructureError when n has no nonzero
     non-constant coefficient.
     """
-    if m_a.poly.coeffs[1:].any():
-        raise ValueError("recovery assumes a scalar (constant) plaintext m_a")
+    if m_a.coeffs[1:].any():
+        raise ValueError("recovery assumes a scalar (constant) message m_a")
     t, q, delta = params.t, params.q, params.delta
 
     noise = evaluation_noise(sk, c_a, m_a, params)
@@ -261,7 +261,7 @@ def circuit_privacy_recover(
 
     # Plain evaluation computes r*(delta*m_b - delta*m_a) over the
     # integers, so the full product goes into the re-derivation.
-    m_a_value, noise_0, raw_0 = int(m_a.poly.coeffs[0]), int(noise.coeffs[0]), int(raw[0])
+    m_a_value, noise_0, raw_0 = int(m_a.coeffs[0]), int(noise.coeffs[0]), int(raw[0])
     pairs = [
         (r, m_b)
         for r in r_values
@@ -273,7 +273,7 @@ def circuit_privacy_recover(
             f"{len(pairs)} scalar pairs (r, m_b) reproduce the response exactly, not one"
         )
     [(r_value, m_b_value)] = pairs
-    return Plaintext.constant(r_value, params), Plaintext.constant(m_b_value, params)
+    return Polynomial.constant(r_value, params.d, t), Polynomial.constant(m_b_value, params.d, t)
 
 
 @dataclass
@@ -365,16 +365,16 @@ def run_circuit_privacy_attack(
             m_a_value if rng.random() < 0.5 else _random_scalar(params, rng)
         )
         r_value = random_multiplier(params, rng)
-        m_a = Plaintext.constant(m_a_value, params)
-        m_b = Plaintext.constant(m_b_value, params)
+        m_a = Polynomial.constant(m_a_value, params.d, params.t)
+        m_b = Polynomial.constant(m_b_value, params.d, params.t)
         c_a = bfv.encrypt(pk, m_a, params, rng)
-        r = Plaintext.constant(r_value, params)
+        r = Polynomial.constant(r_value, params.d, params.t)
         response = bob_reply(c_a, m_b, r, pk, params, rng, flood_bound)
 
         # The response must still decrypt to r*(m_b - m_a) regardless of flooding.
         expected = reduce_centered(r_value * (m_b_value - m_a_value), params.t)
         raw = bfv.decrypt_raw(sk, response, params)
-        if bfv.round_raw(raw, params).poly != Polynomial.constant(expected, params.d, params.t):
+        if bfv.round_raw(raw, params) != Polynomial.constant(expected, params.d, params.t):
             correctness_failures += 1
 
         # (raw, 0) has the response's raw decryption, so recovery needs no second c1*s
@@ -384,12 +384,9 @@ def run_circuit_privacy_attack(
         except AttackError:
             blocked += 1
             continue
-        if r_rec.poly == r.poly and m_b_rec.poly == m_b.poly:
+        if r_rec == r and m_b_rec == m_b:
             recoveries += 1
-            last_recovered = {
-                "r": r_rec.poly.to_hex(),
-                "m_b": m_b_rec.poly.to_hex(),
-            }
+            last_recovered = {"r": r_rec.to_hex(), "m_b": m_b_rec.to_hex()}
     success = recoveries == trials and correctness_failures == 0
     return AttackReport(
         attack="circuit-privacy",
@@ -428,8 +425,8 @@ def run_encoder_leak_demo(
         records.append(
             {
                 "inputs": list(pair),
-                "decrypted_hex": decrypted.poly.to_hex(),
-                "decrypted_coeffs_head": decrypted.poly.to_coeff_list()[:4],
+                "decrypted_hex": decrypted.to_hex(),
+                "decrypted_coeffs_head": decrypted.to_coeff_list()[:4],
                 "decoded": integer_decode(decrypted),
             }
         )

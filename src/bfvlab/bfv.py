@@ -32,8 +32,8 @@ __all__ = [
     "get_params",
     "SecretKey",
     "PublicKey",
-    "Plaintext",
     "Ciphertext",
+    "plaintext",
     "keygen",
     "encrypt",
     "decrypt",
@@ -79,7 +79,7 @@ class BfvParams:
 
     @property
     def delta(self) -> int:
-        """Plaintext scaling factor floor(q / t)."""
+        """Message scaling factor floor(q / t)."""
         return self.ring.q // self.t
 
 
@@ -118,25 +118,6 @@ class PublicKey:
 
 
 @dataclass(frozen=True)
-class Plaintext:
-    """Message polynomial with centered coefficients mod t."""
-
-    poly: Polynomial
-
-    @classmethod
-    def constant(cls, value: int, params: BfvParams) -> "Plaintext":
-        return cls(Polynomial.constant(value, params.d, params.t))
-
-    @classmethod
-    def from_coeffs(cls, values: list, params: BfvParams) -> "Plaintext":
-        """Plaintext from a list of at most d integers, zero-padded to d."""
-        coeffs = _coeff_array(values)
-        if coeffs.size > params.d:
-            raise ValueError("too many plaintext coefficients for the ring degree")
-        return cls(Polynomial(np.pad(coeffs, (0, params.d - coeffs.size)), params.t))
-
-
-@dataclass(frozen=True)
 class Ciphertext:
     """Pair (c0, c1) of mod-q polynomials; decrypts via c0 + c1*s."""
 
@@ -160,10 +141,25 @@ def keygen(
     return SecretKey(s), PublicKey(pk0, a)
 
 
+def plaintext(values: list, params: BfvParams) -> Polynomial:
+    """The message mod t from a list of at most d integers, zero-padded to d."""
+    coeffs = _coeff_array(values)
+    if coeffs.size > params.d:
+        raise ValueError("too many plaintext coefficients for the ring degree")
+    return Polynomial(np.pad(coeffs, (0, params.d - coeffs.size)), params.t)
+
+
+def _lift(m: Polynomial, params: BfvParams) -> Polynomial:
+    """The message m, a polynomial mod t, re-centered mod q; any other modulus raises ValueError."""
+    if m.modulus != params.t:
+        raise ValueError(f"message modulus {m.modulus} is not the plaintext modulus t = {params.t}")
+    return m.with_modulus(params.q)
+
+
 def encrypt(
-    pk: PublicKey, m: Plaintext, params: BfvParams, rng: np.random.Generator
+    pk: PublicKey, m: Polynomial, params: BfvParams, rng: np.random.Generator
 ) -> Ciphertext:
-    """Encrypt m under pk.
+    """Encrypt the message m (mod t) under pk.
 
     Draw order is u, e1, e2.  The ciphertext is
         c0 = pk0*u + e1 + delta*m,  c1 = pk1*u + e2  (mod q)
@@ -172,7 +168,7 @@ def encrypt(
     u = sample_binary(params.ring, rng)
     e1 = sample_gaussian(params.ring, params.sigma, rng)
     e2 = sample_gaussian(params.ring, params.sigma, rng)
-    c0 = pk.pk0 * u + e1 + m.poly.with_modulus(params.q) * params.delta
+    c0 = pk.pk0 * u + e1 + _lift(m, params) * params.delta
     c1 = pk.pk1 * u + e2
     return Ciphertext(c0, c1)
 
@@ -182,16 +178,16 @@ def decrypt_raw(sk: SecretKey, ct: Ciphertext, params: BfvParams) -> Polynomial:
     return ct.c0 + ct.c1 * sk.s
 
 
-def decrypt(sk: SecretKey, ct: Ciphertext, params: BfvParams) -> Plaintext:
-    """Decrypt: round_raw of decrypt_raw."""
+def decrypt(sk: SecretKey, ct: Ciphertext, params: BfvParams) -> Polynomial:
+    """Decrypt to the message mod t: round_raw of decrypt_raw."""
     return round_raw(decrypt_raw(sk, ct, params), params)
 
 
-def round_raw(raw: Polynomial, params: BfvParams) -> Plaintext:
+def round_raw(raw: Polynomial, params: BfvParams) -> Polynomial:
     """Scale a raw decryption [c0 + c1*s]_q by t/q, round half away from zero, reduce mod t."""
     quo, rem = _mul_divmod(np.abs(raw.coeffs), params.t, params.q)
     rounded = quo + (2 * rem >= params.q)
-    return Plaintext(Polynomial(np.where(raw.coeffs < 0, -rounded, rounded), params.t))
+    return Polynomial(np.where(raw.coeffs < 0, -rounded, rounded), params.t)
 
 
 def add(ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
@@ -199,14 +195,14 @@ def add(ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
     return Ciphertext(ct1.c0 + ct2.c0, ct1.c1 + ct2.c1)
 
 
-def sub_from_plain(m: Plaintext, ct: Ciphertext, params: BfvParams) -> Ciphertext:
-    """Encrypt m minus the message of ct: (delta*m - c0, -c1)."""
-    return Ciphertext(m.poly.with_modulus(params.q) * params.delta - ct.c0, -ct.c1)
+def sub_from_plain(m: Polynomial, ct: Ciphertext, params: BfvParams) -> Ciphertext:
+    """Encrypt the message m minus the message of ct: (delta*m - c0, -c1)."""
+    return Ciphertext(_lift(m, params) * params.delta - ct.c0, -ct.c1)
 
 
-def mul_plain(ct: Ciphertext, r: Plaintext, params: BfvParams) -> Ciphertext:
-    """Multiply the encrypted message by the plaintext r: (r*c0, r*c1)."""
-    r_q = r.poly.with_modulus(params.q)
+def mul_plain(ct: Ciphertext, r: Polynomial, params: BfvParams) -> Ciphertext:
+    """Multiply the encrypted message by the message r: (r*c0, r*c1)."""
+    r_q = _lift(r, params)
     return Ciphertext(r_q * ct.c0, r_q * ct.c1)
 
 
@@ -251,10 +247,10 @@ def encrypt_zero_flood(
 
 
 def noise(
-    sk: SecretKey, ct: Ciphertext, expected_m: Plaintext, params: BfvParams
+    sk: SecretKey, ct: Ciphertext, expected_m: Polynomial, params: BfvParams
 ) -> Polynomial:
     """The noise [c0 + c1*s - delta*expected_m]_q of ct as an encryption of expected_m."""
-    return decrypt_raw(sk, ct, params) - expected_m.poly.with_modulus(params.q) * params.delta
+    return decrypt_raw(sk, ct, params) - _lift(expected_m, params) * params.delta
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +309,9 @@ def _to_json(obj, params: BfvParams) -> dict:
 def _from_json(cls, obj: dict):
     """Inverse of _to_json for the dataclass `cls`, whose fields are mod q."""
     params = _params_from_header(obj)
+    unknown = [key for key in obj if key not in ("scheme", "d", "q", "t", "sigma", "payload")]
+    if unknown:
+        raise ValueError(f"unknown field {unknown[0]!r} in serialized object")
     count = len(fields(cls))
     payload = obj.get("payload")
     if not isinstance(payload, list) or len(payload) != count:

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import attacks, bfv, psi
-from .bfv import BfvParams, PARAM_SETS, Plaintext, get_params
+from .bfv import BfvParams, PARAM_SETS, get_params
 from .ring import RingParams
 
 __all__ = ["main"]
@@ -28,21 +28,14 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_BLOCKED = 2
 
-_ATTACK_DEFAULT_SET = {
-    "cca": "cca-1024",
-    "bitleak": "bitleak-2048",
-    "circuit": "psi-83",
-    "encoder": "cca-1024",
-}
 
-
-def _add_common_flags(parser: argparse.ArgumentParser, default_set: Optional[str]) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser, default_set: str) -> None:
     parser.add_argument(
         "--params",
         metavar="NAME",
         default=None,
-        help=f"named parameter set, one of: {', '.join(sorted(PARAM_SETS))}"
-        + (f" (default: {default_set})" if default_set else ""),
+        help=f"named parameter set, one of: {', '.join(sorted(PARAM_SETS))} "
+        f"(default: {default_set})",
     )
     parser.add_argument("--d", type=int, help="ring degree (power of two); overrides --params")
     parser.add_argument("--q", type=int, help="coefficient modulus; use with --d and --t")
@@ -50,9 +43,10 @@ def _add_common_flags(parser: argparse.ArgumentParser, default_set: Optional[str
     parser.add_argument("--sigma", type=float, help="noise width with --d/--q/--t (default 3.2)")
     parser.add_argument("--seed", type=int, default=0, help="64-bit RNG seed (default 0)")
     parser.add_argument("--out", metavar="PATH", default=None, help="output path")
+    parser.set_defaults(default_set=default_set)
 
 
-def _resolve_config(args, default_set: Optional[str]) -> tuple[BfvParams, Optional[str]]:
+def _resolve_config(args) -> tuple[BfvParams, Optional[str]]:
     """The parameters the flags ask for, and the name of their set (None
     for explicit --d/--q/--t)."""
     explicit = [args.d, args.q, args.t]
@@ -65,7 +59,7 @@ def _resolve_config(args, default_set: Optional[str]) -> tuple[BfvParams, Option
         return BfvParams(ring=RingParams(d=args.d, q=args.q), t=args.t, sigma=sigma), None
     if args.sigma is not None:
         raise ValueError("--sigma needs explicit --d, --q and --t")
-    set_name = args.params or default_set
+    set_name = args.params or args.default_set
     return get_params(set_name), set_name
 
 
@@ -81,7 +75,7 @@ def _read_json(path: Path):
 
 
 def _cmd_keygen(args) -> int:
-    params, _ = _resolve_config(args, default_set="cca-1024")
+    params, _ = _resolve_config(args)
     sk, pk = bfv.keygen(params, np.random.default_rng(args.seed))
     prefix = Path(args.out or "key")
     sk_path = prefix.with_name(prefix.name + ".sk.json")
@@ -94,7 +88,7 @@ def _cmd_keygen(args) -> int:
 
 def _cmd_encrypt(args) -> int:
     pk, params = bfv.public_key_from_json(_read_json(Path(args.key)))
-    m = Plaintext.from_coeffs(_read_json(Path(args.infile)), params)
+    m = bfv.plaintext(_read_json(Path(args.infile)), params)
     rng = np.random.default_rng(args.seed)
     ct = bfv.encrypt(pk, m, params, rng)
     out = Path(args.out)
@@ -110,13 +104,13 @@ def _cmd_decrypt(args) -> int:
         raise ValueError("ciphertext and key were made with different parameters")
     m = bfv.decrypt(sk, ct, params)
     out = Path(args.out)
-    _write_json(out, m.poly.to_coeff_list())
+    _write_json(out, m.to_coeff_list())
     print(f"wrote {out}")
     return EXIT_OK
 
 
 def _cmd_attack(args) -> int:
-    params, name = _resolve_config(args, default_set=_ATTACK_DEFAULT_SET[args.attack])
+    params, name = _resolve_config(args)
     rng = np.random.default_rng(args.seed)
     start = time.perf_counter()
     if args.attack == "cca":
@@ -156,13 +150,17 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_psi(args) -> int:
-    params, _ = _resolve_config(args, default_set="psi-83")
+    params, _ = _resolve_config(args)
+    if args.flood is not None and args.strategy != "flooding":
+        raise ValueError("--flood needs --strategy flooding")
+    if args.index is not None and args.strategy != "malicious-probe":
+        raise ValueError("--index needs --strategy malicious-probe")
     if args.strategy == "honest":
         strategy = psi.Honest()
     elif args.strategy == "flooding":
-        strategy = psi.Flooding(bound=1 << args.flood)
+        strategy = psi.Flooding(bound=1 << (30 if args.flood is None else args.flood))
     else:
-        strategy = psi.MaliciousBitProbe(index=args.index)
+        strategy = psi.MaliciousBitProbe(index=args.index or 0)
     transcript = psi.run_session(
         params, args.alice, args.bob, np.random.default_rng(args.seed), strategy=strategy
     )
@@ -204,22 +202,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_decrypt.set_defaults(handler=_cmd_decrypt)
 
     p_attack = sub.add_parser("attack", help="run one of the attack demos")
-    p_attack.add_argument(
-        "attack", choices=("cca", "bitleak", "circuit", "encoder"), help="which attack to run"
+    attack_sub = p_attack.add_subparsers(dest="attack", required=True, metavar="ATTACK")
+    for name, default_set, help_text in (
+        ("cca", "cca-1024", "one-query key recovery through a decryption oracle"),
+        ("bitleak", "bitleak-2048", "key recovery one bit per zero-check query"),
+        ("circuit", "psi-83", "recover Bob's input from an unflooded equality reply"),
+        ("encoder", "cca-1024", "integer-encoder sums that decrypt to more than the sum"),
+    ):
+        p_one = attack_sub.add_parser(name, help=help_text)
+        _add_common_flags(p_one, default_set)
+        p_one.add_argument("--verbose", action="store_true", help="print the report details")
+        p_one.set_defaults(handler=_cmd_attack)
+    p_circuit = attack_sub.choices["circuit"]
+    p_circuit.add_argument(
+        "--flood", type=int, metavar="BITS", help="flood the reply with noise on [-2^BITS, 2^BITS]"
     )
-    _add_common_flags(p_attack, None)
-    p_attack.add_argument("--verbose", action="store_true", help="print the report details")
-    p_attack.add_argument(
-        "--flood",
-        type=int,
-        metavar="BITS",
-        default=None,
-        help="circuit only: flood the response with uniform noise on [-2^BITS, 2^BITS]",
-    )
-    p_attack.add_argument(
-        "--trials", type=int, default=1, help="circuit only: how many randomized trials"
-    )
-    p_attack.set_defaults(handler=_cmd_attack)
+    p_circuit.add_argument("--trials", type=int, default=1, help="how many randomized trials")
 
     p_psi = sub.add_parser("psi", help="run the two-party equality protocol")
     p_psi.add_argument("--alice", type=int, required=True, help="Alice's integer input")
@@ -234,11 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--flood",
         type=int,
         metavar="BITS",
-        default=30,
-        help="flooding strategy: noise bound exponent (default 30)",
+        help="flooding strategy only: noise bound exponent (default 30)",
     )
     p_psi.add_argument(
-        "--index", type=int, default=0, help="malicious-probe strategy: key bit to probe"
+        "--index", type=int, help="malicious-probe strategy only: key bit to probe (default 0)"
     )
     _add_common_flags(p_psi, "psi-83")
     p_psi.add_argument("--verbose", action="store_true", help="print the transcript path")

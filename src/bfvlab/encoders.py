@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bfv import BfvParams, Plaintext
+from .bfv import BfvParams
 from .ring import Polynomial
 
 __all__ = ["integer_encode", "integer_decode"]
 
 
-def integer_encode(n: int, params: BfvParams) -> Plaintext:
+def integer_encode(n: int, params: BfvParams) -> Polynomial:
     """Encode the integer n as a 0/1 (or 0/-1) coefficient polynomial.
 
     Requires |n| < 2**d so the bits fit, and t > 2 whenever a sign or a
@@ -38,12 +38,12 @@ def integer_encode(n: int, params: BfvParams) -> Plaintext:
         count=params.d,
         bitorder="little",
     ).astype(np.int64)
-    return Plaintext(Polynomial(bits if n >= 0 else -bits, params.t))
+    return Polynomial(bits if n >= 0 else -bits, params.t)
 
 
-def integer_decode(m: Plaintext) -> int:
-    """Evaluate the plaintext at x = 2 using centered coefficients."""
+def integer_decode(m: Polynomial) -> int:
+    """Evaluate the message m (mod t) at x = 2 using centered coefficients."""
     total = 0
-    for i, c in enumerate(m.poly.to_coeff_list()):
+    for i, c in enumerate(m.to_coeff_list()):
         total += c << i
     return total

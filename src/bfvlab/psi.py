@@ -23,7 +23,8 @@ from typing import Optional, Union
 import numpy as np
 
 from . import attacks, bfv
-from .bfv import BfvParams, Ciphertext, Plaintext, PublicKey, SecretKey
+from .bfv import BfvParams, Ciphertext, PublicKey, SecretKey
+from .ring import Polynomial
 
 __all__ = [
     "ProtocolError",
@@ -141,7 +142,7 @@ class AliceState:
     params: BfvParams
     sk: SecretKey
     pk: PublicKey
-    m_a: Plaintext
+    m_a: Polynomial
     session_id: str
     rng: np.random.Generator
     outcome: Optional[Outcome] = None
@@ -154,18 +155,18 @@ class BobState:
 
     params: BfvParams
     pk: PublicKey
-    m_b: Plaintext
-    r: Plaintext
+    m_b: Polynomial
+    r: Polynomial
     session_id: str
     rng: np.random.Generator
     strategy: Strategy = field(default_factory=Honest)
     phase: str = "ready"
 
 
-def _as_plaintext(value, params: BfvParams) -> Plaintext:
+def _as_message(value, params: BfvParams) -> Polynomial:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"input must be an integer, not {value!r}")
-    return Plaintext.constant(int(value), params)
+    return Polynomial.constant(int(value), params.d, params.t)
 
 
 def _read_message(msg: WireMessage, kind: str, session_id, params):
@@ -202,7 +203,7 @@ def alice_init(
         params=params,
         sk=sk,
         pk=pk,
-        m_a=_as_plaintext(m_a, params),
+        m_a=_as_message(m_a, params),
         session_id=session_id,
         rng=rng,
     )
@@ -233,8 +234,8 @@ def bob_init(
     return BobState(
         params=params,
         pk=pk,
-        m_b=_as_plaintext(m_b, params),
-        r=Plaintext.constant(attacks.random_multiplier(params, rng), params),
+        m_b=_as_message(m_b, params),
+        r=Polynomial.constant(attacks.random_multiplier(params, rng), params.d, params.t),
         session_id=pubkey_msg.session_id,
         rng=rng,
         strategy=strategy,
@@ -267,7 +268,7 @@ def alice_finish(state: AliceState, response: WireMessage) -> Outcome:
         raise ProtocolError(f"alice cannot finish in phase {state.phase!r}")
     ct, _ = _read_message(response, "response", state.session_id, state.params)
     decrypted = bfv.decrypt(state.sk, ct, state.params)
-    state.outcome = Outcome.EQUAL if decrypted.poly.is_zero() else Outcome.NOT_EQUAL
+    state.outcome = Outcome.EQUAL if decrypted.is_zero() else Outcome.NOT_EQUAL
     state.phase = "done"
     return state.outcome
 
@@ -367,7 +368,9 @@ def verify_transcript(transcript: Transcript) -> Outcome:
     result = messages[-1]
     if result.session_id != transcript.session_id:
         raise ProtocolError("result message belongs to a different session")
-    if result.body.get("outcome") != transcript.outcome:
+    if set(result.body) != {"outcome"}:
+        raise ProtocolError("result body must hold exactly the outcome")
+    if result.body["outcome"] != transcript.outcome:
         raise ProtocolError("result frame disagrees with the recorded outcome")
     return Outcome(transcript.outcome)
 

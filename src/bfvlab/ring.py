@@ -75,16 +75,17 @@ class Polynomial:
 
     Instances are immutable by convention: all operations return new
     polynomials.  Coefficients are stored as int64, which the modulus
-    bound in RingParams guarantees is lossless.  `coeffs` must become a
-    1-D, non-empty signed-integer array under np.asarray; floats, strings,
+    bound 2 <= modulus < 2**62 (RingParams' bound) keeps lossless; any
+    other modulus raises ValueError.  `coeffs` must become a 1-D,
+    non-empty signed-integer array under np.asarray; floats, strings,
     None, bools and values outside int64 raise ValueError, never coerced.
     """
 
     __slots__ = ("coeffs", "modulus")
 
     def __init__(self, coeffs, modulus: int):
-        if modulus < 2:
-            raise ValueError("modulus must be at least 2")
+        if not 2 <= modulus < (1 << _INT64_BUDGET):
+            raise ValueError("modulus must satisfy 2 <= modulus < 2**62")
         arr = np.asarray(coeffs)
         if arr.dtype.kind != "i" or arr.ndim != 1 or arr.size == 0:
             raise ValueError(f"coefficients must be a non-empty 1-D integer vector: {arr!r:.40}")

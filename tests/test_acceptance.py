@@ -11,7 +11,7 @@ import numpy as np
 
 import bfvlab.bfv as bfv
 import bfvlab.psi as psi
-from bfvlab import Ciphertext, Plaintext, cli, get_params
+from bfvlab import Ciphertext, cli, get_params
 from bfvlab.attacks import (
     AttackError,
     bit_leak_offset,
@@ -112,8 +112,8 @@ def test_circuit_privacy_recovery_and_flooding_defense(capsys):
         except AttackError:
             continue
         if (
-            r_rec.poly == bob.r.poly
-            and m_b_rec.poly.to_coeff_list()[0] == reduce_centered(m_b, t)
+            r_rec == bob.r
+            and m_b_rec.to_coeff_list()[0] == reduce_centered(m_b, t)
         ):
             recovered += 1
 
@@ -136,8 +136,8 @@ def test_circuit_privacy_recovery_and_flooding_defense(capsys):
         except AttackError:
             continue
         if (
-            r_rec.poly == bob.r.poly
-            and m_b_rec.poly.to_coeff_list()[0] == reduce_centered(m_b, t)
+            r_rec == bob.r
+            and m_b_rec.to_coeff_list()[0] == reduce_centered(m_b, t)
         ):
             flood_recovered += 1
 
@@ -159,8 +159,8 @@ def test_circuit_privacy_recovery_and_flooding_defense(capsys):
 def test_encoder_sum_leak_is_bit_exact(capsys):
     params = get_params("cca-1024")
     first, second = run_encoder_leak_demo(params, make_rng(7)).details["pairs"]
-    x_plus_2 = Plaintext.from_coeffs([2, 1], params).poly
-    two_x = Plaintext.from_coeffs([0, 2], params).poly
+    x_plus_2 = bfv.plaintext([2, 1], params)
+    two_x = bfv.plaintext([0, 2], params)
     ok = (
         first["decrypted_hex"] == x_plus_2.to_hex()
         and second["decrypted_hex"] == two_x.to_hex()
@@ -184,18 +184,18 @@ def test_scheme_roundtrip_and_additive_homomorphism(capsys):
         sk, pk = bfv.keygen(params, rng)
         good = 0
         for _ in range(1000):
-            a = Plaintext.from_coeffs(
+            a = bfv.plaintext(
                 [int(c) for c in rng.integers(0, params.t, size=params.d)], params
             )
-            b = Plaintext.from_coeffs(
+            b = bfv.plaintext(
                 [int(c) for c in rng.integers(0, params.t, size=params.d)], params
             )
             ct_a = bfv.encrypt(pk, a, params, rng)
             ct_b = bfv.encrypt(pk, b, params, rng)
             if (
-                bfv.decrypt(sk, ct_a, params).poly == a.poly
-                and bfv.decrypt(sk, ct_b, params).poly == b.poly
-                and bfv.decrypt(sk, bfv.add(ct_a, ct_b), params).poly == a.poly + b.poly
+                bfv.decrypt(sk, ct_a, params) == a
+                and bfv.decrypt(sk, ct_b, params) == b
+                and bfv.decrypt(sk, bfv.add(ct_a, ct_b), params) == a + b
             ):
                 good += 1
         totals.append((name, good))
@@ -244,7 +244,7 @@ def test_probe_rounding_margins(capsys):
             expected = list(base)
             expected[index] = reduce_centered(base[index] + m_val, q)
             sampled_ok = sampled_ok and raw == expected
-            decrypted = bfv.decrypt(sk, ct, params).poly.to_coeff_list()
+            decrypted = bfv.decrypt(sk, ct, params).to_coeff_list()
             target_only = all(
                 c == (s[index] if j == index else 0) for j, c in enumerate(decrypted)
             )

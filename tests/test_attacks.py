@@ -7,7 +7,6 @@ import bfvlab.bfv as bfv
 from bfvlab import (
     BfvParams,
     Ciphertext,
-    Plaintext,
     Polynomial,
     PublicKey,
     RingParams,
@@ -60,7 +59,7 @@ def test_cca_works_with_binary_plaintext_modulus():
 
 
 def test_cca_rejects_dishonest_oracle(small_params):
-    junk = Plaintext.constant(5, small_params)
+    junk = Polynomial.constant(5, small_params.d, small_params.t)
     oracle = DecryptionOracle(lambda ct: junk)
     with pytest.raises(AttackError):
         cca_one_query(oracle, small_params)
@@ -91,7 +90,7 @@ def test_probe_against_all_zero_key():
     sk = SecretKey(Polynomial.zero(params.d, params.q))
     pk = PublicKey(-e, a)
     for index in range(params.d):
-        assert bfv.decrypt(sk, bit_leak_probe(pk, index, params), params).poly.is_zero()
+        assert bfv.decrypt(sk, bit_leak_probe(pk, index, params), params).is_zero()
 
 
 def test_probe_rounding_margins_sampled():
@@ -105,7 +104,7 @@ def test_probe_rounding_margins_sampled():
         raw = bfv.decrypt_raw(sk, bit_leak_probe(pk, index, params), params)
         coeffs = raw.to_coeff_list()
         decrypted = bfv.decrypt(sk, bit_leak_probe(pk, index, params), params)
-        dec = decrypted.poly.to_coeff_list()
+        dec = decrypted.to_coeff_list()
         for j, c in enumerate(coeffs):
             if j == index:
                 assert dec[j] == s[j]
@@ -167,11 +166,11 @@ def test_bit_leak_at_full_size_spot_indices():
 
 def _honest_exchange(params, rng, m_a_value, m_b_value, r_value):
     sk, pk = bfv.keygen(params, rng)
-    m_a = Plaintext.constant(m_a_value, params)
+    m_a = Polynomial.constant(m_a_value, params.d, params.t)
     c_a = bfv.encrypt(pk, m_a, params, rng)
     response = bfv.mul_plain(
-        bfv.sub_from_plain(Plaintext.constant(m_b_value, params), c_a, params),
-        Plaintext.constant(r_value, params),
+        bfv.sub_from_plain(Polynomial.constant(m_b_value, params.d, params.t), c_a, params),
+        Polynomial.constant(r_value, params.d, params.t),
         params,
     )
     return sk, c_a, m_a, response
@@ -187,8 +186,8 @@ def test_circuit_privacy_recovery_exact():
         r = r - 83 if r > 41 else r
         sk, c_a, m_a_pt, response = _honest_exchange(params, rng, m_a, m_b, r)
         r_rec, m_b_rec = circuit_privacy_recover(sk, c_a, m_a_pt, response, params)
-        assert r_rec.poly.to_coeff_list()[0] == r
-        assert m_b_rec.poly.to_coeff_list()[0] == m_b
+        assert r_rec.to_coeff_list()[0] == r
+        assert m_b_rec.to_coeff_list()[0] == m_b
 
 
 def test_circuit_privacy_recovery_edge_multipliers():
@@ -197,8 +196,8 @@ def test_circuit_privacy_recovery_edge_multipliers():
     for r in (1, -1, 41, -41):
         sk, c_a, m_a_pt, response = _honest_exchange(params, rng, 7, -29, r)
         r_rec, m_b_rec = circuit_privacy_recover(sk, c_a, m_a_pt, response, params)
-        assert r_rec.poly.to_coeff_list()[0] == r
-        assert m_b_rec.poly.to_coeff_list()[0] == -29
+        assert r_rec.to_coeff_list()[0] == r
+        assert m_b_rec.to_coeff_list()[0] == -29
 
 
 def test_circuit_privacy_recovery_equal_inputs():
@@ -206,8 +205,8 @@ def test_circuit_privacy_recovery_equal_inputs():
     rng = make_rng(12)
     sk, c_a, m_a_pt, response = _honest_exchange(params, rng, 13, 13, 5)
     r_rec, m_b_rec = circuit_privacy_recover(sk, c_a, m_a_pt, response, params)
-    assert r_rec.poly.to_coeff_list()[0] == 5
-    assert m_b_rec.poly.to_coeff_list()[0] == 13
+    assert r_rec.to_coeff_list()[0] == 5
+    assert m_b_rec.to_coeff_list()[0] == 13
 
 
 def test_circuit_privacy_recovers_every_honest_trial_when_noise_wraps():
@@ -242,7 +241,7 @@ def test_bob_reply_refuses_flood_its_reply_cannot_carry(small_prime_t_params):
     q, t, d = params.q, params.t, params.d
     rng = make_rng(27)
     sk, pk = bfv.keygen(params, rng)
-    m_a, m_b, r = (Plaintext.constant(v, params) for v in (-41, 41, 41))
+    m_a, m_b, r = (Polynomial.constant(v, params.d, params.t) for v in (-41, 41, 41))
     c_a = bfv.encrypt(pk, m_a, params, rng)
     # worst case |r|*((2d+1)*tail + (q mod t)) + F + 2d*tail within the margin
     margin = (q - t * (q % t) - 1) // (2 * t)
@@ -250,7 +249,7 @@ def test_bob_reply_refuses_flood_its_reply_cannot_carry(small_prime_t_params):
     with pytest.raises(ValueError, match="flooded reply noise"):
         bob_reply(c_a, m_b, r, pk, params, rng, largest + 1)
     bfv.encrypt_zero_flood(pk, params, largest + 1, rng)  # the zero alone is fine
-    expected = Plaintext.constant(41 * 82, params)
+    expected = Polynomial.constant(41 * 82, params.d, params.t)
     for _ in range(100):
         reply = bob_reply(c_a, m_b, r, pk, params, rng, largest)
         assert bfv.decrypt(sk, reply, params) == expected
@@ -261,11 +260,11 @@ def test_circuit_privacy_blocked_by_flooding():
     rng = make_rng(13)
     for bound in (50, 2**20, 2**30):
         sk, pk = bfv.keygen(params, rng)
-        m_a = Plaintext.constant(3, params)
+        m_a = Polynomial.constant(3, params.d, params.t)
         c_a = bfv.encrypt(pk, m_a, params, rng)
         response = bfv.mul_plain(
-            bfv.sub_from_plain(Plaintext.constant(10, params), c_a, params),
-            Plaintext.constant(4, params),
+            bfv.sub_from_plain(Polynomial.constant(10, params.d, params.t), c_a, params),
+            Polynomial.constant(4, params.d, params.t),
             params,
         )
         flooded = bfv.add(response, bfv.encrypt_zero_flood(pk, params, bound, rng))
@@ -279,11 +278,11 @@ def test_circuit_privacy_needs_noise_structure():
     sk, _ = bfv.keygen(params, rng)
     d, q, delta = params.d, params.q, params.delta
     # noiseless encryption of m_a = 3: n = 0 identically
-    m_a = Plaintext.constant(3, params)
-    c_a = Ciphertext(m_a.poly.with_modulus(q) * delta, Polynomial.zero(d, q))
+    m_a = Polynomial.constant(3, params.d, params.t)
+    c_a = Ciphertext(m_a.with_modulus(q) * delta, Polynomial.zero(d, q))
     response = bfv.mul_plain(
-        bfv.sub_from_plain(Plaintext.constant(9, params), c_a, params),
-        Plaintext.constant(2, params),
+        bfv.sub_from_plain(Polynomial.constant(9, params.d, params.t), c_a, params),
+        Polynomial.constant(2, params.d, params.t),
         params,
     )
     with pytest.raises(InsufficientNoiseStructureError):
@@ -294,7 +293,7 @@ def test_circuit_privacy_rejects_non_scalar_m_a():
     params = get_params("psi-83")
     rng = make_rng(15)
     sk, pk = bfv.keygen(params, rng)
-    m_a = Plaintext.from_coeffs([1, 2], params)
+    m_a = bfv.plaintext([1, 2], params)
     c_a = bfv.encrypt(pk, m_a, params, rng)
     with pytest.raises(ValueError):
         circuit_privacy_recover(sk, c_a, m_a, c_a, params)
@@ -310,7 +309,7 @@ def test_evaluation_noise_is_the_encryption_randomness_combination():
         sk, pk = bfv.keygen(params, rng)
         e = -(pk.pk0 + pk.pk1 * sk.s)
         for _ in range(trials):
-            m_a = Plaintext.constant(int(rng.integers(0, params.t)), params)
+            m_a = Polynomial.constant(int(rng.integers(0, params.t)), params.d, params.t)
             u, e1, e2 = encrypt_draws(params, rng)
             c_a = bfv.encrypt(pk, m_a, params, rng)
             assert evaluation_noise(sk, c_a, m_a, params) == e1 + e2 * sk.s - e * u
@@ -383,7 +382,8 @@ def test_oracle_counters_track_every_call(small_params):
     sk, pk = bfv.keygen(small_params, make_rng(23))
     dec = DecryptionOracle.honest(sk, small_params)
     zc = ZeroCheckOracle.honest(sk, small_params)
-    ct = bfv.encrypt(pk, Plaintext.constant(1, small_params), small_params, make_rng(24))
+    one = Polynomial.constant(1, small_params.d, small_params.t)
+    ct = bfv.encrypt(pk, one, small_params, make_rng(24))
     for expected in (1, 2, 3):
         dec(ct)
         assert dec.calls == expected

@@ -9,11 +9,11 @@ from bfvlab import (
     BfvParams,
     Ciphertext,
     PARAM_SETS,
-    Plaintext,
     Polynomial,
     RingParams,
     SecretKey,
     get_params,
+    integer_encode,
 )
 
 from conftest import encrypt_draws, make_rng
@@ -85,9 +85,9 @@ def test_roundtrip_random_plaintexts(small_params):
     sk, pk = bfv.keygen(small_params, rng)
     t, d = small_params.t, small_params.d
     for _ in range(100):
-        m = Plaintext(Polynomial(rng.integers(0, t, d, dtype=np.int64), t))
+        m = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
         ct = bfv.encrypt(pk, m, small_params, rng)
-        assert bfv.decrypt(sk, ct, small_params).poly == m.poly
+        assert bfv.decrypt(sk, ct, small_params) == m
 
 
 @pytest.mark.parametrize("name", ["cca-1024", "bitleak-2048", "psi-83"])
@@ -96,19 +96,18 @@ def test_roundtrip_at_named_sets(name):
     rng = make_rng(sum(name.encode()))
     sk, pk = bfv.keygen(params, rng)
     for _ in range(10):
-        m = Plaintext(
-            Polynomial(rng.integers(0, params.t, params.d, dtype=np.int64), params.t)
-        )
+        m = Polynomial(rng.integers(0, params.t, params.d, dtype=np.int64), params.t)
         ct = bfv.encrypt(pk, m, params, rng)
-        assert bfv.decrypt(sk, ct, params).poly == m.poly
+        assert bfv.decrypt(sk, ct, params) == m
 
 
 def test_noise_respects_componentwise_bound(small_params):
     rng = make_rng(9)
     sk, pk = bfv.keygen(small_params, rng)
     e = -(pk.pk0 + pk.pk1 * sk.s)
+    d, t = small_params.d, small_params.t
     for _ in range(20):
-        m = Plaintext.constant(int(rng.integers(0, small_params.t)), small_params)
+        m = Polynomial.constant(int(rng.integers(0, t)), d, t)
         u, e1, e2 = encrypt_draws(small_params, rng)
         ct = bfv.encrypt(pk, m, small_params, rng)
         bound = (e * u).max_abs() + e1.max_abs() + (e2 * sk.s).max_abs()
@@ -119,7 +118,7 @@ def test_fresh_noise_below_parameter_bound():
     params = get_params("bitleak-2048")
     rng = make_rng(10)
     sk, pk = bfv.keygen(params, rng)
-    m = Plaintext.constant(3, params)
+    m = Polynomial.constant(3, params.d, params.t)
     ct = bfv.encrypt(pk, m, params, rng)
     assert bfv.noise(sk, ct, m, params).max_abs() <= GAUSS_TAIL * (2 * params.d + 1)
 
@@ -157,7 +156,7 @@ def test_decrypt_is_rounding_of_raw(q, t):
         raw = chosen + [int(x) for x in drawn]
         ct = Ciphertext(Polynomial(raw, q), Polynomial.zero(d, q))
         expected = [center_mod(round_ratio_oracle(center_mod(c, q) * t, q), t) for c in raw]
-        assert bfv.decrypt(sk, ct, params).poly.to_coeff_list() == expected
+        assert bfv.decrypt(sk, ct, params).to_coeff_list() == expected
 
 
 def test_decrypt_noiseless_ciphertexts(small_params):
@@ -170,12 +169,12 @@ def test_decrypt_noiseless_ciphertexts(small_params):
         small_params.t,
         small_params.delta,
     )
-    m = Plaintext(Polynomial(rng.integers(0, t, d, dtype=np.int64), t))
-    ct = Ciphertext(m.poly.with_modulus(q) * delta, Polynomial.zero(d, q))
-    assert bfv.decrypt(sk, ct, small_params).poly == m.poly
+    m = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
+    ct = Ciphertext(m.with_modulus(q) * delta, Polynomial.zero(d, q))
+    assert bfv.decrypt(sk, ct, small_params) == m
     ct_key = Ciphertext(Polynomial.zero(d, q), Polynomial.constant(delta, d, q))
     assert (
-        bfv.decrypt(sk, ct_key, small_params).poly.to_coeff_list()
+        bfv.decrypt(sk, ct_key, small_params).to_coeff_list()
         == sk.s.to_coeff_list()
     )
 
@@ -212,7 +211,7 @@ def test_decrypt_margin_is_sound_exhaustively(pairs):
         raw = [params.delta * m + v for m in messages for v in noises] + [largest + 1]
         n = len(raw)
         ct = Ciphertext(Polynomial(raw, q), Polynomial.zero(n, q))
-        got = bfv.decrypt(SecretKey(Polynomial.zero(n, q)), ct, params).poly.to_coeff_list()
+        got = bfv.decrypt(SecretKey(Polynomial.zero(n, q)), ct, params).to_coeff_list()
         assert got[:-1] == [m for m in messages for _ in noises], (q, t)
         if q % t == 0:
             assert got[-1] != 0, (q, t)
@@ -227,10 +226,10 @@ def test_addition_of_one_and_three():
     params = get_params("psi-83")
     rng = make_rng(13)
     sk, pk = bfv.keygen(params, rng)
-    ct1 = bfv.encrypt(pk, Plaintext.constant(1, params), params, rng)
-    ct3 = bfv.encrypt(pk, Plaintext.constant(3, params), params, rng)
+    ct1 = bfv.encrypt(pk, Polynomial.constant(1, params.d, params.t), params, rng)
+    ct3 = bfv.encrypt(pk, Polynomial.constant(3, params.d, params.t), params, rng)
     total = bfv.add(ct1, ct3)
-    assert bfv.decrypt(sk, total, params).poly == Polynomial.constant(4, params.d, params.t)
+    assert bfv.decrypt(sk, total, params) == Polynomial.constant(4, params.d, params.t)
 
 
 def test_addition_is_homomorphic_mod_t(small_params):
@@ -240,19 +239,19 @@ def test_addition_is_homomorphic_mod_t(small_params):
     for _ in range(50):
         ma = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
         mb = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
-        ca = bfv.encrypt(pk, Plaintext(ma), small_params, rng)
-        cb = bfv.encrypt(pk, Plaintext(mb), small_params, rng)
-        assert bfv.decrypt(sk, bfv.add(ca, cb), small_params).poly == ma + mb
+        ca = bfv.encrypt(pk, ma, small_params, rng)
+        cb = bfv.encrypt(pk, mb, small_params, rng)
+        assert bfv.decrypt(sk, bfv.add(ca, cb), small_params) == ma + mb
 
 
 def test_addition_noise_is_subadditive(small_params):
     rng = make_rng(15)
     sk, pk = bfv.keygen(small_params, rng)
-    ma = Plaintext.constant(5, small_params)
-    mb = Plaintext.constant(9, small_params)
+    ma = Polynomial.constant(5, small_params.d, small_params.t)
+    mb = Polynomial.constant(9, small_params.d, small_params.t)
     ca = bfv.encrypt(pk, ma, small_params, rng)
     cb = bfv.encrypt(pk, mb, small_params, rng)
-    msum = Plaintext(ma.poly + mb.poly)
+    msum = ma + mb
     sum_noise = bfv.noise(sk, bfv.add(ca, cb), msum, small_params).max_abs()
     assert sum_noise <= (
         bfv.noise(sk, ca, ma, small_params).max_abs()
@@ -268,46 +267,69 @@ def test_plain_operand_ops_agree_with_plaintext_arithmetic(small_params):
     for _ in range(500):
         ma = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
         mb = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
-        ct = bfv.encrypt(pk, Plaintext(ma), small_params, rng)
+        ct = bfv.encrypt(pk, ma, small_params, rng)
         assert (
             bfv.decrypt(
-                sk, bfv.sub_from_plain(Plaintext(mb), ct, small_params), small_params
-            ).poly
+                sk, bfv.sub_from_plain(mb, ct, small_params), small_params
+            )
             == mb - ma
         )
     for _ in range(500):
         ma = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
         r = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
-        ct = bfv.encrypt(pk, Plaintext(ma), small_params, rng)
+        ct = bfv.encrypt(pk, ma, small_params, rng)
         assert (
-            bfv.decrypt(sk, bfv.mul_plain(ct, Plaintext(r), small_params), small_params).poly
+            bfv.decrypt(sk, bfv.mul_plain(ct, r, small_params), small_params)
             == r * ma
         )
+
+
+@pytest.mark.parametrize("op", ["encrypt", "sub_from_plain", "mul_plain", "noise"])
+@pytest.mark.parametrize("modulus", ["q", "another-t"])
+def test_message_under_any_modulus_but_t_is_refused(op, modulus):
+    # a message is a polynomial mod t; the same coefficients mod q, or mod
+    # bitleak-2048's t = 256 at psi-83's t = 83, used to be lifted silently
+    params = get_params("psi-83")
+    sk, pk = bfv.keygen(params, make_rng(30))
+    ct = bfv.encrypt(pk, integer_encode(1, params), params, make_rng(31))
+    run = {
+        "encrypt": lambda m: bfv.encrypt(pk, m, params, make_rng(32)),
+        "sub_from_plain": lambda m: bfv.sub_from_plain(m, ct, params),
+        "mul_plain": lambda m: bfv.mul_plain(ct, m, params),
+        "noise": lambda m: bfv.noise(sk, ct, m, params),
+    }[op]
+    if modulus == "q":
+        m = Polynomial.constant(5, params.d, params.q)
+    else:
+        m = integer_encode(5, get_params("bitleak-2048"))
+    with pytest.raises(ValueError, match=f"modulus {m.modulus} is not the plaintext modulus"):
+        run(m)
+    run(m.with_modulus(params.t))  # the same coefficients mod t are accepted
 
 
 def test_sub_from_plain_of_equal_messages_is_zero(small_params):
     rng = make_rng(18)
     sk, pk = bfv.keygen(small_params, rng)
-    m = Plaintext.constant(42, small_params)
+    m = Polynomial.constant(42, small_params.d, small_params.t)
     ct = bfv.encrypt(pk, m, small_params, rng)
     diff = bfv.sub_from_plain(m, ct, small_params)
-    assert bfv.decrypt(sk, diff, small_params).poly.is_zero()
+    assert bfv.decrypt(sk, diff, small_params).is_zero()
 
 
 def test_mul_plain_scales_message_and_noise(small_params):
     rng = make_rng(19)
     sk, pk = bfv.keygen(small_params, rng)
-    m = Plaintext.constant(3, small_params)
+    m = Polynomial.constant(3, small_params.d, small_params.t)
     ct = bfv.encrypt(pk, m, small_params, rng)
     base_noise = bfv.noise(sk, ct, m, small_params).max_abs()
 
-    one = Plaintext.constant(1, small_params)
-    assert bfv.decrypt(sk, bfv.mul_plain(ct, one, small_params), small_params).poly == m.poly
+    one = Polynomial.constant(1, small_params.d, small_params.t)
+    assert bfv.decrypt(sk, bfv.mul_plain(ct, one, small_params), small_params) == m
 
-    two = Plaintext.constant(2, small_params)
+    two = Polynomial.constant(2, small_params.d, small_params.t)
     doubled = bfv.mul_plain(ct, two, small_params)
-    m2 = Plaintext.constant(6, small_params)
-    assert bfv.decrypt(sk, doubled, small_params).poly == m2.poly
+    m2 = Polynomial.constant(6, small_params.d, small_params.t)
+    assert bfv.decrypt(sk, doubled, small_params) == m2
     # noise grows by at most the l1 norm of the multiplier (= 2 here; t | q)
     assert bfv.noise(sk, doubled, m2, small_params).max_abs() <= 2 * base_noise
 
@@ -321,15 +343,15 @@ def test_flooded_zero_decrypts_to_zero_at_full_size():
     sk, pk = bfv.keygen(params, rng)
     for _ in range(5):
         ct = bfv.encrypt_zero_flood(pk, params, 2**30, rng)
-        assert bfv.decrypt(sk, ct, params).poly.is_zero()
+        assert bfv.decrypt(sk, ct, params).is_zero()
 
 
 def test_flooded_zero_with_zero_bound_degenerates(small_params):
     rng = make_rng(21)
     sk, pk = bfv.keygen(small_params, rng)
     ct = bfv.encrypt_zero_flood(pk, small_params, 0, rng)
-    assert bfv.decrypt(sk, ct, small_params).poly.is_zero()
-    zero = Plaintext.constant(0, small_params)
+    assert bfv.decrypt(sk, ct, small_params).is_zero()
+    zero = Polynomial.constant(0, small_params.d, small_params.t)
     assert bfv.noise(sk, ct, zero, small_params).max_abs() <= GAUSS_TAIL * (
         2 * small_params.d + 1
     )
@@ -359,7 +381,7 @@ def test_flooded_zeros_at_largest_bound_decrypt_to_zero(small_params):
     largest = _largest_flood_bound(small_params)
     for _ in range(20000):
         ct = bfv.encrypt_zero_flood(pk, small_params, largest, rng)
-        assert bfv.decrypt(sk, ct, small_params).poly.is_zero()
+        assert bfv.decrypt(sk, ct, small_params).is_zero()
 
 
 def test_adding_flooded_zero_preserves_decryption(small_params):
@@ -368,10 +390,10 @@ def test_adding_flooded_zero_preserves_decryption(small_params):
     t, d = small_params.t, small_params.d
     bound = 2**10  # well below delta/2 = 2**21
     for _ in range(100):
-        m = Plaintext(Polynomial(rng.integers(0, t, d, dtype=np.int64), t))
+        m = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
         ct = bfv.encrypt(pk, m, small_params, rng)
         flooded = bfv.add(ct, bfv.encrypt_zero_flood(pk, small_params, bound, rng))
-        assert bfv.decrypt(sk, flooded, small_params).poly == m.poly
+        assert bfv.decrypt(sk, flooded, small_params) == m
 
 
 def test_adding_flooded_zero_preserves_decryption_at_full_size():
@@ -379,10 +401,10 @@ def test_adding_flooded_zero_preserves_decryption_at_full_size():
     rng = make_rng(24)
     sk, pk = bfv.keygen(params, rng)
     for value in (0, 1, -41, 41):
-        m = Plaintext.constant(value, params)
+        m = Polynomial.constant(value, params.d, params.t)
         ct = bfv.encrypt(pk, m, params, rng)
         flooded = bfv.add(ct, bfv.encrypt_zero_flood(pk, params, 2**30, rng))
-        assert bfv.decrypt(sk, flooded, params).poly == m.poly
+        assert bfv.decrypt(sk, flooded, params) == m
 
 
 # --- serialization ---------------------------------------------------------------------
@@ -391,7 +413,7 @@ def test_adding_flooded_zero_preserves_decryption_at_full_size():
 def test_json_roundtrips(small_params):
     rng = make_rng(25)
     sk, pk = bfv.keygen(small_params, rng)
-    m = Plaintext.constant(9, small_params)
+    m = Polynomial.constant(9, small_params.d, small_params.t)
     ct = bfv.encrypt(pk, m, small_params, rng)
 
     sk2, p_sk = bfv.secret_key_from_json(bfv.secret_key_to_json(sk, small_params))
@@ -401,7 +423,7 @@ def test_json_roundtrips(small_params):
     assert sk2.s == sk.s and pk2.pk0 == pk.pk0 and pk2.pk1 == pk.pk1
     assert ct2.c0 == ct.c0 and ct2.c1 == ct.c1
     assert p_sk == p_pk == p_ct == small_params
-    assert bfv.decrypt(sk2, ct2, p_ct).poly == m.poly
+    assert bfv.decrypt(sk2, ct2, p_ct) == m
 
 
 def test_json_validation_errors(small_params):
@@ -422,6 +444,8 @@ def test_json_validation_errors(small_params):
         bfv.secret_key_from_json(wrong_count)
     with pytest.raises(ValueError):
         bfv.ciphertext_from_json(obj)
+    with pytest.raises(ValueError, match="unknown field 'extra'"):
+        bfv.secret_key_from_json({**obj, "extra": 1})
 
 
 @pytest.mark.parametrize(
@@ -455,14 +479,17 @@ def test_json_payload_is_strict(small_params, value):
         bfv.ciphertext_from_json({**obj, "payload": [vec, obj["payload"][0]]})
 
 
-# --- plaintext helpers ----------------------------------------------------------------
+# --- message helpers ----------------------------------------------------------------
 
 
 def test_plaintext_helpers(small_params):
-    p = Plaintext.from_coeffs([1, 2, 3], small_params)
-    assert p.poly.d == small_params.d
-    assert p.poly.to_coeff_list()[:4] == [1, 2, 3, 0]
-    assert Plaintext.constant(0, small_params).poly.is_zero()
-    assert not Plaintext.constant(200, small_params).poly.is_zero()
-    with pytest.raises(ValueError):
-        Plaintext.from_coeffs([0] * (small_params.d + 1), small_params)
+    d, t = small_params.d, small_params.t
+    p = bfv.plaintext([1, 2, 300], small_params)
+    assert (p.d, p.modulus) == (d, t)
+    assert p.to_coeff_list()[:4] == [1, 2, 44, 0]
+    assert Polynomial.constant(0, d, t).is_zero()
+    assert Polynomial.constant(200, d, t).to_coeff_list()[:2] == [-56, 0]
+    assert bfv.plaintext([], small_params) == Polynomial.zero(d, t)
+    for bad in ([0] * (d + 1), [1, True], [1.0], "12"):
+        with pytest.raises(ValueError):
+            bfv.plaintext(bad, small_params)

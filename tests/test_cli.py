@@ -287,11 +287,25 @@ def test_help_lists_subcommands(capsys):
         assert name in text
 
 
-def test_unknown_arguments_are_rejected(capsys):
+def test_unknown_arguments_are_rejected(tmp_path, capsys):
     # a usage error is bad input (1), never a held countermeasure (2)
     assert run_cli(["attack", "cca", "--bogus"]) == 1
     assert run_cli(["attack", "circuit", "--flod", 30]) == 1
     assert "unrecognized arguments: --flod" in capsys.readouterr().err
+    # a flag the command does not use is refused, not ignored
+    out = tmp_path / "out.json"
+    for argv, message in (
+        (["attack", "cca", "--flood", 30], "unrecognized arguments: --flood"),
+        (["attack", "bitleak", *SMALL, "--trials", 5], "unrecognized arguments: --trials"),
+        (["psi", "--alice", 1, "--bob", 1, "--index", 7], "--index needs --strategy"),
+        (["psi", "--alice", 1, "--bob", 1, "--strategy", "honest", "--flood", 3],
+         "--flood needs --strategy"),
+        (["psi", "--alice", 1, "--bob", 1, "--strategy", "malicious-probe", "--flood", 3],
+         "--flood needs --strategy"),
+    ):
+        assert run_cli([*argv, "--out", out]) == 1, argv
+        assert message in capsys.readouterr().err, argv
+        assert not out.exists(), argv
 
 
 def test_verbose_is_offered_only_where_it_prints(tmp_path):

@@ -1,5 +1,5 @@
 """Property tests for every loader: keys and ciphertexts as JSON objects,
-hex polynomials, wire frames and transcripts.  Plaintexts have no JSON
+hex polynomials, wire frames and transcripts.  Messages have no JSON
 object form; the CLI reads and writes them as bare coefficient arrays.
 
 Mutated input may only be rejected with ValueError or ProtocolError (or,
@@ -18,7 +18,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from hypothesis import strategies as st
 
 import bfvlab.bfv as bfv
-from bfvlab import BfvParams, Plaintext, Polynomial, RingParams, SecretKey
+from bfvlab import BfvParams, Polynomial, RingParams, SecretKey
 from bfvlab.psi import (
     ProtocolError,
     Transcript,
@@ -48,7 +48,7 @@ D, Q, T = PARAMS.d, PARAMS.q, PARAMS.t
 
 _rng = np.random.default_rng(4)
 SK, PK = bfv.keygen(PARAMS, _rng)
-CT = bfv.encrypt(PK, Plaintext.constant(5, PARAMS), PARAMS, _rng)
+CT = bfv.encrypt(PK, Polynomial.constant(5, PARAMS.d, PARAMS.t), PARAMS, _rng)
 
 # kind -> (valid JSON object, loader)
 OBJECTS = {
@@ -100,6 +100,7 @@ NOT_INT64 = st.one_of(
 )
 JSON_VALUES = st.one_of(NOT_INT64, st.integers(-(2**64), 2**64))
 HEADER_KEYS = ("scheme", "d", "q", "t", "sigma", "payload")
+UNKNOWN_KEY = "extra"
 
 
 def _vector_slot(data, obj):
@@ -155,19 +156,20 @@ def test_vector_of_wrong_length_is_rejected(kind, delta, data):
 @PROPERTY
 @given(
     kind=st.sampled_from(sorted(OBJECTS)),
-    key=st.sampled_from(HEADER_KEYS),
+    key=st.sampled_from((*HEADER_KEYS, UNKNOWN_KEY)),
     drop=st.booleans(),
     value=JSON_VALUES,
 )
 def test_dropped_or_retyped_header_key_raises_only_value_error(kind, key, drop, value):
     obj, load = OBJECTS[kind]
     mutated = copy.deepcopy(obj)
-    if drop:
+    if drop and key != UNKNOWN_KEY:
         del mutated[key]
         assert rejected_cleanly(load, mutated)
     else:
         mutated[key] = value
-        rejected_cleanly(load, mutated)
+        # a header key may keep a value that loads; an unknown key never loads
+        assert rejected_cleanly(load, mutated) or key != UNKNOWN_KEY
 
 
 @PROPERTY

@@ -3,7 +3,7 @@ many-to-one collisions, and overflow handling."""
 
 import pytest
 
-from bfvlab import BfvParams, Plaintext, Polynomial, RingParams, integer_decode, integer_encode
+from bfvlab import BfvParams, Polynomial, RingParams, integer_decode, integer_encode
 
 from conftest import make_rng
 from oracles import integer_encode_oracle
@@ -15,12 +15,12 @@ def params():
 
 
 def test_encode_frozen_examples(params):
-    assert integer_encode(0, params).poly.is_zero()
-    assert integer_encode(1, params).poly.to_coeff_list()[:3] == [1, 0, 0]
-    assert integer_encode(3, params).poly.to_coeff_list()[:3] == [1, 1, 0]
-    assert integer_encode(2, params).poly.to_coeff_list()[:3] == [0, 1, 0]
-    assert integer_encode(4, params).poly.to_coeff_list()[:4] == [0, 0, 1, 0]
-    assert integer_encode(-3, params).poly.to_coeff_list()[:3] == [-1, -1, 0]
+    assert integer_encode(0, params).is_zero()
+    assert integer_encode(1, params).to_coeff_list()[:3] == [1, 0, 0]
+    assert integer_encode(3, params).to_coeff_list()[:3] == [1, 1, 0]
+    assert integer_encode(2, params).to_coeff_list()[:3] == [0, 1, 0]
+    assert integer_encode(4, params).to_coeff_list()[:4] == [0, 0, 1, 0]
+    assert integer_encode(-3, params).to_coeff_list()[:3] == [-1, -1, 0]
 
 
 @pytest.mark.parametrize("d", [2, 4, 8, 64, 1024])
@@ -32,15 +32,15 @@ def test_encode_matches_bit_loop_oracle(d, t):
     drawn = int.from_bytes(rng.bytes((d + 7) // 8), "little") & top
     values = [0, 1, -1, top, -top, top >> 1, -(top >> 1), drawn, -drawn]
     for n in values:
-        assert integer_encode(n, params).poly.to_coeff_list() == integer_encode_oracle(n, d)
+        assert integer_encode(n, params).to_coeff_list() == integer_encode_oracle(n, d)
 
 
 def test_decode_frozen_examples(params):
-    x_plus_2 = Plaintext(Polynomial([2, 1] + [0] * 62, params.t))
-    two_x = Plaintext(Polynomial([0, 2] + [0] * 62, params.t))
+    x_plus_2 = Polynomial([2, 1] + [0] * 62, params.t)
+    two_x = Polynomial([0, 2] + [0] * 62, params.t)
     assert integer_decode(x_plus_2) == 4
     assert integer_decode(two_x) == 4
-    assert x_plus_2.poly != two_x.poly
+    assert x_plus_2 != two_x
 
 
 def test_roundtrip_exhaustive_small_range(params):
@@ -60,7 +60,7 @@ def test_decode_is_additive_without_coefficient_wrap(params):
         a = int(rng.integers(-(2**20), 2**20))
         b = int(rng.integers(-(2**20), 2**20))
         pa, pb = integer_encode(a, params), integer_encode(b, params)
-        total = Plaintext(pa.poly + pb.poly)
+        total = pa + pb
         assert integer_decode(total) == a + b
 
 

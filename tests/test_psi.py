@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bfvlab.bfv as bfv
-from bfvlab import BfvParams, Ciphertext, Plaintext, Polynomial, RingParams, get_params
+from bfvlab import BfvParams, Ciphertext, Polynomial, RingParams, get_params
 from bfvlab.attacks import (
     FloodedOrMalformedError,
     bit_leak_attack,
@@ -87,7 +87,7 @@ def test_no_false_positives_over_many_runs(small_prime_t_params):
         np.float64(2.0),
         # small_params' set, so only the integer check can refuse it
         pytest.param(
-            Plaintext.constant(2, BfvParams(ring=RingParams(d=64, q=2**30), t=256)),
+            Polynomial.constant(2, 64, 256),
             id="plaintext",
         ),
     ],
@@ -175,7 +175,7 @@ def test_query_decrypts_to_alice_input(small_params):
     alice, _ = alice_init(small_params, 37, rng)
     query = alice_query(alice)
     ct, _ = bfv.ciphertext_from_json(query.body)
-    assert bfv.decrypt(alice.sk, ct, small_params).poly.to_coeff_list()[0] == 37
+    assert bfv.decrypt(alice.sk, ct, small_params).to_coeff_list()[0] == 37
 
 
 def test_sessions_use_fresh_randomness(small_params):
@@ -256,7 +256,7 @@ def test_bob_blinding_scalar_is_nonzero(small_prime_t_params):
     for _ in range(50):
         _, pub = alice_init(small_prime_t_params, 1, rng.spawn(1)[0])
         bob = bob_init(small_prime_t_params, 2, pub, rng.spawn(1)[0])
-        assert not bob.r.poly.is_zero()
+        assert not bob.r.is_zero()
 
 
 # --- transcripts ---------------------------------------------------------------------
@@ -302,6 +302,12 @@ def test_transcript_tampering_is_detected(small_params):
         verify_transcript(Transcript(base.session_id, extra, base.outcome))
     with pytest.raises(ProtocolError, match="frame object must have"):
         Transcript.from_json({**base.to_json(), "frames": extra})
+    # so is a body key that the query or the result has no use for
+    for index, match in ((1, "unknown field 'note'"), (3, "exactly the outcome")):
+        padded = [dict(f) for f in base.frames]
+        padded[index]["body"] = {**padded[index]["body"], "note": "added"}
+        with pytest.raises(ProtocolError, match=match):
+            verify_transcript(Transcript(base.session_id, padded, base.outcome))
 
 
 def _frames_with(**changes):
@@ -386,7 +392,8 @@ def test_session_oracle_rejects_non_probe_queries(small_params):
     rng = make_rng(22)
     keys = bfv.keygen(small_params, rng)
     oracle = session_zero_check_oracle(small_params, 9, keys, rng.spawn(1)[0])
-    ct = bfv.encrypt(keys[1], Plaintext.constant(1, small_params), small_params, rng)
+    m = Polynomial.constant(1, small_params.d, small_params.t)
+    ct = bfv.encrypt(keys[1], m, small_params, rng)
     with pytest.raises(ProtocolError):
         oracle(ct)
     # a probe whose c1 or amplitude is off is not a probe either
@@ -413,8 +420,8 @@ def test_attacker_alice_recovers_bob_secrets_from_transcript():
         c_a, _ = bfv.ciphertext_from_json(transcript.frames[1]["body"])
         c_ab, _ = bfv.ciphertext_from_json(transcript.frames[2]["body"])
         r_rec, m_b_rec = circuit_privacy_recover(alice.sk, c_a, alice.m_a, c_ab, params)
-        assert r_rec.poly == transcript.bob.r.poly
-        assert m_b_rec.poly.to_coeff_list()[0] == reduce_centered(m_b, params.t)
+        assert r_rec == transcript.bob.r
+        assert m_b_rec.to_coeff_list()[0] == reduce_centered(m_b, params.t)
         hits += 1
     assert hits == 20
 

@@ -98,6 +98,11 @@ def test_polynomial_rejects_bad_shapes():
     for bad in ([1.9, 0], ["1", "0"], [None, 0], [True, False], [2**63, 0], "10", None):
         with pytest.raises(ValueError):
             Polynomial(bad, 97)
+    # RingParams' bound: beyond it a scalar product divided by zero
+    # (2**62 + 1) or overflowed int64 (2**63) instead of refusing
+    for modulus in (2**62, 2**62 + 1, 2**63):
+        with pytest.raises(ValueError, match=r"2 <= modulus < 2\*\*62"):
+            Polynomial([3, -5, 7, 1], modulus)
 
 
 def test_polynomial_is_immutable():
@@ -157,6 +162,8 @@ def test_add_rejects_mismatched_operands():
         (256, 2**54, 6),
         # one-bit digits in _mul_mod, and the widest digits
         (64, 2**62 - 57, 40),
+        # the largest modulus a Polynomial accepts
+        (8, 2**62 - 1, 100),
         (8, 3, 300),
         # saturated rows only, at the cli-1024 and the largest deployed geometry
         (1024, 2**54, 0),
@@ -269,7 +276,7 @@ def test_monomial_multiply_fast_path_matches_oracle():
             assert got.to_coeff_list() == negacyclic_mul_oracle(a, mono, q), (index, coeff)
 
 
-@pytest.mark.parametrize("q", [97, 2**54, (2**30) - 35, 2**62 - 57, 3])
+@pytest.mark.parametrize("q", [97, 2**54, (2**30) - 35, 2**62 - 57, 2**62 - 1, 3])
 def test_scalar_mul_matches_oracle(q):
     rng = make_rng(35)
     d = 16
