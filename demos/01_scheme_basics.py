@@ -24,7 +24,7 @@ print(f"plaintext  {m.to_coeff_list()[:4]} ...")
 print(f"decrypted  {decrypted.to_coeff_list()[:4]} ...  (255 centers to -1 mod 256)")
 
 # before rounding, the raw decryption is delta * m plus a small noise term
-raw = bfv.decrypt_raw(sk, ct, params)
+raw = bfv.decrypt_raw(sk, ct)
 noise = bfv.noise(sk, ct, m, params).max_abs()
 print(f"raw[0] = {raw.to_coeff_list()[0]} = delta * 7 + {raw.to_coeff_list()[0] - 7 * params.delta}")
 print(f"noise after encryption: {noise} of a q/2t budget of {params.q // (2 * params.t)}")

@@ -12,7 +12,6 @@ included as the countermeasure for the circuit-privacy leak.
 
 from .ring import (
     Polynomial,
-    RingParams,
     monomial,
     reduce_centered,
     gaussian_tail,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Polynomial",
-    "RingParams",
     "monomial",
     "reduce_centered",
     "gaussian_tail",

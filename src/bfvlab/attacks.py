@@ -102,7 +102,7 @@ def cca_one_query(oracle: DecryptionOracle, params: BfvParams) -> SecretKey:
     representative of 1 is -1.
     """
     probe = Ciphertext(
-        Polynomial.zero(params.d, params.q),
+        Polynomial.constant(0, params.d, params.q),
         Polynomial.constant(params.delta, params.d, params.q),
     )
     bits = oracle(probe).coeffs % params.t
@@ -139,8 +139,8 @@ def bit_leak_probe(pk: PublicKey, index: int, params: BfvParams) -> Ciphertext:
     rounds to 1.
     """
     m_val = bit_leak_offset(params)
-    c0 = pk.pk0 + monomial(index, m_val, params.ring)
-    c1 = pk.pk1 + monomial(0, m_val, params.ring)
+    c0 = pk.pk0 + monomial(index, m_val, params.d, params.q)
+    c1 = pk.pk1 + monomial(0, m_val, params.d, params.q)
     return Ciphertext(c0, c1)
 
 
@@ -238,7 +238,7 @@ def circuit_privacy_recover(
     t, q, delta = params.t, params.q, params.delta
 
     noise = evaluation_noise(sk, c_a, m_a, params)
-    raw = bfv.decrypt_raw(sk, c_ab, params).coeffs
+    raw = bfv.decrypt_raw(sk, c_ab).coeffs
     nonzero = np.flatnonzero(noise.coeffs[1:])
     if not nonzero.size:
         raise InsufficientNoiseStructureError(
@@ -292,10 +292,7 @@ class AttackReport:
 
 
 def _describe_params(params: BfvParams, name: Optional[str]) -> dict:
-    desc = {"d": params.d, "q": params.q, "t": params.t, "sigma": params.sigma}
-    if name is not None:
-        desc["name"] = name
-    return desc
+    return asdict(params) if name is None else {**asdict(params), "name": name}
 
 
 def run_cca_attack(
@@ -373,12 +370,12 @@ def run_circuit_privacy_attack(
 
         # The response must still decrypt to r*(m_b - m_a) regardless of flooding.
         expected = reduce_centered(r_value * (m_b_value - m_a_value), params.t)
-        raw = bfv.decrypt_raw(sk, response, params)
+        raw = bfv.decrypt_raw(sk, response)
         if bfv.round_raw(raw, params) != Polynomial.constant(expected, params.d, params.t):
             correctness_failures += 1
 
         # (raw, 0) has the response's raw decryption, so recovery needs no second c1*s
-        trivial = Ciphertext(raw, Polynomial.zero(params.d, params.q))
+        trivial = Ciphertext(raw, Polynomial.constant(0, params.d, params.q))
         try:
             r_rec, m_b_rec = circuit_privacy_recover(sk, c_a, m_a, trivial, params)
         except AttackError:

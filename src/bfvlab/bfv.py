@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .ring import (
+    _INT64_BUDGET,
     Polynomial,
-    RingParams,
     _mul_divmod,
     gaussian_tail,
     sample_binary,
@@ -57,36 +57,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BfvParams:
-    """Scheme parameters: ring, plaintext modulus, noise width."""
+    """Scheme parameters: ring degree d, coefficient modulus q of
+    Z_q[x] / (x^d + 1), plaintext modulus t, noise width sigma."""
 
-    ring: RingParams
+    d: int
+    q: int
     t: int
     sigma: float = 3.2
 
     def __post_init__(self) -> None:
-        if not 1 < self.t < self.ring.q:
+        if self.d < 2 or self.d & (self.d - 1):
+            raise ValueError("ring degree must be a power of two, at least 2")
+        if not 2 <= self.q < (1 << _INT64_BUDGET):
+            raise ValueError("coefficient modulus must satisfy 2 <= q < 2**62")
+        if not 1 < self.t < self.q:
             raise ValueError("plaintext modulus must satisfy 1 < t < q")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError("sigma must be positive and finite")
 
     @property
-    def d(self) -> int:
-        return self.ring.d
-
-    @property
-    def q(self) -> int:
-        return self.ring.q
-
-    @property
     def delta(self) -> int:
         """Message scaling factor floor(q / t)."""
-        return self.ring.q // self.t
+        return self.q // self.t
 
 
 PARAM_SETS: dict[str, BfvParams] = {
-    "cca-1024": BfvParams(ring=RingParams(d=1024, q=2**54), t=256),
-    "bitleak-2048": BfvParams(ring=RingParams(d=2048, q=2**54), t=256),
-    "psi-83": BfvParams(ring=RingParams(d=2048, q=2**54), t=83),
+    "cca-1024": BfvParams(d=1024, q=2**54, t=256),
+    "bitleak-2048": BfvParams(d=2048, q=2**54, t=256),
+    "psi-83": BfvParams(d=2048, q=2**54, t=83),
 }
 
 
@@ -134,18 +132,25 @@ def keygen(
         s binary, a uniform over Z_q, e discrete Gaussian,
         pk = (-(a*s + e), a).
     """
-    s = sample_binary(params.ring, rng)
-    a = sample_uniform(params.ring, rng)
-    e = sample_gaussian(params.ring, params.sigma, rng)
+    s = sample_binary(params.d, params.q, rng)
+    a = sample_uniform(params.d, params.q, rng)
+    e = sample_gaussian(params.d, params.q, params.sigma, rng)
     pk0 = -(a * s + e)
     return SecretKey(s), PublicKey(pk0, a)
 
 
 def plaintext(values: list, params: BfvParams) -> Polynomial:
-    """The message mod t from a list of at most d integers, zero-padded to d."""
+    """The message mod t from a list of at most d integers, zero-padded to d.
+
+    Each value v must satisfy -(t // 2) <= v < t; one of t // 2 or more
+    reads as v - t, so t - 1 is -1.  Any other value raises ValueError.
+    """
     coeffs = _coeff_array(values)
     if coeffs.size > params.d:
         raise ValueError("too many plaintext coefficients for the ring degree")
+    low, t = -(params.t // 2), params.t
+    if ((coeffs < low) | (coeffs >= t)).any():
+        raise ValueError(f"plaintext coefficients must lie in [{low}, {t}) for t = {t}")
     return Polynomial(np.pad(coeffs, (0, params.d - coeffs.size)), params.t)
 
 
@@ -165,22 +170,22 @@ def encrypt(
         c0 = pk0*u + e1 + delta*m,  c1 = pk1*u + e2  (mod q)
     with delta = floor(q/t), so its noise is e1 + e2*s - e*u.
     """
-    u = sample_binary(params.ring, rng)
-    e1 = sample_gaussian(params.ring, params.sigma, rng)
-    e2 = sample_gaussian(params.ring, params.sigma, rng)
+    u = sample_binary(params.d, params.q, rng)
+    e1 = sample_gaussian(params.d, params.q, params.sigma, rng)
+    e2 = sample_gaussian(params.d, params.q, params.sigma, rng)
     c0 = pk.pk0 * u + e1 + _lift(m, params) * params.delta
     c1 = pk.pk1 * u + e2
     return Ciphertext(c0, c1)
 
 
-def decrypt_raw(sk: SecretKey, ct: Ciphertext, params: BfvParams) -> Polynomial:
+def decrypt_raw(sk: SecretKey, ct: Ciphertext) -> Polynomial:
     """The pre-rounding value [c0 + c1*s]_q, i.e. delta*m + noise."""
     return ct.c0 + ct.c1 * sk.s
 
 
 def decrypt(sk: SecretKey, ct: Ciphertext, params: BfvParams) -> Polynomial:
     """Decrypt to the message mod t: round_raw of decrypt_raw."""
-    return round_raw(decrypt_raw(sk, ct, params), params)
+    return round_raw(decrypt_raw(sk, ct), params)
 
 
 def round_raw(raw: Polynomial, params: BfvParams) -> Polynomial:
@@ -238,9 +243,9 @@ def encrypt_zero_flood(
         raise ValueError("flood_bound must be non-negative")
     tail = gaussian_tail(params.sigma)
     check_decrypt_margin(flood_bound + 2 * params.d * tail, params, "flood_bound + 2d*tail")
-    u = sample_binary(params.ring, rng)
+    u = sample_binary(params.d, params.q, rng)
     flood = rng.integers(-flood_bound, flood_bound + 1, size=params.d, dtype=np.int64)
-    e2 = sample_gaussian(params.ring, params.sigma, rng)
+    e2 = sample_gaussian(params.d, params.q, params.sigma, rng)
     c0 = pk.pk0 * u + Polynomial(flood, params.q)
     c1 = pk.pk1 * u + e2
     return Ciphertext(c0, c1)
@@ -250,7 +255,7 @@ def noise(
     sk: SecretKey, ct: Ciphertext, expected_m: Polynomial, params: BfvParams
 ) -> Polynomial:
     """The noise [c0 + c1*s - delta*expected_m]_q of ct as an encryption of expected_m."""
-    return decrypt_raw(sk, ct, params) - _lift(expected_m, params) * params.delta
+    return decrypt_raw(sk, ct) - _lift(expected_m, params) * params.delta
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +268,7 @@ SCHEME_TAG = "bfv-toy"
 
 
 def _header(params: BfvParams) -> dict:
-    return {
-        "scheme": SCHEME_TAG,
-        "d": params.d,
-        "q": params.q,
-        "t": params.t,
-        "sigma": params.sigma,
-    }
+    return {"scheme": SCHEME_TAG, **asdict(params)}
 
 
 def _params_from_header(obj: dict) -> BfvParams:
@@ -287,7 +286,7 @@ def _params_from_header(obj: dict) -> BfvParams:
     # the bound also rejects nan, inf and ints too large for a float
     if type(sigma) not in (int, float) or not abs(sigma) <= sys.float_info.max:
         raise ValueError(f"field 'sigma' must be a finite number, not {sigma!r}")
-    return BfvParams(ring=RingParams(d=d, q=q), t=t, sigma=float(sigma))
+    return BfvParams(d=d, q=q, t=t, sigma=float(sigma))
 
 
 def _coeff_array(values) -> np.ndarray:
@@ -309,7 +308,8 @@ def _to_json(obj, params: BfvParams) -> dict:
 def _from_json(cls, obj: dict):
     """Inverse of _to_json for the dataclass `cls`, whose fields are mod q."""
     params = _params_from_header(obj)
-    unknown = [key for key in obj if key not in ("scheme", "d", "q", "t", "sigma", "payload")]
+    allowed = {*_header(params), "payload"}
+    unknown = [key for key in obj if key not in allowed]
     if unknown:
         raise ValueError(f"unknown field {unknown[0]!r} in serialized object")
     count = len(fields(cls))

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import attacks, bfv, psi
 from .bfv import BfvParams, PARAM_SETS, get_params
-from .ring import RingParams
 
 __all__ = ["main"]
 
@@ -56,7 +55,7 @@ def _resolve_config(args) -> tuple[BfvParams, Optional[str]]:
         if args.params is not None:
             raise ValueError("give either --params or explicit --d/--q/--t, not both")
         sigma = BfvParams.sigma if args.sigma is None else args.sigma
-        return BfvParams(ring=RingParams(d=args.d, q=args.q), t=args.t, sigma=sigma), None
+        return BfvParams(d=args.d, q=args.q, t=args.t, sigma=sigma), None
     if args.sigma is not None:
         raise ValueError("--sigma needs explicit --d, --q and --t")
     set_name = args.params or args.default_set
@@ -190,7 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_encrypt = sub.add_parser("encrypt", help="encrypt a JSON coefficient array")
     p_encrypt.add_argument("--key", required=True, help="public key file")
-    p_encrypt.add_argument("--in", dest="infile", required=True, help="plaintext JSON array file")
+    p_encrypt.add_argument(
+        "--in", dest="infile", required=True, help="plaintext JSON array, values in [-(t // 2), t)"
+    )
     p_encrypt.add_argument("--out", required=True, help="ciphertext output file")
     p_encrypt.add_argument("--seed", type=int, default=0, help="64-bit RNG seed (default 0)")
     p_encrypt.set_defaults(handler=_cmd_encrypt)

@@ -10,13 +10,11 @@ rounds with its quotient.  Every array reduction is one floor division
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 __all__ = [
-    "RingParams",
     "Polynomial",
     "reduce_centered",
     "monomial",
@@ -56,26 +54,12 @@ def _center(x: np.ndarray, modulus: int) -> np.ndarray:
     return x - (x + modulus // 2) // modulus * modulus
 
 
-@dataclass(frozen=True)
-class RingParams:
-    """Degree and coefficient modulus of Z_q[x] / (x^d + 1)."""
-
-    d: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.d < 2 or self.d & (self.d - 1):
-            raise ValueError("ring degree must be a power of two, at least 2")
-        if not 2 <= self.q < (1 << _INT64_BUDGET):
-            raise ValueError("coefficient modulus must satisfy 2 <= q < 2**62")
-
-
 class Polynomial:
     """Length-d coefficient vector with centered residues mod `modulus`.
 
     Instances are immutable by convention: all operations return new
     polynomials.  Coefficients are stored as int64, which the modulus
-    bound 2 <= modulus < 2**62 (RingParams' bound) keeps lossless; any
+    bound 2 <= modulus < 2**62 (_INT64_BUDGET) keeps lossless; any
     other modulus raises ValueError.  `coeffs` must become a 1-D,
     non-empty signed-integer array under np.asarray; floats, strings,
     None, bools and values outside int64 raise ValueError, never coerced.
@@ -101,10 +85,6 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
-
-    @classmethod
-    def zero(cls, d: int, modulus: int) -> "Polynomial":
-        return cls(np.zeros(d, dtype=np.int64), modulus)
 
     @classmethod
     def constant(cls, value: int, d: int, modulus: int) -> "Polynomial":
@@ -162,7 +142,7 @@ class Polynomial:
                 continue
             nz = np.flatnonzero(b.coeffs)
             if nz.size == 0:
-                return Polynomial.zero(self.d, self.modulus)
+                return Polynomial.constant(0, self.d, self.modulus)
             return a._mul_monomial(int(nz[0]), int(b.coeffs[nz[0]]))
         product = _negacyclic_mul(self.coeffs, other.coeffs, self.modulus)
         return Polynomial(product, self.modulus)
@@ -217,9 +197,6 @@ class Polynomial:
             and self.coeffs.size == other.coeffs.size
             and bool(np.array_equal(self.coeffs, other.coeffs))
         )
-
-    def __hash__(self):
-        return hash((self.modulus, self.coeffs.tobytes()))
 
     def __repr__(self) -> str:
         head = ", ".join(str(int(c)) for c in self.coeffs[:8])
@@ -321,25 +298,25 @@ def _negacyclic_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     return acc
 
 
-def monomial(index: int, coeff: int, params: RingParams) -> Polynomial:
-    """The polynomial coeff * x^index in Z_q[x] / (x^d + 1)."""
-    if not 0 <= index < params.d:
-        raise ValueError(f"monomial index {index} outside [0, {params.d})")
-    coeffs = np.zeros(params.d, dtype=np.int64)
-    coeffs[index] = reduce_centered(coeff, params.q)
-    return Polynomial(coeffs, params.q)
+def monomial(index: int, coeff: int, d: int, modulus: int) -> Polynomial:
+    """The polynomial coeff * x^index in Z_modulus[x] / (x^d + 1)."""
+    if not 0 <= index < d:
+        raise ValueError(f"monomial index {index} outside [0, {d})")
+    coeffs = np.zeros(d, dtype=np.int64)
+    coeffs[index] = reduce_centered(coeff, modulus)
+    return Polynomial(coeffs, modulus)
 
 
-def sample_uniform(params: RingParams, rng: np.random.Generator) -> Polynomial:
-    """Uniform polynomial over Z_q, one independent draw per coefficient."""
-    raw = rng.integers(0, params.q, size=params.d, dtype=np.int64)
-    return Polynomial(raw, params.q)
+def sample_uniform(d: int, modulus: int, rng: np.random.Generator) -> Polynomial:
+    """Uniform polynomial over Z_modulus, one independent draw per coefficient."""
+    raw = rng.integers(0, modulus, size=d, dtype=np.int64)
+    return Polynomial(raw, modulus)
 
 
-def sample_binary(params: RingParams, rng: np.random.Generator) -> Polynomial:
+def sample_binary(d: int, modulus: int, rng: np.random.Generator) -> Polynomial:
     """Polynomial with independent uniform {0, 1} coefficients."""
-    raw = rng.integers(0, 2, size=params.d, dtype=np.int64)
-    return Polynomial(raw, params.q)
+    raw = rng.integers(0, 2, size=d, dtype=np.int64)
+    return Polynomial(raw, modulus)
 
 
 def gaussian_tail(sigma: float) -> int:
@@ -351,7 +328,7 @@ def gaussian_tail(sigma: float) -> int:
 
 
 def sample_gaussian(
-    params: RingParams, sigma: float, rng: np.random.Generator
+    d: int, modulus: int, sigma: float, rng: np.random.Generator
 ) -> Polynomial:
     """Discrete Gaussian coefficients via an inverse-CDF table.
 
@@ -365,6 +342,6 @@ def sample_gaussian(
     weights = np.exp(-(support.astype(np.float64) ** 2) / (2.0 * sigma * sigma))
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
-    draws = rng.random(params.d)
+    draws = rng.random(d)
     values = support[np.searchsorted(cdf, draws, side="right")]
-    return Polynomial(values, params.q)
+    return Polynomial(values, modulus)

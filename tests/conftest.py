@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from bfvlab import BfvParams, Polynomial, RingParams, sample_binary, sample_gaussian
+from bfvlab import BfvParams, Polynomial, sample_binary, sample_gaussian
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -15,19 +15,19 @@ def encrypt_draws(
 ) -> tuple[Polynomial, Polynomial, Polynomial]:
     """The u, e1, e2 that bfv.encrypt will draw next from rng, replayed from a copy."""
     replay = copy.deepcopy(rng)
-    u = sample_binary(params.ring, replay)
-    e1 = sample_gaussian(params.ring, params.sigma, replay)
-    e2 = sample_gaussian(params.ring, params.sigma, replay)
+    u = sample_binary(params.d, params.q, replay)
+    e1 = sample_gaussian(params.d, params.q, params.sigma, replay)
+    e2 = sample_gaussian(params.d, params.q, params.sigma, replay)
     return u, e1, e2
 
 
 @pytest.fixture
 def small_params() -> BfvParams:
     """Fast parameters with t | q, so plaintext scaling is exact."""
-    return BfvParams(ring=RingParams(d=64, q=2**30), t=256)
+    return BfvParams(d=64, q=2**30, t=256)
 
 
 @pytest.fixture
 def small_prime_t_params() -> BfvParams:
     """Fast parameters with a prime t that does not divide q."""
-    return BfvParams(ring=RingParams(d=64, q=2**30), t=83)
+    return BfvParams(d=64, q=2**30, t=83)

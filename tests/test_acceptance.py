@@ -235,12 +235,12 @@ def test_probe_rounding_margins(capsys):
         s = sk.s.to_coeff_list()
         # raw decryption of every probe differs from this base only at
         # the probed coefficient, where m_val is added
-        base_ct = Ciphertext(pk.pk0, pk.pk1 + monomial(0, m_val, params.ring))
-        base = bfv.decrypt_raw(sk, base_ct, params).to_coeff_list()
+        base_ct = Ciphertext(pk.pk0, pk.pk1 + monomial(0, m_val, params.d, params.q))
+        base = bfv.decrypt_raw(sk, base_ct).to_coeff_list()
 
         for index in rng.choice(d, size=16, replace=False):
             ct = bit_leak_probe(pk, int(index), params)
-            raw = bfv.decrypt_raw(sk, ct, params).to_coeff_list()
+            raw = bfv.decrypt_raw(sk, ct).to_coeff_list()
             expected = list(base)
             expected[index] = reduce_centered(base[index] + m_val, q)
             sampled_ok = sampled_ok and raw == expected

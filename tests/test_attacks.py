@@ -9,7 +9,6 @@ from bfvlab import (
     Ciphertext,
     Polynomial,
     PublicKey,
-    RingParams,
     SecretKey,
     get_params,
     monomial,
@@ -52,7 +51,7 @@ def test_cca_recovers_exact_key_at_full_size():
 
 def test_cca_works_with_binary_plaintext_modulus():
     # t = 2 centers 1 to -1; reading the answer mod t must still work.
-    params = BfvParams(ring=RingParams(d=64, q=2**30), t=2)
+    params = BfvParams(d=64, q=2**30, t=2)
     sk, _ = bfv.keygen(params, make_rng(3))
     oracle = DecryptionOracle.honest(sk, params)
     assert cca_one_query(oracle, params).s == sk.s
@@ -77,17 +76,17 @@ def test_probe_raw_decryption_identity():
     assert m_val == 2**44 + 20
     for index in (0, 1, 1000, params.d - 1):
         probe = bit_leak_probe(pk, index, params)
-        raw = bfv.decrypt_raw(sk, probe, params)
-        assert raw == -e + monomial(index, m_val, params.ring) + m_val * sk.s
+        raw = bfv.decrypt_raw(sk, probe)
+        assert raw == -e + monomial(index, m_val, params.d, params.q) + m_val * sk.s
 
 
 def test_probe_against_all_zero_key():
-    params = BfvParams(ring=RingParams(d=64, q=2**30), t=256)
+    params = BfvParams(d=64, q=2**30, t=256)
     rng = make_rng(6)
     # force s = 0: pk = (-e, a) decrypts like a key pair with zero key
-    a = sample_uniform(params.ring, rng)
-    e = sample_gaussian(params.ring, params.sigma, rng)
-    sk = SecretKey(Polynomial.zero(params.d, params.q))
+    a = sample_uniform(params.d, params.q, rng)
+    e = sample_gaussian(params.d, params.q, params.sigma, rng)
+    sk = SecretKey(Polynomial.constant(0, params.d, params.q))
     pk = PublicKey(-e, a)
     for index in range(params.d):
         assert bfv.decrypt(sk, bit_leak_probe(pk, index, params), params).is_zero()
@@ -101,7 +100,7 @@ def test_probe_rounding_margins_sampled():
     m_val = bit_leak_offset(params)
     s = sk.s.to_coeff_list()
     for index in map(int, rng.integers(0, params.d, 50)):
-        raw = bfv.decrypt_raw(sk, bit_leak_probe(pk, index, params), params)
+        raw = bfv.decrypt_raw(sk, bit_leak_probe(pk, index, params))
         coeffs = raw.to_coeff_list()
         decrypted = bfv.decrypt(sk, bit_leak_probe(pk, index, params), params)
         dec = decrypted.to_coeff_list()
@@ -132,7 +131,7 @@ def test_bit_leak_works_when_t_does_not_divide_q(small_prime_t_params):
 def test_bit_leak_recovers_full_key_across_sigma(sigma):
     # The probe amplitude follows the sampler's tail, so wider noise
     # still leaves every probe on its side of the rounding threshold.
-    params = BfvParams(ring=RingParams(d=256, q=2**54), t=256, sigma=sigma)
+    params = BfvParams(d=256, q=2**54, t=256, sigma=sigma)
     for seed in range(3):
         sk, pk = bfv.keygen(params, make_rng(seed + 200))
         oracle = ZeroCheckOracle.honest(sk, params)
@@ -143,7 +142,7 @@ def test_bit_leak_recovers_full_key_across_sigma(sigma):
 def test_bit_leak_refuses_unsound_parameters_before_any_query():
     # tail = 1200 at sigma = 200, so M + tail = 1024 + 1201 + 1200 = 3425
     # against a margin of (2^20 - 1) // 512 = 2047.
-    params = BfvParams(ring=RingParams(d=64, q=2**20), t=256, sigma=200)
+    params = BfvParams(d=64, q=2**20, t=256, sigma=200)
     sk, pk = bfv.keygen(params, make_rng(25))
     oracle = ZeroCheckOracle.honest(sk, params)
     with pytest.raises(AttackError, match=r"probe amplitude M \+ tail = 3425 misses"):
@@ -212,7 +211,7 @@ def test_circuit_privacy_recovery_equal_inputs():
 def test_circuit_privacy_recovers_every_honest_trial_when_noise_wraps():
     # At q = 97 the scaled noise r*n_j wraps mod q and the rounding by
     # delta is off, yet the reply still determines (r, m_b) exactly.
-    params = BfvParams(ring=RingParams(d=8, q=97), t=7)
+    params = BfvParams(d=8, q=97, t=7)
     report = run_circuit_privacy_attack(params, make_rng(26), trials=750)
     assert report.details["recoveries"] == 750
     assert report.details["blocked"] == 0
@@ -224,10 +223,10 @@ def test_circuit_trial_multiplies_its_response_by_s_once(small_prime_t_params, m
     multiplied = []
     decrypt_raw = bfv.decrypt_raw
 
-    def counting(sk, ct, params):
+    def counting(sk, ct):
         if not ct.c1.is_zero():
             multiplied.append(ct)
-        return decrypt_raw(sk, ct, params)
+        return decrypt_raw(sk, ct)
 
     monkeypatch.setattr(bfv, "decrypt_raw", counting)
     report = run_circuit_privacy_attack(small_prime_t_params, make_rng(28), trials=5)
@@ -279,7 +278,7 @@ def test_circuit_privacy_needs_noise_structure():
     d, q, delta = params.d, params.q, params.delta
     # noiseless encryption of m_a = 3: n = 0 identically
     m_a = Polynomial.constant(3, params.d, params.t)
-    c_a = Ciphertext(m_a.with_modulus(q) * delta, Polynomial.zero(d, q))
+    c_a = Ciphertext(m_a.with_modulus(q) * delta, Polynomial.constant(0, d, q))
     response = bfv.mul_plain(
         bfv.sub_from_plain(Polynomial.constant(9, params.d, params.t), c_a, params),
         Polynomial.constant(2, params.d, params.t),
@@ -303,7 +302,7 @@ def test_evaluation_noise_is_the_encryption_randomness_combination():
     # the key alone reads n = e1 + e2*s - e*u, with e = -(pk0 + pk1*s) and
     # u, e1, e2 replayed from a copy of the generator encrypt draws from;
     # at q = 97 the identity holds mod q, where n can exceed q/2
-    wrapping = BfvParams(ring=RingParams(d=8, q=97), t=7)
+    wrapping = BfvParams(d=8, q=97, t=7)
     for params, trials in ((get_params("psi-83"), 3), (wrapping, 50)):
         rng = make_rng(16)
         sk, pk = bfv.keygen(params, rng)

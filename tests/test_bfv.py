@@ -10,7 +10,6 @@ from bfvlab import (
     Ciphertext,
     PARAM_SETS,
     Polynomial,
-    RingParams,
     SecretKey,
     get_params,
     integer_encode,
@@ -44,14 +43,19 @@ def test_delta():
 
 
 def test_params_validation():
-    ring = RingParams(d=8, q=97)
-    with pytest.raises(ValueError):
-        BfvParams(ring=ring, t=1)
-    with pytest.raises(ValueError):
-        BfvParams(ring=ring, t=97)
+    for d in (3, 0):
+        with pytest.raises(ValueError, match="ring degree"):
+            BfvParams(d=d, q=97, t=4)
+    for q in (1, 2**62):
+        with pytest.raises(ValueError, match="coefficient modulus"):
+            BfvParams(d=8, q=q, t=4)
+    BfvParams(d=8, q=2**62 - 1, t=4)
+    for t in (1, 97):
+        with pytest.raises(ValueError, match="plaintext modulus"):
+            BfvParams(d=8, q=97, t=t)
     for sigma in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            BfvParams(ring=ring, t=4, sigma=sigma)
+        with pytest.raises(ValueError, match="sigma"):
+            BfvParams(d=8, q=97, t=4, sigma=sigma)
 
 
 # --- key generation ----------------------------------------------------------------
@@ -142,8 +146,8 @@ def test_decrypt_is_rounding_of_raw(q, t):
     # values are chosen: +-(q//2), both sides of every tie (q/(2t) an
     # integer) that fits, and uniform draws.
     d = 64
-    params = BfvParams(ring=RingParams(d=d, q=q), t=t)
-    sk = SecretKey(Polynomial.zero(d, q))
+    params = BfvParams(d=d, q=q, t=t)
+    sk = SecretKey(Polynomial.constant(0, d, q))
     chosen = [q // 2, -(q // 2), 0, 1, -1]
     if q % (2 * t) == 0:
         tie = q // (2 * t)
@@ -154,7 +158,7 @@ def test_decrypt_is_rounding_of_raw(q, t):
     for _ in range(20):
         drawn = rng.integers(-(q // 2), (q + 1) // 2, d - len(chosen), dtype=np.int64)
         raw = chosen + [int(x) for x in drawn]
-        ct = Ciphertext(Polynomial(raw, q), Polynomial.zero(d, q))
+        ct = Ciphertext(Polynomial(raw, q), Polynomial.constant(0, d, q))
         expected = [center_mod(round_ratio_oracle(center_mod(c, q) * t, q), t) for c in raw]
         assert bfv.decrypt(sk, ct, params).to_coeff_list() == expected
 
@@ -170,9 +174,9 @@ def test_decrypt_noiseless_ciphertexts(small_params):
         small_params.delta,
     )
     m = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
-    ct = Ciphertext(m.with_modulus(q) * delta, Polynomial.zero(d, q))
+    ct = Ciphertext(m.with_modulus(q) * delta, Polynomial.constant(0, d, q))
     assert bfv.decrypt(sk, ct, small_params) == m
-    ct_key = Ciphertext(Polynomial.zero(d, q), Polynomial.constant(delta, d, q))
+    ct_key = Ciphertext(Polynomial.constant(0, d, q), Polynomial.constant(delta, d, q))
     assert (
         bfv.decrypt(sk, ct_key, small_params).to_coeff_list()
         == sk.s.to_coeff_list()
@@ -204,14 +208,14 @@ def test_decrypt_margin_is_sound_exhaustively(pairs):
     # already decrypts 0 wrongly, so there the check is also tight.
     tight = 0
     for q, t in pairs:
-        params = BfvParams(ring=RingParams(d=2, q=q), t=t)
+        params = BfvParams(d=2, q=q, t=t)
         largest = _largest_admitted_noise(params)
         messages = range(-(t // 2), (t + 1) // 2)
         noises = range(-largest, largest + 1)
         raw = [params.delta * m + v for m in messages for v in noises] + [largest + 1]
         n = len(raw)
-        ct = Ciphertext(Polynomial(raw, q), Polynomial.zero(n, q))
-        got = bfv.decrypt(SecretKey(Polynomial.zero(n, q)), ct, params).to_coeff_list()
+        ct = Ciphertext(Polynomial(raw, q), Polynomial.constant(0, n, q))
+        got = bfv.decrypt(SecretKey(Polynomial.constant(0, n, q)), ct, params).to_coeff_list()
         assert got[:-1] == [m for m in messages for _ in noises], (q, t)
         if q % t == 0:
             assert got[-1] != 0, (q, t)
@@ -426,6 +430,20 @@ def test_json_roundtrips(small_params):
     assert bfv.decrypt(sk2, ct2, p_ct) == m
 
 
+@pytest.mark.parametrize("name", sorted(PARAM_SETS))
+def test_key_file_header_is_the_params_fields(name):
+    # the header is built from BfvParams' fields, so a renamed or added
+    # field would change the file format; this pins it
+    params = get_params(name)
+    sk, pk = bfv.keygen(params, make_rng(27))
+    for obj, load in (
+        (bfv.secret_key_to_json(sk, params), bfv.secret_key_from_json),
+        (bfv.public_key_to_json(pk, params), bfv.public_key_from_json),
+    ):
+        assert set(obj) == {"scheme", "d", "q", "t", "sigma", "payload"}
+        assert load(obj)[1] == params
+
+
 def test_json_validation_errors(small_params):
     rng = make_rng(26)
     sk, _ = bfv.keygen(small_params, rng)
@@ -462,7 +480,7 @@ def test_json_validation_errors(small_params):
     ],
 )
 def test_json_header_is_strict(small_params, field, value):
-    obj = bfv.secret_key_to_json(SecretKey(Polynomial.zero(64, 2**30)), small_params)
+    obj = bfv.secret_key_to_json(SecretKey(Polynomial.constant(0, 64, 2**30)), small_params)
     with pytest.raises(ValueError):
         bfv.secret_key_from_json({**obj, field: value})
 
@@ -470,7 +488,7 @@ def test_json_header_is_strict(small_params, field, value):
 @pytest.mark.parametrize("value", [1.9, "1", None, 2**70, 2**63, True, False])
 def test_json_payload_is_strict(small_params, value):
     # 1.9, "1" and True used to load as the key bit 1
-    obj = bfv.secret_key_to_json(SecretKey(Polynomial.zero(64, 2**30)), small_params)
+    obj = bfv.secret_key_to_json(SecretKey(Polynomial.constant(0, 64, 2**30)), small_params)
     vec = list(obj["payload"][0])
     vec[3] = value
     with pytest.raises(ValueError):
@@ -484,12 +502,16 @@ def test_json_payload_is_strict(small_params, value):
 
 def test_plaintext_helpers(small_params):
     d, t = small_params.d, small_params.t
-    p = bfv.plaintext([1, 2, 300], small_params)
+    p = bfv.plaintext([1, 2, t - 1, -(t // 2)], small_params)
     assert (p.d, p.modulus) == (d, t)
-    assert p.to_coeff_list()[:4] == [1, 2, 44, 0]
+    assert p.to_coeff_list()[:5] == [1, 2, -1, -(t // 2), 0]
+    # 300 used to be reduced mod t = 256 and encrypt 44 without a word
+    for value in (300, t, -(t // 2) - 1):
+        with pytest.raises(ValueError, match=rf"\[{-(t // 2)}, {t}\) for t = {t}"):
+            bfv.plaintext([1, value], small_params)
     assert Polynomial.constant(0, d, t).is_zero()
     assert Polynomial.constant(200, d, t).to_coeff_list()[:2] == [-56, 0]
-    assert bfv.plaintext([], small_params) == Polynomial.zero(d, t)
+    assert bfv.plaintext([], small_params) == Polynomial.constant(0, d, t)
     for bad in ([0] * (d + 1), [1, True], [1.0], "12"):
         with pytest.raises(ValueError):
             bfv.plaintext(bad, small_params)

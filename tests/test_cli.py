@@ -8,7 +8,7 @@ import pytest
 
 import bfvlab.bfv as bfv
 import bfvlab.psi as psi
-from bfvlab import BfvParams, RingParams, cli
+from bfvlab import BfvParams, cli
 
 from conftest import make_rng
 
@@ -77,6 +77,12 @@ def test_malformed_inputs_exit_with_error(tmp_path, capsys):
     boolean = tmp_path / "bool.json"
     boolean.write_text("[true, 1]")
     rc = run_cli(["encrypt", "--key", pk_path, "--in", boolean, "--out", tmp_path / "z"])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    # 300 is outside [-128, 256) at t = 256; it used to encrypt as 44
+    wide = tmp_path / "wide.json"
+    wide.write_text("[300]")
+    rc = run_cli(["encrypt", "--key", pk_path, "--in", wide, "--out", tmp_path / "w"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
     rc = run_cli(
@@ -234,7 +240,7 @@ def test_psi_malicious_probe_reports_key_bit(tmp_path, capsys):
     printed_equal = "NOT-EQUAL" not in capsys.readouterr().out
 
     # replay the session directly to learn the true key bit
-    params = BfvParams(ring=RingParams(d=64, q=2**30), t=256)
+    params = BfvParams(d=64, q=2**30, t=256)
     transcript = psi.run_session(params, 9, 0, make_rng(13), strategy=psi.MaliciousBitProbe(5))
     s_5 = transcript.alice.sk.s.to_coeff_list()[5]
     assert printed_equal == (s_5 == 0)

@@ -18,7 +18,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from hypothesis import strategies as st
 
 import bfvlab.bfv as bfv
-from bfvlab import BfvParams, Polynomial, RingParams, SecretKey
+from bfvlab import BfvParams, Polynomial, SecretKey
 from bfvlab.psi import (
     ProtocolError,
     Transcript,
@@ -43,7 +43,7 @@ from oracles import hex_oracle
 _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
-PARAMS = BfvParams(ring=RingParams(d=64, q=2**30), t=256)
+PARAMS = BfvParams(d=64, q=2**30, t=256)
 D, Q, T = PARAMS.d, PARAMS.q, PARAMS.t
 
 _rng = np.random.default_rng(4)

@@ -3,7 +3,7 @@ many-to-one collisions, and overflow handling."""
 
 import pytest
 
-from bfvlab import BfvParams, Polynomial, RingParams, integer_decode, integer_encode
+from bfvlab import BfvParams, Polynomial, integer_decode, integer_encode
 
 from conftest import make_rng
 from oracles import integer_encode_oracle
@@ -11,7 +11,7 @@ from oracles import integer_encode_oracle
 
 @pytest.fixture
 def params():
-    return BfvParams(ring=RingParams(d=64, q=2**30), t=256)
+    return BfvParams(d=64, q=2**30, t=256)
 
 
 def test_encode_frozen_examples(params):
@@ -26,7 +26,7 @@ def test_encode_frozen_examples(params):
 @pytest.mark.parametrize("d", [2, 4, 8, 64, 1024])
 @pytest.mark.parametrize("t", [3, 256])
 def test_encode_matches_bit_loop_oracle(d, t):
-    params = BfvParams(ring=RingParams(d=d, q=2**30), t=t)
+    params = BfvParams(d=d, q=2**30, t=t)
     rng = make_rng(d + t)
     top = 2**d - 1
     drawn = int.from_bytes(rng.bytes((d + 7) // 8), "little") & top
@@ -65,7 +65,7 @@ def test_decode_is_additive_without_coefficient_wrap(params):
 
 
 def test_encode_overflow():
-    tight = BfvParams(ring=RingParams(d=8, q=2**30), t=256)
+    tight = BfvParams(d=8, q=2**30, t=256)
     assert integer_decode(integer_encode(255, tight)) == 255
     assert integer_decode(integer_encode(-255, tight)) == -255
     with pytest.raises(OverflowError):
@@ -76,7 +76,7 @@ def test_encode_overflow():
 
 def test_encode_needs_room_for_a_bit_value():
     # centered residues mod 2 are {-1, 0}, so no nonzero value encodes
-    binary_t = BfvParams(ring=RingParams(d=8, q=2**30), t=2)
+    binary_t = BfvParams(d=8, q=2**30, t=2)
     with pytest.raises(ValueError):
         integer_encode(-1, binary_t)
     with pytest.raises(ValueError):

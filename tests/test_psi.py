@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bfvlab.bfv as bfv
-from bfvlab import BfvParams, Ciphertext, Polynomial, RingParams, get_params
+from bfvlab import BfvParams, Ciphertext, Polynomial, get_params
 from bfvlab.attacks import (
     FloodedOrMalformedError,
     bit_leak_attack,
@@ -105,7 +105,7 @@ def test_session_inputs_must_be_integers(small_params, value):
 def test_session_refuses_parameters_an_honest_reply_can_miss(seed):
     # |r| <= t//2 = 3 scales Alice's noise: 3*((2d+1)*tail + q mod t) = 3*(17*19 + 6)
     # = 987, and 2t*987 >= q; these sessions used to answer NOT-EQUAL for 1 == 1
-    params = BfvParams(ring=RingParams(d=8, q=97), t=7)
+    params = BfvParams(d=8, q=97, t=7)
     rng = make_rng(seed)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="honest reply noise = 987 misses the decrypt margin"):

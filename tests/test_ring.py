@@ -5,7 +5,6 @@ import pytest
 
 from bfvlab.ring import (
     Polynomial,
-    RingParams,
     monomial,
     gaussian_tail,
     reduce_centered,
@@ -98,7 +97,7 @@ def test_polynomial_rejects_bad_shapes():
     for bad in ([1.9, 0], ["1", "0"], [None, 0], [True, False], [2**63, 0], "10", None):
         with pytest.raises(ValueError):
             Polynomial(bad, 97)
-    # RingParams' bound: beyond it a scalar product divided by zero
+    # the int64 bound: beyond it a scalar product divided by zero
     # (2**62 + 1) or overflowed int64 (2**63) instead of refusing
     for modulus in (2**62, 2**62 + 1, 2**63):
         with pytest.raises(ValueError, match=r"2 <= modulus < 2\*\*62"):
@@ -111,18 +110,6 @@ def test_polynomial_is_immutable():
         p.modulus = 5
     with pytest.raises(ValueError):
         p.coeffs[0] = 9
-
-
-def test_ring_params_validation():
-    with pytest.raises(ValueError):
-        RingParams(d=3, q=97)
-    with pytest.raises(ValueError):
-        RingParams(d=0, q=97)
-    with pytest.raises(ValueError):
-        RingParams(d=8, q=1)
-    with pytest.raises(ValueError):
-        RingParams(d=8, q=2**62)
-    RingParams(d=8, q=2**62 - 1)
 
 
 # --- additive operations ------------------------------------------------------
@@ -237,8 +224,8 @@ def test_mul_binary_operand_matches_oracle_at_full_size():
 
 def test_mul_wraparound_identities():
     d, q = 8, 97
-    x = monomial(1, 1, RingParams(d=d, q=q))
-    top = monomial(d - 1, 1, RingParams(d=d, q=q))
+    x = monomial(1, 1, d, q)
+    top = monomial(d - 1, 1, d, q)
     assert (top * x).to_coeff_list() == [-1] + [0] * (d - 1)
     one_plus_x = Polynomial([1, 1] + [0] * (d - 2), q)
     one_minus_x = Polynomial([1, -1] + [0] * (d - 2), q)
@@ -256,7 +243,7 @@ def test_mul_algebraic_properties():
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
     one = Polynomial.constant(1, d, q)
-    zero = Polynomial.zero(d, q)
+    zero = Polynomial.constant(0, d, q)
     a = Polynomial(rng.integers(-half, half, d, dtype=np.int64), q)
     assert a * one == a
     assert (a * zero).is_zero()
@@ -332,52 +319,49 @@ def test_limb_plan_at_the_deployed_geometry():
 
 
 def test_monomial_constructor():
-    params = RingParams(d=8, q=97)
-    assert monomial(0, 1, params).to_coeff_list() == [1, 0, 0, 0, 0, 0, 0, 0]
-    assert monomial(3, -5, params).to_coeff_list() == [0, 0, 0, -5, 0, 0, 0, 0]
-    assert monomial(2, 97, params).is_zero()
+    d, q = 8, 97
+    assert monomial(0, 1, d, q).to_coeff_list() == [1, 0, 0, 0, 0, 0, 0, 0]
+    assert monomial(3, -5, d, q).to_coeff_list() == [0, 0, 0, -5, 0, 0, 0, 0]
+    assert monomial(2, 97, d, q).is_zero()
     with pytest.raises(ValueError):
-        monomial(8, 1, params)
+        monomial(8, 1, d, q)
     with pytest.raises(ValueError):
-        monomial(-1, 1, params)
+        monomial(-1, 1, d, q)
 
 
 # --- samplers -------------------------------------------------------------------
 
 
 def test_samplers_are_deterministic_per_seed():
-    params = RingParams(d=128, q=2**54)
+    d, q = 128, 2**54
     for sampler in (
-        lambda r: sample_uniform(params, r),
-        lambda r: sample_binary(params, r),
-        lambda r: sample_gaussian(params, 3.2, r),
+        lambda r: sample_uniform(d, q, r),
+        lambda r: sample_binary(d, q, r),
+        lambda r: sample_gaussian(d, q, 3.2, r),
     ):
         assert sampler(make_rng(77)) == sampler(make_rng(77))
         assert sampler(make_rng(77)) != sampler(make_rng(78))
 
 
 def test_sample_binary_range():
-    params = RingParams(d=512, q=2**54)
-    p = sample_binary(params, make_rng(41))
+    p = sample_binary(512, 2**54, make_rng(41))
     assert set(p.to_coeff_list()) <= {0, 1}
 
 
 def test_sample_uniform_is_centered_and_spread():
-    params = RingParams(d=4096, q=2**54)
-    p = sample_uniform(params, make_rng(42))
+    q = 2**54
+    p = sample_uniform(4096, q, make_rng(42))
     coeffs = np.array(p.to_coeff_list())
-    q = params.q
     assert coeffs.min() >= -(q // 2) and coeffs.max() < q // 2
     assert coeffs.min() < -q // 4 and coeffs.max() > q // 4
     assert abs(float(np.mean(coeffs / q))) < 0.02
 
 
 def test_sample_gaussian_tail_and_moments():
-    params = RingParams(d=4096, q=2**54)
     sigma = 3.2
     draws = []
     for seed in range(8):
-        draws.extend(sample_gaussian(params, sigma, make_rng(seed)).to_coeff_list())
+        draws.extend(sample_gaussian(4096, 2**54, sigma, make_rng(seed)).to_coeff_list())
     arr = np.array(draws, dtype=np.float64)
     assert np.abs(arr).max() <= gaussian_tail(sigma) == 19
     assert abs(arr.mean()) < 0.1
@@ -385,9 +369,8 @@ def test_sample_gaussian_tail_and_moments():
 
 
 def test_sample_gaussian_rejects_bad_sigma():
-    params = RingParams(d=8, q=97)
     with pytest.raises(ValueError):
-        sample_gaussian(params, 0.0, make_rng(1))
+        sample_gaussian(8, 97, 0.0, make_rng(1))
 
 
 # --- text forms ------------------------------------------------------------------
@@ -438,6 +421,6 @@ def test_misc_accessors():
     assert p.d == 4
     assert p.max_abs() == 7
     assert not p.is_zero()
-    assert Polynomial.zero(4, 97).is_zero()
+    assert Polynomial.constant(0, 4, 97).is_zero()
     assert Polynomial.constant(99, 4, 97).to_coeff_list() == [2, 0, 0, 0]
     assert "Polynomial" in repr(p)
