@@ -43,13 +43,6 @@ def test_delta():
 
 
 def test_params_validation():
-    for d in (3, 0):
-        with pytest.raises(ValueError, match="ring degree"):
-            BfvParams(d=d, q=97, t=4)
-    for q in (1, 2**62):
-        with pytest.raises(ValueError, match="coefficient modulus"):
-            BfvParams(d=8, q=q, t=4)
-    BfvParams(d=8, q=2**62 - 1, t=4)
     for t in (1, 97):
         with pytest.raises(ValueError, match="plaintext modulus"):
             BfvParams(d=8, q=97, t=t)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bfvlab import BfvParams
 from bfvlab.ring import (
     Polynomial,
     monomial,
@@ -110,6 +111,17 @@ def test_polynomial_is_immutable():
         p.modulus = 5
     with pytest.raises(ValueError):
         p.coeffs[0] = 9
+
+
+def test_ring_params_validation():
+    # the ring checks now live in BfvParams, the one parameter type
+    for d in (3, 0):
+        with pytest.raises(ValueError, match="ring degree"):
+            BfvParams(d=d, q=97, t=4)
+    for q in (1, 2**62):
+        with pytest.raises(ValueError, match="coefficient modulus"):
+            BfvParams(d=8, q=q, t=4)
+    BfvParams(d=8, q=2**62 - 1, t=4)
 
 
 # --- additive operations ------------------------------------------------------
