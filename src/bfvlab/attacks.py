@@ -20,6 +20,7 @@ through a counting oracle and returns an AttackReport.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
@@ -156,8 +157,17 @@ def bit_leak_attack(
 
 
 def random_multiplier(params: BfvParams, rng: np.random.Generator) -> int:
-    """Bob's blinding scalar r: uniform over the nonzero centered residues mod t."""
-    return reduce_centered(int(rng.integers(1, params.t)), params.t)
+    """Bob's blinding scalar r: uniform over the centered units mod t.
+
+    A nonzero r is not enough: when gcd(r, t) > 1, r*(m_b - m_a) is 0 mod t
+    for some m_b != m_a (an even r times t/2, at an even t), so unequal
+    inputs answer Equal and the recovered m_b is ambiguous.  Draws from
+    [1, t) repeat until one is a unit; at a prime t the first one is.
+    """
+    r = int(rng.integers(1, params.t))
+    while math.gcd(r, params.t) != 1:
+        r = int(rng.integers(1, params.t))
+    return reduce_centered(r, params.t)
 
 
 def reply_noise_bound(params: BfvParams, r_norm: int, flood_bound: Optional[int] = None) -> int:
@@ -344,10 +354,10 @@ def run_circuit_privacy_attack(
     """Play both sides of the scalar product r*(m_b - c_a) and try the recovery.
 
     Each trial draws a fresh key pair, fresh scalars m_a, m_b and a fresh
-    nonzero multiplier r.  Without flooding the recovery must return the
-    exact (r, m_b); with flooding it is expected to fail, and the report
-    counts blocked trials.  Decryption correctness of the (possibly
-    flooded) response is checked in every trial.
+    unit multiplier r (random_multiplier).  Without flooding the recovery
+    must return the exact (r, m_b); with flooding it is expected to fail,
+    and the report counts blocked trials.  Decryption correctness of the
+    (possibly flooded) response is checked in every trial.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

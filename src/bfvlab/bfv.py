@@ -190,9 +190,9 @@ def decrypt(sk: SecretKey, ct: Ciphertext, params: BfvParams) -> Polynomial:
 
 def round_raw(raw: Polynomial, params: BfvParams) -> Polynomial:
     """Scale a raw decryption [c0 + c1*s]_q by t/q, round half away from zero, reduce mod t."""
-    quo, rem = _mul_divmod(np.abs(raw.coeffs), params.t, params.q)
-    rounded = quo + (2 * rem >= params.q)
-    return Polynomial(np.where(raw.coeffs < 0, -rounded, rounded), params.t)
+    quo, rem = _mul_divmod(raw.coeffs, params.t, params.q)
+    # quo is the floor: a tie rounds up when raw >= 0 and down when raw < 0
+    return Polynomial(quo + (2 * rem >= params.q + (raw.coeffs < 0)), params.t)
 
 
 def add(ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:

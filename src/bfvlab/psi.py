@@ -2,8 +2,11 @@
 
 Alice holds m_a, Bob holds m_b.  Alice sends her public key and an
 encryption c_a of m_a; Bob replies with r * (m_b - c_a) for a random
-nonzero scalar r (attacks.bob_reply); Alice decrypts and learns Equal
-exactly when the result is zero.  The outcome stays with Alice.
+unit r mod t (attacks.random_multiplier, attacks.bob_reply); Alice
+decrypts and learns Equal exactly when the result is zero.  A unit, not
+just a nonzero scalar: an r sharing a factor with t zeroes some nonzero
+m_b - m_a, which would answer Equal for unequal inputs.  The outcome
+stays with Alice.
 
 Every hop is serialized: messages travel as length-prefixed JSON
 frames, and run_session returns a Transcript that records the whole

@@ -1,11 +1,12 @@
 """Exact arithmetic in Z_m[x] / (x^d + 1) with centered coefficients.
 
 Coefficients are int64 centered residues in [-m/2, m/2), for m < 2**62.
-Multiplication takes "valid" convolutions of [-a, a] limbs with b limbs, in
-float32 where every sum stays within 2**24 and in float64 within 2**53 (see
-_limb_plan); _mul_divmod recombines them mod m in int64, and decryption
-rounds with its quotient.  Every array reduction is one floor division
-(_divmod, _center).  Sampled values stay integer too; there is no NTT.
+A constant operand, zero included, multiplies through _mul_divmod.  Every
+other product runs one limb kernel: "valid" convolutions of [-a, a] limbs
+with b limbs, in float32 where every sum stays within 2**24 and in float64
+within 2**53 (see _limb_plan), which _mul_divmod recombines mod m in int64;
+decryption rounds with its quotient.  Every array reduction is one floor
+division (_divmod, _center).  Sampled values stay integer too; there is no NTT.
 """
 
 from __future__ import annotations
@@ -125,38 +126,21 @@ class Polynomial:
             return self._scalar_mul(int(other))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, np.integer)):
-            return self._scalar_mul(int(other))
-        return NotImplemented
+    __rmul__ = __mul__
 
     def _scalar_mul(self, scalar: int) -> "Polynomial":
         # sign and magnitude of the centered scalar keep the digit count low
         scalar = reduce_centered(scalar, self.modulus)
-        product = _mul_divmod(_divmod(self.coeffs, self.modulus)[1], abs(scalar), self.modulus)[1]
+        product = _mul_divmod(self.coeffs, abs(scalar), self.modulus)[1]
         return Polynomial(product if scalar >= 0 else -product, self.modulus)
 
     def _ring_mul(self, other: "Polynomial") -> "Polynomial":
+        """A constant operand (zero included) is a scalar; any other product runs the kernel."""
         for a, b in ((self, other), (other, self)):
-            if np.count_nonzero(b.coeffs) > 1:
-                continue
-            nz = np.flatnonzero(b.coeffs)
-            if nz.size == 0:
-                return Polynomial.constant(0, self.d, self.modulus)
-            return a._mul_monomial(int(nz[0]), int(b.coeffs[nz[0]]))
+            if not b.coeffs[1:].any():
+                return a._scalar_mul(int(b.coeffs[0]))
         product = _negacyclic_mul(self.coeffs, other.coeffs, self.modulus)
         return Polynomial(product, self.modulus)
-
-    def _mul_monomial(self, index: int, coeff: int) -> "Polynomial":
-        """Multiply by coeff * x^index using x^d = -1."""
-        scaled = self._scalar_mul(coeff)
-        if index == 0:
-            return scaled
-        d = self.d
-        rotated = np.empty(d, dtype=np.int64)
-        rotated[:index] = -scaled.coeffs[d - index:]
-        rotated[index:] = scaled.coeffs[: d - index]
-        return Polynomial(rotated, self.modulus)
 
     def max_abs(self) -> int:
         """Infinity norm of the centered coefficient vector."""
@@ -250,12 +234,13 @@ def _split_limbs(arr: np.ndarray, width: int, count: int) -> list[np.ndarray]:
 
 
 def _mul_divmod(x: np.ndarray, c: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
-    """(x * c // modulus, x * c % modulus) for int64 x in [0, modulus), c >= 0.
+    """(x * c // modulus, x * c % modulus) for int64 x with |x| < modulus, c >= 0.
 
-    Horner over base-2**k digits of c with k = 63 - bits(modulus - 1):
-    x * digit and rem * 2**k stay below 2**63, the sum of two residues
-    stays below 2 * modulus < 2**63, and the quotient never exceeds
-    x * c // modulus < c, so c must be below 2**63 as well.
+    The quotient is the floor, so the remainder lies in [0, modulus) for
+    either sign of x.  Horner over base-2**k digits of c with
+    k = 63 - bits(modulus - 1): |x * digit| and rem * 2**k stay below
+    2**63, the sum of two residues stays below 2 * modulus < 2**63, and
+    |quotient| <= c because |x| < modulus, so c must be below 2**63 as well.
     """
     k = 63 - (modulus - 1).bit_length()
     mask = (1 << k) - 1

@@ -1,6 +1,8 @@
 """The four attacks at unit level: exact recoveries, query counts,
 probe structure, error paths, and report plumbing."""
 
+import copy
+
 import pytest
 
 import bfvlab.bfv as bfv
@@ -26,12 +28,13 @@ from bfvlab.attacks import (
     cca_one_query,
     circuit_privacy_recover,
     evaluation_noise,
+    random_multiplier,
     run_bit_leak_attack,
     run_cca_attack,
     run_circuit_privacy_attack,
     run_encoder_leak_demo,
 )
-from bfvlab.ring import sample_gaussian, sample_uniform
+from bfvlab.ring import reduce_centered, sample_gaussian, sample_uniform
 
 from conftest import encrypt_draws, make_rng
 
@@ -215,6 +218,24 @@ def test_circuit_privacy_recovers_every_honest_trial_when_noise_wraps():
     report = run_circuit_privacy_attack(params, make_rng(26), trials=750)
     assert report.details["recoveries"] == 750
     assert report.details["blocked"] == 0
+
+
+def test_circuit_privacy_recovers_every_honest_trial_at_even_t(small_params):
+    # at t = 256 with t | q, an even r makes m_b and m_b + t/2 give the same
+    # reply, so only a unit r leaves one pair (r, m_b) to recover
+    report = run_circuit_privacy_attack(small_params, make_rng(29), trials=16)
+    assert report.details["recoveries"] == 16
+    assert report.success
+
+
+def test_random_multiplier_draws_once_at_prime_t(small_prime_t_params):
+    t = small_prime_t_params.t
+    for seed in range(20):
+        rng = make_rng(seed)
+        replay = copy.deepcopy(rng)
+        r = random_multiplier(small_prime_t_params, rng)
+        assert r == reduce_centered(int(replay.integers(1, t)), t)
+        assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_circuit_trial_multiplies_its_response_by_s_once(small_prime_t_params, monkeypatch):

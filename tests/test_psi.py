@@ -259,6 +259,14 @@ def test_bob_blinding_scalar_is_nonzero(small_prime_t_params):
         assert not bob.r.is_zero()
 
 
+@pytest.mark.parametrize("diff", [128, 64])
+def test_unequal_inputs_never_answer_equal_at_even_t(small_params, diff):
+    # at t = 256 an even r times 128 (or a multiple of 4 times 64) is 0 mod t,
+    # so r must be a unit mod t for unequal inputs to read Not-equal
+    for seed in range(16):
+        assert run_session(small_params, 0, diff, make_rng(seed)).outcome == "not-equal", seed
+
+
 # --- transcripts ---------------------------------------------------------------------
 
 

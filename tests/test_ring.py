@@ -261,12 +261,13 @@ def test_mul_algebraic_properties():
     assert (a * zero).is_zero()
 
 
-def test_monomial_multiply_fast_path_matches_oracle():
+def test_monomial_multiply_matches_oracle():
     rng = make_rng(34)
     d, q = 16, 2**54
     half = q // 2
     a = [int(x) for x in rng.integers(-half, half, d, dtype=np.int64)]
     pa = Polynomial(a, q)
+    # index 0 is a scalar product; every other index runs the limb kernel
     for index in (0, 1, 7, d - 1):
         for coeff in (1, -1, 5, half - 1, -(half - 1)):
             mono = [0] * d
@@ -288,11 +289,13 @@ def test_scalar_mul_matches_oracle(q):
         assert got == [center_mod(c * scalar, q) for c in a], scalar
         assert got == (scalar * pa).to_coeff_list()
     # the helper behind it also carries the exact quotient
+    # for signed x with |x| < q too: the floor quotient and a remainder in [0, q)
     residues = [c % q for c in a]
-    for c in (0, 1, 2, 255, half - 1, q - 1):
-        quo, rem = _mul_divmod(np.array(residues, dtype=np.int64), c, q)
-        got = [(int(x), int(y)) for x, y in zip(quo, rem)]
-        assert got == [divmod(x * c, q) for x in residues], c
+    for xs in (residues, a, [q - 1, -(q - 1)]):
+        for c in (0, 1, 2, 255, half - 1, q - 1):
+            quo, rem = _mul_divmod(np.array(xs, dtype=np.int64), c, q)
+            got = [(int(x), int(y)) for x, y in zip(quo, rem)]
+            assert got == [divmod(x * c, q) for x in xs], (xs, c)
 
 
 def limb_maxima(bits: int, width: int, count: int) -> list[int]:
