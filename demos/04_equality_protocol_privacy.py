@@ -24,9 +24,9 @@ print(f"m_a = 17, m_b = 29  ->  {transcript.outcome}")
 # for the comparison
 transcript = psi.run_session(params, 17, 29, rng.spawn(1)[0])
 alice, bob = transcript.alice, transcript.bob
-query_ct, _ = bfv.ciphertext_from_json(transcript.frames[1]["body"])
-response_ct, _ = bfv.ciphertext_from_json(transcript.frames[2]["body"])
-r, m_b = circuit_privacy_recover(alice.sk, query_ct, alice.m_a, response_ct, params)
+query_ct = bfv.ciphertext_from_json(transcript.frames[1]["body"])
+response_ct = bfv.ciphertext_from_json(transcript.frames[2]["body"])
+r, m_b = circuit_privacy_recover(alice.sk, query_ct, alice.m_a, response_ct)
 print(f"recovered blinding r = {r.to_coeff_list()[0]}"
       f" (truth {bob.r.to_coeff_list()[0]})")
 print(f"recovered Bob input = {m_b.to_coeff_list()[0]}"
@@ -39,10 +39,10 @@ transcript = psi.run_session(
 )
 alice = transcript.alice
 print(f"flooded session outcome: {transcript.outcome} (still correct)")
-query_ct, _ = bfv.ciphertext_from_json(transcript.frames[1]["body"])
-response_ct, _ = bfv.ciphertext_from_json(transcript.frames[2]["body"])
+query_ct = bfv.ciphertext_from_json(transcript.frames[1]["body"])
+response_ct = bfv.ciphertext_from_json(transcript.frames[2]["body"])
 try:
-    circuit_privacy_recover(alice.sk, query_ct, alice.m_a, response_ct, params)
+    circuit_privacy_recover(alice.sk, query_ct, alice.m_a, response_ct)
     print("recovery still worked (unexpected)")
 except FloodedOrMalformedError as exc:
     print(f"recovery failed: {exc}")

@@ -16,9 +16,9 @@ sk, pk = bfv.keygen(params, rng)
 for pair in ((1, 3), (2, 2)):
     ct_sum = None
     for value in pair:
-        ct = bfv.encrypt(pk, integer_encode(value, params), params, rng)
+        ct = bfv.encrypt(pk, integer_encode(value, params), rng)
         ct_sum = ct if ct_sum is None else bfv.add(ct_sum, ct)
-    decrypted = bfv.decrypt(sk, ct_sum, params)
+    decrypted = bfv.decrypt(sk, ct_sum)
     coeffs = decrypted.to_coeff_list()[:4]
     decoded = integer_decode(decrypted)
     print(f"{pair[0]} + {pair[1]}: decrypted polynomial {coeffs} ..., decodes to {decoded}")

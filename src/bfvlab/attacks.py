@@ -83,7 +83,9 @@ class DecryptionOracle:
 
     @classmethod
     def honest(cls, sk: SecretKey, params: BfvParams) -> "DecryptionOracle":
-        return cls(lambda ct: bfv.decrypt(sk, ct, params))
+        """Decrypt with sk; params other than sk's raise ValueError."""
+        bfv.same_params(sk, params)
+        return cls(lambda ct: bfv.decrypt(sk, ct))
 
 
 class ZeroCheckOracle(DecryptionOracle):
@@ -91,7 +93,8 @@ class ZeroCheckOracle(DecryptionOracle):
 
     @classmethod
     def honest(cls, sk: SecretKey, params: BfvParams) -> "ZeroCheckOracle":
-        return cls(lambda ct: bfv.decrypt(sk, ct, params).is_zero())
+        bfv.same_params(sk, params)
+        return cls(lambda ct: bfv.decrypt(sk, ct).is_zero())
 
 
 def cca_one_query(oracle: DecryptionOracle, params: BfvParams) -> SecretKey:
@@ -105,6 +108,7 @@ def cca_one_query(oracle: DecryptionOracle, params: BfvParams) -> SecretKey:
     probe = Ciphertext(
         Polynomial.constant(0, params.d, params.q),
         Polynomial.constant(params.delta, params.d, params.q),
+        params,
     )
     bits = oracle(probe).coeffs % params.t
     if (bits > 1).any():
@@ -112,7 +116,7 @@ def cca_one_query(oracle: DecryptionOracle, params: BfvParams) -> SecretKey:
             "oracle answer has coefficients outside {0, 1}; "
             "not an honest decryption of (0, delta)"
         )
-    return SecretKey(Polynomial(bits, params.q))
+    return SecretKey(Polynomial(bits, params.q), params)
 
 
 def bit_leak_offset(params: BfvParams) -> int:
@@ -137,23 +141,23 @@ def bit_leak_probe(pk: PublicKey, index: int, params: BfvParams) -> Ciphertext:
     s_index = 0: all have |v| <= M + tail, within the decrypt margin, so
     they decrypt to zero.  When s_index = 1 the target is
     2M - e_index >= delta/2 + tail + 1/2, so 2t*(2M - e_index) > q and it
-    rounds to 1.
+    rounds to 1.  params other than pk's raise ValueError.
     """
+    bfv.same_params(pk, params)
     m_val = bit_leak_offset(params)
     c0 = pk.pk0 + monomial(index, m_val, params.d, params.q)
     c1 = pk.pk1 + monomial(0, m_val, params.d, params.q)
-    return Ciphertext(c0, c1)
+    return Ciphertext(c0, c1, params)
 
 
-def bit_leak_attack(
-    oracle: ZeroCheckOracle, pk: PublicKey, params: BfvParams
-) -> SecretKey:
-    """Recover all d key bits with exactly d zero-check queries."""
+def bit_leak_attack(oracle: ZeroCheckOracle, pk: PublicKey, params: BfvParams) -> SecretKey:
+    """Recover all d key bits with exactly d zero-check queries; params
+    other than pk's raise ValueError at the first probe, before any query."""
     bits = []
     for index in range(params.d):
         decrypts_to_zero = oracle(bit_leak_probe(pk, index, params))
         bits.append(0 if decrypts_to_zero else 1)
-    return SecretKey(Polynomial(bits, params.q))
+    return SecretKey(Polynomial(bits, params.q), params)
 
 
 def random_multiplier(params: BfvParams, rng: np.random.Generator) -> int:
@@ -187,51 +191,45 @@ def bob_reply(
     m_b: Polynomial,
     r: Polynomial,
     pk: PublicKey,
-    params: BfvParams,
     rng: np.random.Generator,
     flood_bound: Optional[int] = None,
 ) -> Ciphertext:
     """Bob's equality-protocol reply r*(m_b - c_a), computed with plain
-    operations only, plus an encryption of zero with uniform noise on
-    [-flood_bound, flood_bound] when a bound is given.  Without the
-    flood the reply keeps Alice's encryption noise, scaled by r.
+    operations only, plus an encryption of zero under pk with uniform
+    noise on [-flood_bound, flood_bound] when a bound is given.  Without
+    the flood the reply keeps Alice's encryption noise, scaled by r.
 
-    A flooded reply must still decrypt: a bound whose reply_noise_bound
-    misses the decrypt margin raises ValueError before any randomness is
-    drawn.
+    A c_a and pk with different parameters raise ValueError.  A flooded
+    reply must still decrypt: a bound whose reply_noise_bound misses the
+    decrypt margin raises ValueError before any randomness is drawn.
     """
-    reply = bfv.mul_plain(bfv.sub_from_plain(m_b, c_a, params), r, params)
+    params = bfv.same_params(c_a, pk)
+    reply = bfv.mul_plain(bfv.sub_from_plain(m_b, c_a), r)
     if flood_bound is None:
         return reply
     worst = reply_noise_bound(params, int(np.abs(r.coeffs).sum()), flood_bound)
     bfv.check_decrypt_margin(worst, params, "flooded reply noise")
-    return bfv.add(reply, bfv.encrypt_zero_flood(pk, params, flood_bound, rng))
+    return bfv.add(reply, bfv.encrypt_zero_flood(pk, flood_bound, rng))
 
 
-def evaluation_noise(
-    sk: SecretKey, c_a: Ciphertext, m_a: Polynomial, params: BfvParams
-) -> Polynomial:
+def evaluation_noise(sk: SecretKey, c_a: Ciphertext, m_a: Polynomial) -> Polynomial:
     """The noise n = [c0 + c1*s - delta*m_a]_q of Alice's query c_a.
 
     Her key alone reads it; for a fresh encryption it equals
     e1 + e2*s - e*u, but she needs none of that randomness.
     """
-    return bfv.noise(sk, c_a, m_a, params)
+    return bfv.noise(sk, c_a, m_a)
 
 
 def circuit_privacy_recover(
-    sk: SecretKey,
-    c_a: Ciphertext,
-    m_a: Polynomial,
-    c_ab: Ciphertext,
-    params: BfvParams,
+    sk: SecretKey, c_a: Ciphertext, m_a: Polynomial, c_ab: Ciphertext
 ) -> tuple[Polynomial, Polynomial]:
     """Recover Bob's scalar multiplier r and scalar input m_b from c_ab.
 
     Assumes c_ab is an unflooded bob_reply, r * (m_b - c_a) computed
     with plain operations only, where c_a is Alice's encryption of the
     scalar m_a.  Then [c_ab0 + c_ab1*s]_q = [r*(delta*(m_b - m_a) - n)]_q
-    with n = evaluation_noise(sk, c_a, m_a, params), which Alice reads
+    with n = evaluation_noise(sk, c_a, m_a), which Alice reads
     with her key.  Nothing is rounded: r ranges over the nonzero centered
     residues mod t and must give -r*n on the first nonzero non-constant
     coefficient of n, then on the whole non-constant tail; m_b ranges
@@ -240,14 +238,16 @@ def circuit_privacy_recover(
     that wraps mod q is still read exactly.  Raises
     FloodedOrMalformedError unless exactly one pair (r, m_b) reproduces
     the response (noise flooding, or inputs the response cannot tell
-    apart), and InsufficientNoiseStructureError when n has no nonzero
-    non-constant coefficient.
+    apart), InsufficientNoiseStructureError when n has no nonzero
+    non-constant coefficient, and ValueError when the key and
+    ciphertexts have different parameters.
     """
     if m_a.coeffs[1:].any():
         raise ValueError("recovery assumes a scalar (constant) message m_a")
+    params = bfv.same_params(sk, c_a, c_ab)
     t, q, delta = params.t, params.q, params.delta
 
-    noise = evaluation_noise(sk, c_a, m_a, params)
+    noise = evaluation_noise(sk, c_a, m_a)
     raw = bfv.decrypt_raw(sk, c_ab).coeffs
     nonzero = np.flatnonzero(noise.coeffs[1:])
     if not nonzero.size:
@@ -374,9 +374,9 @@ def run_circuit_privacy_attack(
         r_value = random_multiplier(params, rng)
         m_a = Polynomial.constant(m_a_value, params.d, params.t)
         m_b = Polynomial.constant(m_b_value, params.d, params.t)
-        c_a = bfv.encrypt(pk, m_a, params, rng)
+        c_a = bfv.encrypt(pk, m_a, rng)
         r = Polynomial.constant(r_value, params.d, params.t)
-        response = bob_reply(c_a, m_b, r, pk, params, rng, flood_bound)
+        response = bob_reply(c_a, m_b, r, pk, rng, flood_bound)
 
         # The response must still decrypt to r*(m_b - m_a) regardless of flooding.
         expected = reduce_centered(r_value * (m_b_value - m_a_value), params.t)
@@ -385,9 +385,9 @@ def run_circuit_privacy_attack(
             correctness_failures += 1
 
         # (raw, 0) has the response's raw decryption, so recovery needs no second c1*s
-        trivial = Ciphertext(raw, Polynomial.constant(0, params.d, params.q))
+        trivial = Ciphertext(raw, Polynomial.constant(0, params.d, params.q), params)
         try:
-            r_rec, m_b_rec = circuit_privacy_recover(sk, c_a, m_a, trivial, params)
+            r_rec, m_b_rec = circuit_privacy_recover(sk, c_a, m_a, trivial)
         except AttackError:
             blocked += 1
             continue
@@ -426,9 +426,9 @@ def run_encoder_leak_demo(
         sk, pk = bfv.keygen(params, rng)
         ct_sum = None
         for value in pair:
-            ct = bfv.encrypt(pk, integer_encode(value, params), params, rng)
+            ct = bfv.encrypt(pk, integer_encode(value, params), rng)
             ct_sum = ct if ct_sum is None else bfv.add(ct_sum, ct)
-        decrypted = bfv.decrypt(sk, ct_sum, params)
+        decrypted = bfv.decrypt(sk, ct_sum)
         records.append(
             {
                 "inputs": list(pair),

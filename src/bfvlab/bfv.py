@@ -33,6 +33,7 @@ __all__ = [
     "SecretKey",
     "PublicKey",
     "Ciphertext",
+    "same_params",
     "plaintext",
     "keygen",
     "encrypt",
@@ -98,9 +99,10 @@ def get_params(name: str) -> BfvParams:
 
 @dataclass(frozen=True)
 class SecretKey:
-    """Binary secret polynomial s, stored mod q."""
+    """Binary secret polynomial s, stored mod q, and its parameters."""
 
     s: Polynomial
+    params: BfvParams
 
     def __post_init__(self) -> None:
         if ((self.s.coeffs != 0) & (self.s.coeffs != 1)).any():
@@ -109,18 +111,30 @@ class SecretKey:
 
 @dataclass(frozen=True)
 class PublicKey:
-    """Pair (pk0, pk1) = (-(a*s + e), a) mod q."""
+    """Pair (pk0, pk1) = (-(a*s + e), a) mod q, and its parameters."""
 
     pk0: Polynomial
     pk1: Polynomial
+    params: BfvParams
 
 
 @dataclass(frozen=True)
 class Ciphertext:
-    """Pair (c0, c1) of mod-q polynomials; decrypts via c0 + c1*s."""
+    """Pair (c0, c1) of mod-q polynomials, and its parameters; decrypts via c0 + c1*s."""
 
     c0: Polynomial
     c1: Polynomial
+    params: BfvParams
+
+
+def same_params(*objs) -> BfvParams:
+    """The parameters every key, ciphertext or BfvParams in objs shares: the one
+    check that operands belong together, raising ValueError that names both sets."""
+    first, *rest = (obj if isinstance(obj, BfvParams) else obj.params for obj in objs)
+    for other in rest:
+        if other != first:
+            raise ValueError(f"operands were made with different parameters: {first} and {other}")
+    return first
 
 
 def keygen(
@@ -136,7 +150,7 @@ def keygen(
     a = sample_uniform(params.d, params.q, rng)
     e = sample_gaussian(params.d, params.q, params.sigma, rng)
     pk0 = -(a * s + e)
-    return SecretKey(s), PublicKey(pk0, a)
+    return SecretKey(s, params), PublicKey(pk0, a, params)
 
 
 def plaintext(values: list, params: BfvParams) -> Polynomial:
@@ -161,31 +175,32 @@ def _lift(m: Polynomial, params: BfvParams) -> Polynomial:
     return m.with_modulus(params.q)
 
 
-def encrypt(
-    pk: PublicKey, m: Polynomial, params: BfvParams, rng: np.random.Generator
-) -> Ciphertext:
-    """Encrypt the message m (mod t) under pk.
+def encrypt(pk: PublicKey, m: Polynomial, rng: np.random.Generator) -> Ciphertext:
+    """Encrypt the message m (mod t) under pk, with pk's parameters.
 
     Draw order is u, e1, e2.  The ciphertext is
         c0 = pk0*u + e1 + delta*m,  c1 = pk1*u + e2  (mod q)
     with delta = floor(q/t), so its noise is e1 + e2*s - e*u.
     """
+    params = pk.params
     u = sample_binary(params.d, params.q, rng)
     e1 = sample_gaussian(params.d, params.q, params.sigma, rng)
     e2 = sample_gaussian(params.d, params.q, params.sigma, rng)
     c0 = pk.pk0 * u + e1 + _lift(m, params) * params.delta
     c1 = pk.pk1 * u + e2
-    return Ciphertext(c0, c1)
+    return Ciphertext(c0, c1, params)
 
 
 def decrypt_raw(sk: SecretKey, ct: Ciphertext) -> Polynomial:
-    """The pre-rounding value [c0 + c1*s]_q, i.e. delta*m + noise."""
+    """The pre-rounding value [c0 + c1*s]_q, i.e. delta*m + noise; a key and
+    ciphertext with different parameters raise ValueError."""
+    same_params(sk, ct)
     return ct.c0 + ct.c1 * sk.s
 
 
-def decrypt(sk: SecretKey, ct: Ciphertext, params: BfvParams) -> Polynomial:
+def decrypt(sk: SecretKey, ct: Ciphertext) -> Polynomial:
     """Decrypt to the message mod t: round_raw of decrypt_raw."""
-    return round_raw(decrypt_raw(sk, ct), params)
+    return round_raw(decrypt_raw(sk, ct), ct.params)
 
 
 def round_raw(raw: Polynomial, params: BfvParams) -> Polynomial:
@@ -197,18 +212,20 @@ def round_raw(raw: Polynomial, params: BfvParams) -> Polynomial:
 
 def add(ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
     """Homomorphic addition: componentwise sum mod q."""
-    return Ciphertext(ct1.c0 + ct2.c0, ct1.c1 + ct2.c1)
+    params = same_params(ct1, ct2)
+    return Ciphertext(ct1.c0 + ct2.c0, ct1.c1 + ct2.c1, params)
 
 
-def sub_from_plain(m: Polynomial, ct: Ciphertext, params: BfvParams) -> Ciphertext:
+def sub_from_plain(m: Polynomial, ct: Ciphertext) -> Ciphertext:
     """Encrypt the message m minus the message of ct: (delta*m - c0, -c1)."""
-    return Ciphertext(_lift(m, params) * params.delta - ct.c0, -ct.c1)
+    params = ct.params
+    return Ciphertext(_lift(m, params) * params.delta - ct.c0, -ct.c1, params)
 
 
-def mul_plain(ct: Ciphertext, r: Polynomial, params: BfvParams) -> Ciphertext:
+def mul_plain(ct: Ciphertext, r: Polynomial) -> Ciphertext:
     """Multiply the encrypted message by the message r: (r*c0, r*c1)."""
-    r_q = _lift(r, params)
-    return Ciphertext(r_q * ct.c0, r_q * ct.c1)
+    r_q = _lift(r, ct.params)
+    return Ciphertext(r_q * ct.c0, r_q * ct.c1, ct.params)
 
 
 def check_decrypt_margin(
@@ -229,9 +246,7 @@ def check_decrypt_margin(
         )
 
 
-def encrypt_zero_flood(
-    pk: PublicKey, params: BfvParams, flood_bound: int, rng: np.random.Generator
-) -> Ciphertext:
+def encrypt_zero_flood(pk: PublicKey, flood_bound: int, rng: np.random.Generator) -> Ciphertext:
     """Encryption of zero whose c0-noise is uniform on [-flood_bound, flood_bound].
 
     Adding this to a ciphertext drowns the structured evaluation noise
@@ -241,6 +256,7 @@ def encrypt_zero_flood(
     """
     if flood_bound < 0:
         raise ValueError("flood_bound must be non-negative")
+    params = pk.params
     tail = gaussian_tail(params.sigma)
     check_decrypt_margin(flood_bound + 2 * params.d * tail, params, "flood_bound + 2d*tail")
     u = sample_binary(params.d, params.q, rng)
@@ -248,19 +264,18 @@ def encrypt_zero_flood(
     e2 = sample_gaussian(params.d, params.q, params.sigma, rng)
     c0 = pk.pk0 * u + Polynomial(flood, params.q)
     c1 = pk.pk1 * u + e2
-    return Ciphertext(c0, c1)
+    return Ciphertext(c0, c1, params)
 
 
-def noise(
-    sk: SecretKey, ct: Ciphertext, expected_m: Polynomial, params: BfvParams
-) -> Polynomial:
+def noise(sk: SecretKey, ct: Ciphertext, expected_m: Polynomial) -> Polynomial:
     """The noise [c0 + c1*s - delta*expected_m]_q of ct as an encryption of expected_m."""
-    return decrypt_raw(sk, ct) - _lift(expected_m, params) * params.delta
+    return decrypt_raw(sk, ct) - _lift(expected_m, ct.params) * ct.params.delta
 
 
 # ---------------------------------------------------------------------------
-# JSON forms.  Every object embeds the parameters it was made with, so a
-# file is self-describing:
+# JSON forms.  Every object writes the parameters it carries into the
+# header, so a file is self-describing and a loader returns the object
+# alone, its params read back from the header:
 #   {"scheme": "bfv-toy", "d": ..., "q": ..., "t": ..., "sigma": ...,
 #    "payload": [[coeffs], ...]}
 
@@ -299,48 +314,40 @@ def _coeff_array(values) -> np.ndarray:
         raise ValueError("coefficients must fit in int64") from None
 
 
-def _to_json(obj, params: BfvParams) -> dict:
-    """Header plus one coefficient list per field of a key or ciphertext."""
-    payload = [getattr(obj, f.name).to_coeff_list() for f in fields(obj)]
-    return {**_header(params), "payload": payload}
+def _to_json(obj) -> dict:
+    """Header plus one coefficient list per polynomial field of a key or ciphertext."""
+    payload = [getattr(obj, f.name).to_coeff_list() for f in fields(obj)[:-1]]
+    return {**_header(obj.params), "payload": payload}
 
 
 def _from_json(cls, obj: dict):
-    """Inverse of _to_json for the dataclass `cls`, whose fields are mod q."""
+    """Inverse of _to_json for the dataclass `cls`: polynomials mod q, then params."""
     params = _params_from_header(obj)
     allowed = {*_header(params), "payload"}
     unknown = [key for key in obj if key not in allowed]
     if unknown:
         raise ValueError(f"unknown field {unknown[0]!r} in serialized object")
-    count = len(fields(cls))
+    count = len(fields(cls)) - 1
     payload = obj.get("payload")
     if not isinstance(payload, list) or len(payload) != count:
         raise ValueError(f"payload must hold exactly {count} coefficient vectors")
     vectors = [_coeff_array(values) for values in payload]
     if any(v.size != params.d for v in vectors):
         raise ValueError("payload vectors must match the ring degree")
-    return cls(*(Polynomial(v, params.q) for v in vectors)), params
+    return cls(*(Polynomial(v, params.q) for v in vectors), params)
 
 
-def secret_key_to_json(sk: SecretKey, params: BfvParams) -> dict:
-    return _to_json(sk, params)
+# every object carries its params, so one serializer writes all three
+secret_key_to_json = public_key_to_json = ciphertext_to_json = _to_json
 
 
-def secret_key_from_json(obj: dict) -> tuple[SecretKey, BfvParams]:
+def secret_key_from_json(obj: dict) -> SecretKey:
     return _from_json(SecretKey, obj)
 
 
-def public_key_to_json(pk: PublicKey, params: BfvParams) -> dict:
-    return _to_json(pk, params)
-
-
-def public_key_from_json(obj: dict) -> tuple[PublicKey, BfvParams]:
+def public_key_from_json(obj: dict) -> PublicKey:
     return _from_json(PublicKey, obj)
 
 
-def ciphertext_to_json(ct: Ciphertext, params: BfvParams) -> dict:
-    return _to_json(ct, params)
-
-
-def ciphertext_from_json(obj: dict) -> tuple[Ciphertext, BfvParams]:
+def ciphertext_from_json(obj: dict) -> Ciphertext:
     return _from_json(Ciphertext, obj)

@@ -79,29 +79,27 @@ def _cmd_keygen(args) -> int:
     prefix = Path(args.out or "key")
     sk_path = prefix.with_name(prefix.name + ".sk.json")
     pk_path = prefix.with_name(prefix.name + ".pk.json")
-    _write_json(sk_path, bfv.secret_key_to_json(sk, params))
-    _write_json(pk_path, bfv.public_key_to_json(pk, params))
+    _write_json(sk_path, bfv.secret_key_to_json(sk))
+    _write_json(pk_path, bfv.public_key_to_json(pk))
     print(f"wrote {sk_path} and {pk_path}")
     return EXIT_OK
 
 
 def _cmd_encrypt(args) -> int:
-    pk, params = bfv.public_key_from_json(_read_json(Path(args.key)))
-    m = bfv.plaintext(_read_json(Path(args.infile)), params)
+    pk = bfv.public_key_from_json(_read_json(Path(args.key)))
+    m = bfv.plaintext(_read_json(Path(args.infile)), pk.params)
     rng = np.random.default_rng(args.seed)
-    ct = bfv.encrypt(pk, m, params, rng)
+    ct = bfv.encrypt(pk, m, rng)
     out = Path(args.out)
-    _write_json(out, bfv.ciphertext_to_json(ct, params))
+    _write_json(out, bfv.ciphertext_to_json(ct))
     print(f"wrote {out}")
     return EXIT_OK
 
 
 def _cmd_decrypt(args) -> int:
-    sk, params = bfv.secret_key_from_json(_read_json(Path(args.key)))
-    ct, ct_params = bfv.ciphertext_from_json(_read_json(Path(args.infile)))
-    if ct_params != params:
-        raise ValueError("ciphertext and key were made with different parameters")
-    m = bfv.decrypt(sk, ct, params)
+    sk = bfv.secret_key_from_json(_read_json(Path(args.key)))
+    ct = bfv.ciphertext_from_json(_read_json(Path(args.infile)))
+    m = bfv.decrypt(sk, ct)
     out = Path(args.out)
     _write_json(out, m.to_coeff_list())
     print(f"wrote {out}")

@@ -142,7 +142,6 @@ class AliceState:
     """Alice's side: key pair, input, outcome, and a phase tag enforcing
     message order."""
 
-    params: BfvParams
     sk: SecretKey
     pk: PublicKey
     m_a: Polynomial
@@ -156,7 +155,6 @@ class AliceState:
 class BobState:
     """Bob's side: the peer's public key, his input, and the reply strategy."""
 
-    params: BfvParams
     pk: PublicKey
     m_b: Polynomial
     r: Polynomial
@@ -167,27 +165,29 @@ class BobState:
 
 
 def _as_message(value, params: BfvParams) -> Polynomial:
+    """An integer input in [-(t // 2), t) as a constant message, via bfv.plaintext."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"input must be an integer, not {value!r}")
-    return Polynomial.constant(int(value), params.d, params.t)
+    return bfv.plaintext([int(value)], params)
 
 
-def _read_message(msg: WireMessage, kind: str, session_id, params):
+def _read_message(msg: WireMessage, kind: str, session_id, peer):
     """The one reader of pubkey, query and response messages: check the kind and
-    session, load the body, compare its parameters (each check skipped for None);
-    return the loaded object and its parameters, or raise ProtocolError."""
+    session, load the body, and check it against peer (a key, ciphertext or
+    BfvParams) with bfv.same_params (each check skipped for None); return the
+    loaded object, or raise ProtocolError."""
     if msg.kind != kind:
         raise ProtocolError(f"expected a {kind} message, got {msg.kind!r}")
     if session_id is not None and msg.session_id != session_id:
         raise ProtocolError(f"{kind} message belongs to a different session")
     load = bfv.public_key_from_json if kind == "pubkey" else bfv.ciphertext_from_json
     try:
-        obj, got_params = load(msg.body)
+        obj = load(msg.body)
+        if peer is not None:
+            bfv.same_params(obj, peer)
     except ValueError as exc:
         raise ProtocolError(f"invalid {kind} payload: {exc}") from exc
-    if params is not None and got_params != params:
-        raise ProtocolError(f"{kind} payload was made with different parameters")
-    return obj, got_params
+    return obj
 
 
 def alice_init(
@@ -197,20 +197,21 @@ def alice_init(
     keys: Optional[tuple[SecretKey, PublicKey]] = None,
 ) -> tuple[AliceState, WireMessage]:
     """Start a session: generate (or reuse) keys and emit the pubkey message;
-    raise ValueError, before any draw, if an honest reply can miss the margin."""
+    raise ValueError, before any draw, if an honest reply can miss the margin
+    or the given keys were made with other parameters."""
     reply_noise = attacks.reply_noise_bound(params, params.t // 2)
     bfv.check_decrypt_margin(reply_noise, params, "honest reply noise")
     sk, pk = keys if keys is not None else bfv.keygen(params, rng)
+    bfv.same_params(params, sk, pk)
     session_id = rng.bytes(16).hex()
     state = AliceState(
-        params=params,
         sk=sk,
         pk=pk,
         m_a=_as_message(m_a, params),
         session_id=session_id,
         rng=rng,
     )
-    msg = WireMessage(session_id, "pubkey", bfv.public_key_to_json(pk, params))
+    msg = WireMessage(session_id, "pubkey", bfv.public_key_to_json(pk))
     return state, msg
 
 
@@ -218,11 +219,9 @@ def alice_query(state: AliceState) -> WireMessage:
     """Encrypt m_a and emit the query message."""
     if state.phase != "init":
         raise ProtocolError(f"alice cannot send a query in phase {state.phase!r}")
-    ct = bfv.encrypt(state.pk, state.m_a, state.params, state.rng)
+    ct = bfv.encrypt(state.pk, state.m_a, state.rng)
     state.phase = "sent"
-    return WireMessage(
-        state.session_id, "query", bfv.ciphertext_to_json(ct, state.params)
-    )
+    return WireMessage(state.session_id, "query", bfv.ciphertext_to_json(ct))
 
 
 def bob_init(
@@ -232,10 +231,9 @@ def bob_init(
     rng: np.random.Generator,
     strategy: Strategy = Honest(),
 ) -> BobState:
-    """Accept Alice's pubkey message and fix the blinding scalar r."""
-    pk, _ = _read_message(pubkey_msg, "pubkey", None, params)
+    """Accept Alice's pubkey message, made with params, and fix the blinding scalar r."""
+    pk = _read_message(pubkey_msg, "pubkey", None, params)
     return BobState(
-        params=params,
         pk=pk,
         m_b=_as_message(m_b, params),
         r=Polynomial.constant(attacks.random_multiplier(params, rng), params.d, params.t),
@@ -249,28 +247,24 @@ def bob_respond(state: BobState, query: WireMessage) -> WireMessage:
     """Consume the query and emit the response chosen by the strategy."""
     if state.phase != "ready":
         raise ProtocolError(f"bob cannot respond in phase {state.phase!r}")
-    c_a, _ = _read_message(query, "query", state.session_id, state.params)
+    c_a = _read_message(query, "query", state.session_id, state.pk)
 
     strategy = state.strategy
     if isinstance(strategy, MaliciousBitProbe):
-        response = attacks.bit_leak_probe(state.pk, strategy.index, state.params)
+        response = attacks.bit_leak_probe(state.pk, strategy.index, state.pk.params)
     else:
         bound = strategy.bound if isinstance(strategy, Flooding) else None
-        response = attacks.bob_reply(
-            c_a, state.m_b, state.r, state.pk, state.params, state.rng, bound
-        )
+        response = attacks.bob_reply(c_a, state.m_b, state.r, state.pk, state.rng, bound)
     state.phase = "done"
-    return WireMessage(
-        state.session_id, "response", bfv.ciphertext_to_json(response, state.params)
-    )
+    return WireMessage(state.session_id, "response", bfv.ciphertext_to_json(response))
 
 
 def alice_finish(state: AliceState, response: WireMessage) -> Outcome:
     """Decrypt the response: zero means the inputs were equal."""
     if state.phase != "sent":
         raise ProtocolError(f"alice cannot finish in phase {state.phase!r}")
-    ct, _ = _read_message(response, "response", state.session_id, state.params)
-    decrypted = bfv.decrypt(state.sk, ct, state.params)
+    ct = _read_message(response, "response", state.session_id, state.sk)
+    decrypted = bfv.decrypt(state.sk, ct)
     state.outcome = Outcome.EQUAL if decrypted.is_zero() else Outcome.NOT_EQUAL
     state.phase = "done"
     return state.outcome
@@ -365,9 +359,9 @@ def verify_transcript(transcript: Transcript) -> Outcome:
     kinds = [msg.kind for msg in messages]
     if kinds != list(_KINDS):
         raise ProtocolError(f"unexpected frame order {kinds}")
-    params = None
+    peer = None
     for msg in messages[:-1]:
-        _, params = _read_message(msg, msg.kind, transcript.session_id, params)
+        peer = _read_message(msg, msg.kind, transcript.session_id, peer)
     result = messages[-1]
     if result.session_id != transcript.session_id:
         raise ProtocolError("result message belongs to a different session")
@@ -379,7 +373,6 @@ def verify_transcript(transcript: Transcript) -> Outcome:
 
 
 def session_zero_check_oracle(
-    params: BfvParams,
     m_a,
     alice_keys: tuple[SecretKey, PublicKey],
     rng: np.random.Generator,
@@ -398,7 +391,7 @@ def session_zero_check_oracle(
 
     def infer_index(ct: Ciphertext) -> int:
         nonzero = np.flatnonzero((ct.c0 - pk.pk0).coeffs)
-        if nonzero.size != 1 or ct != attacks.bit_leak_probe(pk, int(nonzero[0]), params):
+        if nonzero.size != 1 or ct != attacks.bit_leak_probe(pk, int(nonzero[0]), pk.params):
             raise ProtocolError("query is not a key-bit probe for this public key")
         return int(nonzero[0])
 
@@ -406,7 +399,7 @@ def session_zero_check_oracle(
         index = infer_index(ct)
         (child,) = rng.spawn(1)
         transcript = run_session(
-            params,
+            pk.params,
             m_a,
             0,
             child,

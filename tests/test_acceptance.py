@@ -105,10 +105,10 @@ def test_circuit_privacy_recovery_and_flooding_defense(capsys):
         expected = "equal" if reduce_centered(m_a - m_b, t) == 0 else "not-equal"
         if transcript.outcome == expected:
             honest_outcomes += 1
-        c_a, _ = bfv.ciphertext_from_json(transcript.frames[1]["body"])
-        c_ab, _ = bfv.ciphertext_from_json(transcript.frames[2]["body"])
+        c_a = bfv.ciphertext_from_json(transcript.frames[1]["body"])
+        c_ab = bfv.ciphertext_from_json(transcript.frames[2]["body"])
         try:
-            r_rec, m_b_rec = circuit_privacy_recover(alice.sk, c_a, alice.m_a, c_ab, params)
+            r_rec, m_b_rec = circuit_privacy_recover(alice.sk, c_a, alice.m_a, c_ab)
         except AttackError:
             continue
         if (
@@ -129,10 +129,10 @@ def test_circuit_privacy_recovery_and_flooding_defense(capsys):
         expected = "equal" if reduce_centered(m_a - m_b, t) == 0 else "not-equal"
         if transcript.outcome == expected:
             flood_outcomes += 1
-        c_a, _ = bfv.ciphertext_from_json(transcript.frames[1]["body"])
-        c_ab, _ = bfv.ciphertext_from_json(transcript.frames[2]["body"])
+        c_a = bfv.ciphertext_from_json(transcript.frames[1]["body"])
+        c_ab = bfv.ciphertext_from_json(transcript.frames[2]["body"])
         try:
-            r_rec, m_b_rec = circuit_privacy_recover(alice.sk, c_a, alice.m_a, c_ab, params)
+            r_rec, m_b_rec = circuit_privacy_recover(alice.sk, c_a, alice.m_a, c_ab)
         except AttackError:
             continue
         if (
@@ -190,12 +190,12 @@ def test_scheme_roundtrip_and_additive_homomorphism(capsys):
             b = bfv.plaintext(
                 [int(c) for c in rng.integers(0, params.t, size=params.d)], params
             )
-            ct_a = bfv.encrypt(pk, a, params, rng)
-            ct_b = bfv.encrypt(pk, b, params, rng)
+            ct_a = bfv.encrypt(pk, a, rng)
+            ct_b = bfv.encrypt(pk, b, rng)
             if (
-                bfv.decrypt(sk, ct_a, params) == a
-                and bfv.decrypt(sk, ct_b, params) == b
-                and bfv.decrypt(sk, bfv.add(ct_a, ct_b), params) == a + b
+                bfv.decrypt(sk, ct_a) == a
+                and bfv.decrypt(sk, ct_b) == b
+                and bfv.decrypt(sk, bfv.add(ct_a, ct_b)) == a + b
             ):
                 good += 1
         totals.append((name, good))
@@ -235,7 +235,7 @@ def test_probe_rounding_margins(capsys):
         s = sk.s.to_coeff_list()
         # raw decryption of every probe differs from this base only at
         # the probed coefficient, where m_val is added
-        base_ct = Ciphertext(pk.pk0, pk.pk1 + monomial(0, m_val, params.d, params.q))
+        base_ct = Ciphertext(pk.pk0, pk.pk1 + monomial(0, m_val, params.d, params.q), params)
         base = bfv.decrypt_raw(sk, base_ct).to_coeff_list()
 
         for index in rng.choice(d, size=16, replace=False):
@@ -244,7 +244,7 @@ def test_probe_rounding_margins(capsys):
             expected = list(base)
             expected[index] = reduce_centered(base[index] + m_val, q)
             sampled_ok = sampled_ok and raw == expected
-            decrypted = bfv.decrypt(sk, ct, params).to_coeff_list()
+            decrypted = bfv.decrypt(sk, ct).to_coeff_list()
             target_only = all(
                 c == (s[index] if j == index else 0) for j, c in enumerate(decrypted)
             )

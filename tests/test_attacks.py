@@ -89,10 +89,10 @@ def test_probe_against_all_zero_key():
     # force s = 0: pk = (-e, a) decrypts like a key pair with zero key
     a = sample_uniform(params.d, params.q, rng)
     e = sample_gaussian(params.d, params.q, params.sigma, rng)
-    sk = SecretKey(Polynomial.constant(0, params.d, params.q))
-    pk = PublicKey(-e, a)
+    sk = SecretKey(Polynomial.constant(0, params.d, params.q), params)
+    pk = PublicKey(-e, a, params)
     for index in range(params.d):
-        assert bfv.decrypt(sk, bit_leak_probe(pk, index, params), params).is_zero()
+        assert bfv.decrypt(sk, bit_leak_probe(pk, index, params)).is_zero()
 
 
 def test_probe_rounding_margins_sampled():
@@ -105,7 +105,7 @@ def test_probe_rounding_margins_sampled():
     for index in map(int, rng.integers(0, params.d, 50)):
         raw = bfv.decrypt_raw(sk, bit_leak_probe(pk, index, params))
         coeffs = raw.to_coeff_list()
-        decrypted = bfv.decrypt(sk, bit_leak_probe(pk, index, params), params)
+        decrypted = bfv.decrypt(sk, bit_leak_probe(pk, index, params))
         dec = decrypted.to_coeff_list()
         for j, c in enumerate(coeffs):
             if j == index:
@@ -169,11 +169,10 @@ def test_bit_leak_at_full_size_spot_indices():
 def _honest_exchange(params, rng, m_a_value, m_b_value, r_value):
     sk, pk = bfv.keygen(params, rng)
     m_a = Polynomial.constant(m_a_value, params.d, params.t)
-    c_a = bfv.encrypt(pk, m_a, params, rng)
+    c_a = bfv.encrypt(pk, m_a, rng)
     response = bfv.mul_plain(
-        bfv.sub_from_plain(Polynomial.constant(m_b_value, params.d, params.t), c_a, params),
+        bfv.sub_from_plain(Polynomial.constant(m_b_value, params.d, params.t), c_a),
         Polynomial.constant(r_value, params.d, params.t),
-        params,
     )
     return sk, c_a, m_a, response
 
@@ -187,7 +186,7 @@ def test_circuit_privacy_recovery_exact():
         r = int(rng.integers(1, 83))
         r = r - 83 if r > 41 else r
         sk, c_a, m_a_pt, response = _honest_exchange(params, rng, m_a, m_b, r)
-        r_rec, m_b_rec = circuit_privacy_recover(sk, c_a, m_a_pt, response, params)
+        r_rec, m_b_rec = circuit_privacy_recover(sk, c_a, m_a_pt, response)
         assert r_rec.to_coeff_list()[0] == r
         assert m_b_rec.to_coeff_list()[0] == m_b
 
@@ -197,7 +196,7 @@ def test_circuit_privacy_recovery_edge_multipliers():
     rng = make_rng(11)
     for r in (1, -1, 41, -41):
         sk, c_a, m_a_pt, response = _honest_exchange(params, rng, 7, -29, r)
-        r_rec, m_b_rec = circuit_privacy_recover(sk, c_a, m_a_pt, response, params)
+        r_rec, m_b_rec = circuit_privacy_recover(sk, c_a, m_a_pt, response)
         assert r_rec.to_coeff_list()[0] == r
         assert m_b_rec.to_coeff_list()[0] == -29
 
@@ -206,7 +205,7 @@ def test_circuit_privacy_recovery_equal_inputs():
     params = get_params("psi-83")
     rng = make_rng(12)
     sk, c_a, m_a_pt, response = _honest_exchange(params, rng, 13, 13, 5)
-    r_rec, m_b_rec = circuit_privacy_recover(sk, c_a, m_a_pt, response, params)
+    r_rec, m_b_rec = circuit_privacy_recover(sk, c_a, m_a_pt, response)
     assert r_rec.to_coeff_list()[0] == 5
     assert m_b_rec.to_coeff_list()[0] == 13
 
@@ -262,17 +261,17 @@ def test_bob_reply_refuses_flood_its_reply_cannot_carry(small_prime_t_params):
     rng = make_rng(27)
     sk, pk = bfv.keygen(params, rng)
     m_a, m_b, r = (Polynomial.constant(v, params.d, params.t) for v in (-41, 41, 41))
-    c_a = bfv.encrypt(pk, m_a, params, rng)
+    c_a = bfv.encrypt(pk, m_a, rng)
     # worst case |r|*((2d+1)*tail + (q mod t)) + F + 2d*tail within the margin
     margin = (q - t * (q % t) - 1) // (2 * t)
     largest = margin - 41 * ((2 * d + 1) * 19 + q % t) - 2 * d * 19
     with pytest.raises(ValueError, match="flooded reply noise"):
-        bob_reply(c_a, m_b, r, pk, params, rng, largest + 1)
-    bfv.encrypt_zero_flood(pk, params, largest + 1, rng)  # the zero alone is fine
+        bob_reply(c_a, m_b, r, pk, rng, largest + 1)
+    bfv.encrypt_zero_flood(pk, largest + 1, rng)  # the zero alone is fine
     expected = Polynomial.constant(41 * 82, params.d, params.t)
     for _ in range(100):
-        reply = bob_reply(c_a, m_b, r, pk, params, rng, largest)
-        assert bfv.decrypt(sk, reply, params) == expected
+        reply = bob_reply(c_a, m_b, r, pk, rng, largest)
+        assert bfv.decrypt(sk, reply) == expected
 
 
 def test_circuit_privacy_blocked_by_flooding():
@@ -281,15 +280,14 @@ def test_circuit_privacy_blocked_by_flooding():
     for bound in (50, 2**20, 2**30):
         sk, pk = bfv.keygen(params, rng)
         m_a = Polynomial.constant(3, params.d, params.t)
-        c_a = bfv.encrypt(pk, m_a, params, rng)
+        c_a = bfv.encrypt(pk, m_a, rng)
         response = bfv.mul_plain(
-            bfv.sub_from_plain(Polynomial.constant(10, params.d, params.t), c_a, params),
+            bfv.sub_from_plain(Polynomial.constant(10, params.d, params.t), c_a),
             Polynomial.constant(4, params.d, params.t),
-            params,
         )
-        flooded = bfv.add(response, bfv.encrypt_zero_flood(pk, params, bound, rng))
+        flooded = bfv.add(response, bfv.encrypt_zero_flood(pk, bound, rng))
         with pytest.raises(FloodedOrMalformedError):
-            circuit_privacy_recover(sk, c_a, m_a, flooded, params)
+            circuit_privacy_recover(sk, c_a, m_a, flooded)
 
 
 def test_circuit_privacy_needs_noise_structure():
@@ -299,14 +297,13 @@ def test_circuit_privacy_needs_noise_structure():
     d, q, delta = params.d, params.q, params.delta
     # noiseless encryption of m_a = 3: n = 0 identically
     m_a = Polynomial.constant(3, params.d, params.t)
-    c_a = Ciphertext(m_a.with_modulus(q) * delta, Polynomial.constant(0, d, q))
+    c_a = Ciphertext(m_a.with_modulus(q) * delta, Polynomial.constant(0, d, q), params)
     response = bfv.mul_plain(
-        bfv.sub_from_plain(Polynomial.constant(9, params.d, params.t), c_a, params),
+        bfv.sub_from_plain(Polynomial.constant(9, params.d, params.t), c_a),
         Polynomial.constant(2, params.d, params.t),
-        params,
     )
     with pytest.raises(InsufficientNoiseStructureError):
-        circuit_privacy_recover(sk, c_a, m_a, response, params)
+        circuit_privacy_recover(sk, c_a, m_a, response)
 
 
 def test_circuit_privacy_rejects_non_scalar_m_a():
@@ -314,9 +311,9 @@ def test_circuit_privacy_rejects_non_scalar_m_a():
     rng = make_rng(15)
     sk, pk = bfv.keygen(params, rng)
     m_a = bfv.plaintext([1, 2], params)
-    c_a = bfv.encrypt(pk, m_a, params, rng)
+    c_a = bfv.encrypt(pk, m_a, rng)
     with pytest.raises(ValueError):
-        circuit_privacy_recover(sk, c_a, m_a, c_a, params)
+        circuit_privacy_recover(sk, c_a, m_a, c_a)
 
 
 def test_evaluation_noise_is_the_encryption_randomness_combination():
@@ -331,8 +328,8 @@ def test_evaluation_noise_is_the_encryption_randomness_combination():
         for _ in range(trials):
             m_a = Polynomial.constant(int(rng.integers(0, params.t)), params.d, params.t)
             u, e1, e2 = encrypt_draws(params, rng)
-            c_a = bfv.encrypt(pk, m_a, params, rng)
-            assert evaluation_noise(sk, c_a, m_a, params) == e1 + e2 * sk.s - e * u
+            c_a = bfv.encrypt(pk, m_a, rng)
+            assert evaluation_noise(sk, c_a, m_a) == e1 + e2 * sk.s - e * u
 
 
 # --- encoder leak ---------------------------------------------------------------------
@@ -403,7 +400,7 @@ def test_oracle_counters_track_every_call(small_params):
     dec = DecryptionOracle.honest(sk, small_params)
     zc = ZeroCheckOracle.honest(sk, small_params)
     one = Polynomial.constant(1, small_params.d, small_params.t)
-    ct = bfv.encrypt(pk, one, small_params, make_rng(24))
+    ct = bfv.encrypt(pk, one, make_rng(24))
     for expected in (1, 2, 3):
         dec(ct)
         assert dec.calls == expected

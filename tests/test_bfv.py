@@ -1,6 +1,8 @@
 """Scheme-level behavior: parameters, key relations, noise identities,
 roundtrips, homomorphic operations, flooding, serialization."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,10 @@ from bfvlab import (
     PARAM_SETS,
     Polynomial,
     SecretKey,
+    attacks,
     get_params,
     integer_encode,
+    psi,
 )
 
 from conftest import encrypt_draws, make_rng
@@ -71,7 +75,7 @@ def test_keygen_is_deterministic_per_seed(small_params):
 
 def test_secret_key_rejects_non_binary():
     with pytest.raises(ValueError):
-        SecretKey(Polynomial([0, 1, 2, 0], 97))
+        SecretKey(Polynomial([0, 1, 2, 0], 97), BfvParams(d=4, q=97, t=2))
 
 
 # --- encryption / decryption ---------------------------------------------------------
@@ -83,8 +87,8 @@ def test_roundtrip_random_plaintexts(small_params):
     t, d = small_params.t, small_params.d
     for _ in range(100):
         m = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
-        ct = bfv.encrypt(pk, m, small_params, rng)
-        assert bfv.decrypt(sk, ct, small_params) == m
+        ct = bfv.encrypt(pk, m, rng)
+        assert bfv.decrypt(sk, ct) == m
 
 
 @pytest.mark.parametrize("name", ["cca-1024", "bitleak-2048", "psi-83"])
@@ -94,8 +98,8 @@ def test_roundtrip_at_named_sets(name):
     sk, pk = bfv.keygen(params, rng)
     for _ in range(10):
         m = Polynomial(rng.integers(0, params.t, params.d, dtype=np.int64), params.t)
-        ct = bfv.encrypt(pk, m, params, rng)
-        assert bfv.decrypt(sk, ct, params) == m
+        ct = bfv.encrypt(pk, m, rng)
+        assert bfv.decrypt(sk, ct) == m
 
 
 def test_noise_respects_componentwise_bound(small_params):
@@ -106,9 +110,9 @@ def test_noise_respects_componentwise_bound(small_params):
     for _ in range(20):
         m = Polynomial.constant(int(rng.integers(0, t)), d, t)
         u, e1, e2 = encrypt_draws(small_params, rng)
-        ct = bfv.encrypt(pk, m, small_params, rng)
+        ct = bfv.encrypt(pk, m, rng)
         bound = (e * u).max_abs() + e1.max_abs() + (e2 * sk.s).max_abs()
-        assert bfv.noise(sk, ct, m, small_params).max_abs() <= bound
+        assert bfv.noise(sk, ct, m).max_abs() <= bound
 
 
 def test_fresh_noise_below_parameter_bound():
@@ -116,8 +120,8 @@ def test_fresh_noise_below_parameter_bound():
     rng = make_rng(10)
     sk, pk = bfv.keygen(params, rng)
     m = Polynomial.constant(3, params.d, params.t)
-    ct = bfv.encrypt(pk, m, params, rng)
-    assert bfv.noise(sk, ct, m, params).max_abs() <= GAUSS_TAIL * (2 * params.d + 1)
+    ct = bfv.encrypt(pk, m, rng)
+    assert bfv.noise(sk, ct, m).max_abs() <= GAUSS_TAIL * (2 * params.d + 1)
 
 
 @pytest.mark.parametrize(
@@ -140,7 +144,7 @@ def test_decrypt_is_rounding_of_raw(q, t):
     # integer) that fits, and uniform draws.
     d = 64
     params = BfvParams(d=d, q=q, t=t)
-    sk = SecretKey(Polynomial.constant(0, d, q))
+    sk = SecretKey(Polynomial.constant(0, d, q), params)
     chosen = [q // 2, -(q // 2), 0, 1, -1]
     if q % (2 * t) == 0:
         tie = q // (2 * t)
@@ -151,9 +155,9 @@ def test_decrypt_is_rounding_of_raw(q, t):
     for _ in range(20):
         drawn = rng.integers(-(q // 2), (q + 1) // 2, d - len(chosen), dtype=np.int64)
         raw = chosen + [int(x) for x in drawn]
-        ct = Ciphertext(Polynomial(raw, q), Polynomial.constant(0, d, q))
+        ct = Ciphertext(Polynomial(raw, q), Polynomial.constant(0, d, q), params)
         expected = [center_mod(round_ratio_oracle(center_mod(c, q) * t, q), t) for c in raw]
-        assert bfv.decrypt(sk, ct, params).to_coeff_list() == expected
+        assert bfv.decrypt(sk, ct).to_coeff_list() == expected
 
 
 def test_decrypt_noiseless_ciphertexts(small_params):
@@ -167,13 +171,12 @@ def test_decrypt_noiseless_ciphertexts(small_params):
         small_params.delta,
     )
     m = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
-    ct = Ciphertext(m.with_modulus(q) * delta, Polynomial.constant(0, d, q))
-    assert bfv.decrypt(sk, ct, small_params) == m
-    ct_key = Ciphertext(Polynomial.constant(0, d, q), Polynomial.constant(delta, d, q))
-    assert (
-        bfv.decrypt(sk, ct_key, small_params).to_coeff_list()
-        == sk.s.to_coeff_list()
+    ct = Ciphertext(m.with_modulus(q) * delta, Polynomial.constant(0, d, q), small_params)
+    assert bfv.decrypt(sk, ct) == m
+    ct_key = Ciphertext(
+        Polynomial.constant(0, d, q), Polynomial.constant(delta, d, q), small_params
     )
+    assert bfv.decrypt(sk, ct_key).to_coeff_list() == sk.s.to_coeff_list()
 
 
 def _largest_admitted_noise(params):
@@ -207,8 +210,8 @@ def test_decrypt_margin_is_sound_exhaustively(pairs):
         noises = range(-largest, largest + 1)
         raw = [params.delta * m + v for m in messages for v in noises] + [largest + 1]
         n = len(raw)
-        ct = Ciphertext(Polynomial(raw, q), Polynomial.constant(0, n, q))
-        got = bfv.decrypt(SecretKey(Polynomial.constant(0, n, q)), ct, params).to_coeff_list()
+        ct = Ciphertext(Polynomial(raw, q), Polynomial.constant(0, n, q), params)
+        got = bfv.decrypt(SecretKey(Polynomial.constant(0, n, q), params), ct).to_coeff_list()
         assert got[:-1] == [m for m in messages for _ in noises], (q, t)
         if q % t == 0:
             assert got[-1] != 0, (q, t)
@@ -223,10 +226,10 @@ def test_addition_of_one_and_three():
     params = get_params("psi-83")
     rng = make_rng(13)
     sk, pk = bfv.keygen(params, rng)
-    ct1 = bfv.encrypt(pk, Polynomial.constant(1, params.d, params.t), params, rng)
-    ct3 = bfv.encrypt(pk, Polynomial.constant(3, params.d, params.t), params, rng)
+    ct1 = bfv.encrypt(pk, Polynomial.constant(1, params.d, params.t), rng)
+    ct3 = bfv.encrypt(pk, Polynomial.constant(3, params.d, params.t), rng)
     total = bfv.add(ct1, ct3)
-    assert bfv.decrypt(sk, total, params) == Polynomial.constant(4, params.d, params.t)
+    assert bfv.decrypt(sk, total) == Polynomial.constant(4, params.d, params.t)
 
 
 def test_addition_is_homomorphic_mod_t(small_params):
@@ -236,9 +239,9 @@ def test_addition_is_homomorphic_mod_t(small_params):
     for _ in range(50):
         ma = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
         mb = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
-        ca = bfv.encrypt(pk, ma, small_params, rng)
-        cb = bfv.encrypt(pk, mb, small_params, rng)
-        assert bfv.decrypt(sk, bfv.add(ca, cb), small_params) == ma + mb
+        ca = bfv.encrypt(pk, ma, rng)
+        cb = bfv.encrypt(pk, mb, rng)
+        assert bfv.decrypt(sk, bfv.add(ca, cb)) == ma + mb
 
 
 def test_addition_noise_is_subadditive(small_params):
@@ -246,13 +249,13 @@ def test_addition_noise_is_subadditive(small_params):
     sk, pk = bfv.keygen(small_params, rng)
     ma = Polynomial.constant(5, small_params.d, small_params.t)
     mb = Polynomial.constant(9, small_params.d, small_params.t)
-    ca = bfv.encrypt(pk, ma, small_params, rng)
-    cb = bfv.encrypt(pk, mb, small_params, rng)
+    ca = bfv.encrypt(pk, ma, rng)
+    cb = bfv.encrypt(pk, mb, rng)
     msum = ma + mb
-    sum_noise = bfv.noise(sk, bfv.add(ca, cb), msum, small_params).max_abs()
+    sum_noise = bfv.noise(sk, bfv.add(ca, cb), msum).max_abs()
     assert sum_noise <= (
-        bfv.noise(sk, ca, ma, small_params).max_abs()
-        + bfv.noise(sk, cb, mb, small_params).max_abs()
+        bfv.noise(sk, ca, ma).max_abs()
+        + bfv.noise(sk, cb, mb).max_abs()
     )
 
 
@@ -264,21 +267,13 @@ def test_plain_operand_ops_agree_with_plaintext_arithmetic(small_params):
     for _ in range(500):
         ma = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
         mb = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
-        ct = bfv.encrypt(pk, ma, small_params, rng)
-        assert (
-            bfv.decrypt(
-                sk, bfv.sub_from_plain(mb, ct, small_params), small_params
-            )
-            == mb - ma
-        )
+        ct = bfv.encrypt(pk, ma, rng)
+        assert bfv.decrypt(sk, bfv.sub_from_plain(mb, ct)) == mb - ma
     for _ in range(500):
         ma = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
         r = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
-        ct = bfv.encrypt(pk, ma, small_params, rng)
-        assert (
-            bfv.decrypt(sk, bfv.mul_plain(ct, r, small_params), small_params)
-            == r * ma
-        )
+        ct = bfv.encrypt(pk, ma, rng)
+        assert bfv.decrypt(sk, bfv.mul_plain(ct, r)) == r * ma
 
 
 @pytest.mark.parametrize("op", ["encrypt", "sub_from_plain", "mul_plain", "noise"])
@@ -288,12 +283,12 @@ def test_message_under_any_modulus_but_t_is_refused(op, modulus):
     # bitleak-2048's t = 256 at psi-83's t = 83, used to be lifted silently
     params = get_params("psi-83")
     sk, pk = bfv.keygen(params, make_rng(30))
-    ct = bfv.encrypt(pk, integer_encode(1, params), params, make_rng(31))
+    ct = bfv.encrypt(pk, integer_encode(1, params), make_rng(31))
     run = {
-        "encrypt": lambda m: bfv.encrypt(pk, m, params, make_rng(32)),
-        "sub_from_plain": lambda m: bfv.sub_from_plain(m, ct, params),
-        "mul_plain": lambda m: bfv.mul_plain(ct, m, params),
-        "noise": lambda m: bfv.noise(sk, ct, m, params),
+        "encrypt": lambda m: bfv.encrypt(pk, m, make_rng(32)),
+        "sub_from_plain": lambda m: bfv.sub_from_plain(m, ct),
+        "mul_plain": lambda m: bfv.mul_plain(ct, m),
+        "noise": lambda m: bfv.noise(sk, ct, m),
     }[op]
     if modulus == "q":
         m = Polynomial.constant(5, params.d, params.q)
@@ -304,31 +299,89 @@ def test_message_under_any_modulus_but_t_is_refused(op, modulus):
     run(m.with_modulus(params.t))  # the same coefficients mod t are accepted
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        "decrypt",
+        "decrypt_raw",
+        "noise",
+        "add",
+        "evaluation_noise",
+        "circuit_privacy_recover",
+        "DecryptionOracle.honest",
+        "ZeroCheckOracle.honest",
+        "bit_leak_probe",
+        "bit_leak_attack",
+        "alice_init",
+    ],
+)
+def test_operands_from_another_parameter_set_are_refused(op):
+    # psi-83 and bitleak-2048 differ only in t; a psi-83 encryption of 5
+    # used to decrypt under the bitleak-2048 parameters to 15, silently
+    params = get_params("psi-83")
+    sk, pk = bfv.keygen(params, make_rng(40))
+    m = Polynomial.constant(5, params.d, params.t)
+    ct = bfv.encrypt(pk, m, make_rng(41))
+    r, m_b = (Polynomial.constant(v, params.d, params.t) for v in (2, 7))
+    reply = attacks.bob_reply(ct, m_b, r, pk, make_rng(42))
+    foreign = get_params("bitleak-2048")
+    sk_f, pk_f = bfv.keygen(foreign, make_rng(43))
+    ct_f = bfv.encrypt(pk_f, Polynomial.constant(5, foreign.d, foreign.t), make_rng(44))
+    answers_zero = attacks.ZeroCheckOracle(lambda _: True)
+    # each call takes its other operand, or its params, from o
+    run = {
+        "decrypt": lambda o: bfv.decrypt(o.sk, ct),
+        "decrypt_raw": lambda o: bfv.decrypt_raw(o.sk, ct),
+        "noise": lambda o: bfv.noise(o.sk, ct, m),
+        "add": lambda o: bfv.add(ct, o.ct),
+        "evaluation_noise": lambda o: attacks.evaluation_noise(o.sk, ct, m),
+        "circuit_privacy_recover": lambda o: attacks.circuit_privacy_recover(o.sk, ct, m, reply),
+        "DecryptionOracle.honest": lambda o: attacks.DecryptionOracle.honest(sk, o.params),
+        "ZeroCheckOracle.honest": lambda o: attacks.ZeroCheckOracle.honest(sk, o.params),
+        "bit_leak_probe": lambda o: attacks.bit_leak_probe(pk, 0, o.params),
+        "bit_leak_attack": lambda o: attacks.bit_leak_attack(answers_zero, pk, o.params),
+        "alice_init": lambda o: psi.alice_init(o.params, 1, make_rng(45), (sk, pk)),
+    }[op]
+    with pytest.raises(ValueError, match="different parameters") as refused:
+        run(SimpleNamespace(sk=sk_f, ct=ct_f, params=foreign))
+    assert "t=83" in str(refused.value) and "t=256" in str(refused.value)  # both sets named
+    assert answers_zero.calls == 0  # bit_leak_attack refuses before its first query
+    run(SimpleNamespace(sk=sk, ct=ct, params=params))  # matching operands pass
+
+
+def test_same_params_returns_the_shared_set(small_params):
+    sk, pk = bfv.keygen(small_params, make_rng(46))
+    ct = bfv.encrypt(pk, Polynomial.constant(1, small_params.d, small_params.t), make_rng(47))
+    assert bfv.same_params(sk, pk, ct, small_params) is small_params
+    with pytest.raises(ValueError, match="different parameters"):
+        bfv.same_params(ct, BfvParams(d=64, q=2**30, t=257))
+
+
 def test_sub_from_plain_of_equal_messages_is_zero(small_params):
     rng = make_rng(18)
     sk, pk = bfv.keygen(small_params, rng)
     m = Polynomial.constant(42, small_params.d, small_params.t)
-    ct = bfv.encrypt(pk, m, small_params, rng)
-    diff = bfv.sub_from_plain(m, ct, small_params)
-    assert bfv.decrypt(sk, diff, small_params).is_zero()
+    ct = bfv.encrypt(pk, m, rng)
+    diff = bfv.sub_from_plain(m, ct)
+    assert bfv.decrypt(sk, diff).is_zero()
 
 
 def test_mul_plain_scales_message_and_noise(small_params):
     rng = make_rng(19)
     sk, pk = bfv.keygen(small_params, rng)
     m = Polynomial.constant(3, small_params.d, small_params.t)
-    ct = bfv.encrypt(pk, m, small_params, rng)
-    base_noise = bfv.noise(sk, ct, m, small_params).max_abs()
+    ct = bfv.encrypt(pk, m, rng)
+    base_noise = bfv.noise(sk, ct, m).max_abs()
 
     one = Polynomial.constant(1, small_params.d, small_params.t)
-    assert bfv.decrypt(sk, bfv.mul_plain(ct, one, small_params), small_params) == m
+    assert bfv.decrypt(sk, bfv.mul_plain(ct, one)) == m
 
     two = Polynomial.constant(2, small_params.d, small_params.t)
-    doubled = bfv.mul_plain(ct, two, small_params)
+    doubled = bfv.mul_plain(ct, two)
     m2 = Polynomial.constant(6, small_params.d, small_params.t)
-    assert bfv.decrypt(sk, doubled, small_params) == m2
+    assert bfv.decrypt(sk, doubled) == m2
     # noise grows by at most the l1 norm of the multiplier (= 2 here; t | q)
-    assert bfv.noise(sk, doubled, m2, small_params).max_abs() <= 2 * base_noise
+    assert bfv.noise(sk, doubled, m2).max_abs() <= 2 * base_noise
 
 
 # --- noise flooding -----------------------------------------------------------------
@@ -339,17 +392,17 @@ def test_flooded_zero_decrypts_to_zero_at_full_size():
     rng = make_rng(20)
     sk, pk = bfv.keygen(params, rng)
     for _ in range(5):
-        ct = bfv.encrypt_zero_flood(pk, params, 2**30, rng)
-        assert bfv.decrypt(sk, ct, params).is_zero()
+        ct = bfv.encrypt_zero_flood(pk, 2**30, rng)
+        assert bfv.decrypt(sk, ct).is_zero()
 
 
 def test_flooded_zero_with_zero_bound_degenerates(small_params):
     rng = make_rng(21)
     sk, pk = bfv.keygen(small_params, rng)
-    ct = bfv.encrypt_zero_flood(pk, small_params, 0, rng)
-    assert bfv.decrypt(sk, ct, small_params).is_zero()
+    ct = bfv.encrypt_zero_flood(pk, 0, rng)
+    assert bfv.decrypt(sk, ct).is_zero()
     zero = Polynomial.constant(0, small_params.d, small_params.t)
-    assert bfv.noise(sk, ct, zero, small_params).max_abs() <= GAUSS_TAIL * (
+    assert bfv.noise(sk, ct, zero).max_abs() <= GAUSS_TAIL * (
         2 * small_params.d + 1
     )
 
@@ -368,8 +421,8 @@ def test_flood_bound_validation(small_params):
     assert largest == 2**21 - 1 - 2 * 64 * GAUSS_TAIL
     for unsound in (largest + 1, delta // 2 - 1, delta // 2, delta, -1):
         with pytest.raises(ValueError):
-            bfv.encrypt_zero_flood(pk, small_params, unsound, rng)
-    bfv.encrypt_zero_flood(pk, small_params, largest, rng)
+            bfv.encrypt_zero_flood(pk, unsound, rng)
+    bfv.encrypt_zero_flood(pk, largest, rng)
 
 
 def test_flooded_zeros_at_largest_bound_decrypt_to_zero(small_params):
@@ -377,8 +430,8 @@ def test_flooded_zeros_at_largest_bound_decrypt_to_zero(small_params):
     sk, pk = bfv.keygen(small_params, rng)
     largest = _largest_flood_bound(small_params)
     for _ in range(20000):
-        ct = bfv.encrypt_zero_flood(pk, small_params, largest, rng)
-        assert bfv.decrypt(sk, ct, small_params).is_zero()
+        ct = bfv.encrypt_zero_flood(pk, largest, rng)
+        assert bfv.decrypt(sk, ct).is_zero()
 
 
 def test_adding_flooded_zero_preserves_decryption(small_params):
@@ -388,9 +441,9 @@ def test_adding_flooded_zero_preserves_decryption(small_params):
     bound = 2**10  # well below delta/2 = 2**21
     for _ in range(100):
         m = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
-        ct = bfv.encrypt(pk, m, small_params, rng)
-        flooded = bfv.add(ct, bfv.encrypt_zero_flood(pk, small_params, bound, rng))
-        assert bfv.decrypt(sk, flooded, small_params) == m
+        ct = bfv.encrypt(pk, m, rng)
+        flooded = bfv.add(ct, bfv.encrypt_zero_flood(pk, bound, rng))
+        assert bfv.decrypt(sk, flooded) == m
 
 
 def test_adding_flooded_zero_preserves_decryption_at_full_size():
@@ -399,9 +452,9 @@ def test_adding_flooded_zero_preserves_decryption_at_full_size():
     sk, pk = bfv.keygen(params, rng)
     for value in (0, 1, -41, 41):
         m = Polynomial.constant(value, params.d, params.t)
-        ct = bfv.encrypt(pk, m, params, rng)
-        flooded = bfv.add(ct, bfv.encrypt_zero_flood(pk, params, 2**30, rng))
-        assert bfv.decrypt(sk, flooded, params) == m
+        ct = bfv.encrypt(pk, m, rng)
+        flooded = bfv.add(ct, bfv.encrypt_zero_flood(pk, 2**30, rng))
+        assert bfv.decrypt(sk, flooded) == m
 
 
 # --- serialization ---------------------------------------------------------------------
@@ -411,16 +464,16 @@ def test_json_roundtrips(small_params):
     rng = make_rng(25)
     sk, pk = bfv.keygen(small_params, rng)
     m = Polynomial.constant(9, small_params.d, small_params.t)
-    ct = bfv.encrypt(pk, m, small_params, rng)
+    ct = bfv.encrypt(pk, m, rng)
 
-    sk2, p_sk = bfv.secret_key_from_json(bfv.secret_key_to_json(sk, small_params))
-    pk2, p_pk = bfv.public_key_from_json(bfv.public_key_to_json(pk, small_params))
-    ct2, p_ct = bfv.ciphertext_from_json(bfv.ciphertext_to_json(ct, small_params))
+    sk2 = bfv.secret_key_from_json(bfv.secret_key_to_json(sk))
+    pk2 = bfv.public_key_from_json(bfv.public_key_to_json(pk))
+    ct2 = bfv.ciphertext_from_json(bfv.ciphertext_to_json(ct))
 
     assert sk2.s == sk.s and pk2.pk0 == pk.pk0 and pk2.pk1 == pk.pk1
     assert ct2.c0 == ct.c0 and ct2.c1 == ct.c1
-    assert p_sk == p_pk == p_ct == small_params
-    assert bfv.decrypt(sk2, ct2, p_ct) == m
+    assert sk2.params == pk2.params == ct2.params == small_params
+    assert bfv.decrypt(sk2, ct2) == m
 
 
 @pytest.mark.parametrize("name", sorted(PARAM_SETS))
@@ -430,17 +483,17 @@ def test_key_file_header_is_the_params_fields(name):
     params = get_params(name)
     sk, pk = bfv.keygen(params, make_rng(27))
     for obj, load in (
-        (bfv.secret_key_to_json(sk, params), bfv.secret_key_from_json),
-        (bfv.public_key_to_json(pk, params), bfv.public_key_from_json),
+        (bfv.secret_key_to_json(sk), bfv.secret_key_from_json),
+        (bfv.public_key_to_json(pk), bfv.public_key_from_json),
     ):
         assert set(obj) == {"scheme", "d", "q", "t", "sigma", "payload"}
-        assert load(obj)[1] == params
+        assert load(obj).params == params
 
 
 def test_json_validation_errors(small_params):
     rng = make_rng(26)
     sk, _ = bfv.keygen(small_params, rng)
-    obj = bfv.secret_key_to_json(sk, small_params)
+    obj = bfv.secret_key_to_json(sk)
     bad_scheme = {**obj, "scheme": "other"}
     with pytest.raises(ValueError):
         bfv.secret_key_from_json(bad_scheme)
@@ -473,7 +526,7 @@ def test_json_validation_errors(small_params):
     ],
 )
 def test_json_header_is_strict(small_params, field, value):
-    obj = bfv.secret_key_to_json(SecretKey(Polynomial.constant(0, 64, 2**30)), small_params)
+    obj = bfv.secret_key_to_json(SecretKey(Polynomial.constant(0, 64, 2**30), small_params))
     with pytest.raises(ValueError):
         bfv.secret_key_from_json({**obj, field: value})
 
@@ -481,7 +534,7 @@ def test_json_header_is_strict(small_params, field, value):
 @pytest.mark.parametrize("value", [1.9, "1", None, 2**70, 2**63, True, False])
 def test_json_payload_is_strict(small_params, value):
     # 1.9, "1" and True used to load as the key bit 1
-    obj = bfv.secret_key_to_json(SecretKey(Polynomial.constant(0, 64, 2**30)), small_params)
+    obj = bfv.secret_key_to_json(SecretKey(Polynomial.constant(0, 64, 2**30), small_params))
     vec = list(obj["payload"][0])
     vec[3] = value
     with pytest.raises(ValueError):

@@ -48,11 +48,11 @@ def test_keygen_encrypt_decrypt_roundtrip(tmp_path):
 
 def test_keygen_writes_valid_key_pair(tmp_path):
     sk_path, pk_path = write_keys(tmp_path, seed=9)
-    sk, params = bfv.secret_key_from_json(json.loads(open(sk_path).read()))
-    pk, _ = bfv.public_key_from_json(json.loads(open(pk_path).read()))
+    sk = bfv.secret_key_from_json(json.loads(open(sk_path).read()))
+    pk = bfv.public_key_from_json(json.loads(open(pk_path).read()))
     e = -(pk.pk0 + pk.pk1 * sk.s)
     assert 0 < e.max_abs() <= 19
-    assert params.d == 64
+    assert sk.params.d == 64
 
 
 def test_encrypt_empty_plaintext_is_zero(tmp_path):
@@ -83,6 +83,10 @@ def test_malformed_inputs_exit_with_error(tmp_path, capsys):
     wide = tmp_path / "wide.json"
     wide.write_text("[300]")
     rc = run_cli(["encrypt", "--key", pk_path, "--in", wide, "--out", tmp_path / "w"])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    # the same bound for psi inputs: at psi-83, 300 used to meet 51 as EQUAL
+    rc = run_cli(["psi", "--alice", 300, "--bob", 51, "--out", tmp_path / "p"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
     rc = run_cli(

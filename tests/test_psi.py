@@ -90,10 +90,15 @@ def test_no_false_positives_over_many_runs(small_prime_t_params):
             Polynomial.constant(2, 64, 256),
             id="plaintext",
         ),
+        # outside [-128, 256) at small_params' t = 256
+        pytest.param(256, id="t"),
+        pytest.param(-129, id="below-minus-half-t"),
+        pytest.param(300, id="300"),
     ],
 )
 def test_session_inputs_must_be_integers(small_params, value):
-    # 2.7 used to be truncated to 2 and compare equal to 2
+    # 2.7 used to be truncated to 2 and compare equal to 2; 300 used to be
+    # reduced mod t to 44
     with pytest.raises(ValueError):
         run_session(small_params, value, 2, make_rng(4))
     with pytest.raises(ValueError):
@@ -164,8 +169,8 @@ def test_pubkey_message_roundtrips_and_satisfies_key_relation(small_params):
     rng = make_rng(7)
     alice, msg = alice_init(small_params, 3, rng)
     received = decode_frame(encode_frame(msg))
-    pk, params = bfv.public_key_from_json(received.body)
-    assert params == small_params
+    pk = bfv.public_key_from_json(received.body)
+    assert pk.params == small_params
     e = -(pk.pk0 + pk.pk1 * alice.sk.s)
     assert 0 < e.max_abs() <= 19
 
@@ -174,8 +179,8 @@ def test_query_decrypts_to_alice_input(small_params):
     rng = make_rng(8)
     alice, _ = alice_init(small_params, 37, rng)
     query = alice_query(alice)
-    ct, _ = bfv.ciphertext_from_json(query.body)
-    assert bfv.decrypt(alice.sk, ct, small_params).to_coeff_list()[0] == 37
+    ct = bfv.ciphertext_from_json(query.body)
+    assert bfv.decrypt(alice.sk, ct).to_coeff_list()[0] == 37
 
 
 def test_sessions_use_fresh_randomness(small_params):
@@ -378,9 +383,7 @@ def test_session_oracle_recovers_full_key(small_params):
     rng = make_rng(20)
     keys = bfv.keygen(small_params, rng)
     registry = SessionRegistry()
-    oracle = session_zero_check_oracle(
-        small_params, 9, keys, rng.spawn(1)[0], registry=registry
-    )
+    oracle = session_zero_check_oracle(9, keys, rng.spawn(1)[0], registry=registry)
     recovered = bit_leak_attack(oracle, keys[1], small_params)
     assert recovered.s == keys[0].s
     assert oracle.calls == small_params.d
@@ -390,7 +393,7 @@ def test_session_oracle_spot_checks_at_full_size():
     params = get_params("psi-83")
     rng = make_rng(21)
     keys = bfv.keygen(params, rng)
-    oracle = session_zero_check_oracle(params, 3, keys, rng.spawn(1)[0])
+    oracle = session_zero_check_oracle(3, keys, rng.spawn(1)[0])
     s = keys[0].s.to_coeff_list()
     for index in (0, 777, 2047):
         assert oracle(bit_leak_probe(keys[1], index, params)) == (s[index] == 0)
@@ -399,17 +402,17 @@ def test_session_oracle_spot_checks_at_full_size():
 def test_session_oracle_rejects_non_probe_queries(small_params):
     rng = make_rng(22)
     keys = bfv.keygen(small_params, rng)
-    oracle = session_zero_check_oracle(small_params, 9, keys, rng.spawn(1)[0])
+    oracle = session_zero_check_oracle(9, keys, rng.spawn(1)[0])
     m = Polynomial.constant(1, small_params.d, small_params.t)
-    ct = bfv.encrypt(keys[1], m, small_params, rng)
+    ct = bfv.encrypt(keys[1], m, rng)
     with pytest.raises(ProtocolError):
         oracle(ct)
     # a probe whose c1 or amplitude is off is not a probe either
     probe = bit_leak_probe(keys[1], 0, small_params)
     one = Polynomial.constant(1, small_params.d, small_params.q)
     for query in (
-        Ciphertext(probe.c0, probe.c1 + one),
-        Ciphertext(probe.c0 + one, probe.c1),
+        Ciphertext(probe.c0, probe.c1 + one, small_params),
+        Ciphertext(probe.c0 + one, probe.c1, small_params),
     ):
         with pytest.raises(ProtocolError):
             oracle(query)
@@ -425,9 +428,9 @@ def test_attacker_alice_recovers_bob_secrets_from_transcript():
         m_b = int(rng.integers(-41, 42))
         transcript = run_session(params, m_a, m_b, rng.spawn(1)[0])
         alice = transcript.alice
-        c_a, _ = bfv.ciphertext_from_json(transcript.frames[1]["body"])
-        c_ab, _ = bfv.ciphertext_from_json(transcript.frames[2]["body"])
-        r_rec, m_b_rec = circuit_privacy_recover(alice.sk, c_a, alice.m_a, c_ab, params)
+        c_a = bfv.ciphertext_from_json(transcript.frames[1]["body"])
+        c_ab = bfv.ciphertext_from_json(transcript.frames[2]["body"])
+        r_rec, m_b_rec = circuit_privacy_recover(alice.sk, c_a, alice.m_a, c_ab)
         assert r_rec == transcript.bob.r
         assert m_b_rec.to_coeff_list()[0] == reduce_centered(m_b, params.t)
         hits += 1
@@ -444,7 +447,7 @@ def test_attacker_alice_blocked_by_flooding_bob():
             params, m_a, m_b, rng.spawn(1)[0], strategy=Flooding(bound=2**30)
         )
         alice = transcript.alice
-        c_a, _ = bfv.ciphertext_from_json(transcript.frames[1]["body"])
-        c_ab, _ = bfv.ciphertext_from_json(transcript.frames[2]["body"])
+        c_a = bfv.ciphertext_from_json(transcript.frames[1]["body"])
+        c_ab = bfv.ciphertext_from_json(transcript.frames[2]["body"])
         with pytest.raises(FloodedOrMalformedError):
-            circuit_privacy_recover(alice.sk, c_a, alice.m_a, c_ab, params)
+            circuit_privacy_recover(alice.sk, c_a, alice.m_a, c_ab)
