@@ -234,8 +234,8 @@ def circuit_privacy_recover(
     residues mod t and must give -r*n on the first nonzero non-constant
     coefficient of n, then on the whole non-constant tail; m_b ranges
     over the centered residues mod t and must give the constant
-    coefficient.  Both are congruences mod q, so scaled noise
-    that wraps mod q is still read exactly.  Raises
+    coefficient.  Both are linear congruences mod q, solved rather
+    than scanned, so scaled noise that wraps mod q is still read exactly.  Raises
     FloodedOrMalformedError unless exactly one pair (r, m_b) reproduces
     the response (noise flooding, or inputs the response cannot tell
     apart), InsufficientNoiseStructureError when n has no nonzero
@@ -245,45 +245,64 @@ def circuit_privacy_recover(
     if m_a.coeffs[1:].any():
         raise ValueError("recovery assumes a scalar (constant) message m_a")
     params = bfv.same_params(sk, c_a, c_ab)
-    t, q, delta = params.t, params.q, params.delta
-
     noise = evaluation_noise(sk, c_a, m_a)
     raw = bfv.decrypt_raw(sk, c_ab).coeffs
+    pairs = _reply_pairs(noise, raw, int(m_a.coeffs[0]), params)
+    if len(pairs) != 1:
+        raise FloodedOrMalformedError(
+            f"{len(pairs)} scalar pairs (r, m_b) reproduce the response exactly, not one"
+        )
+    [(r_value, m_b_value)] = pairs
+    d, t = params.d, params.t
+    return Polynomial.constant(r_value, d, t), Polynomial.constant(m_b_value, d, t)
+
+
+def _reply_pairs(
+    noise: Polynomial, raw: np.ndarray, m_a_value: int, params: BfvParams
+) -> list[tuple[int, int]]:
+    """Every scalar pair (r, m_b) with r*(delta*(m_b - m_a) - noise) = raw mod q.
+
+    r solves r*n_j = -raw_j at the first nonzero non-constant coefficient j
+    and must give the whole tail; m_b solves r*delta*m_b = raw_0 +
+    r*(delta*m_a + n_0), the full integer product plain evaluation computes.
+    """
+    t, q, delta = params.t, params.q, params.delta
     nonzero = np.flatnonzero(noise.coeffs[1:])
     if not nonzero.size:
         raise InsufficientNoiseStructureError(
             "evaluation noise has no nonzero non-constant coefficient"
         )
     j = int(nonzero[0]) + 1
-    noise_j, raw_j = int(noise.coeffs[j]), int(raw[j])
-    scalars = range(-(t // 2), (t + 1) // 2)
     r_values = [
         r
-        for r in scalars
-        if r
-        and (r * noise_j + raw_j) % q == 0
-        and np.array_equal((noise * -r).coeffs[1:], raw[1:])
+        for r in _centered_solutions(int(noise.coeffs[j]), -int(raw[j]), q, t)
+        if r and np.array_equal((noise * -r).coeffs[1:], raw[1:])
     ]
     if not r_values:
         raise FloodedOrMalformedError(
             f"response tail is not -r times the known noise for any nonzero scalar r mod {t}"
         )
-
-    # Plain evaluation computes r*(delta*m_b - delta*m_a) over the
-    # integers, so the full product goes into the re-derivation.
-    m_a_value, noise_0, raw_0 = int(m_a.coeffs[0]), int(noise.coeffs[0]), int(raw[0])
-    pairs = [
+    noise_0, raw_0 = int(noise.coeffs[0]), int(raw[0])
+    return [
         (r, m_b)
         for r in r_values
-        for m_b in scalars
-        if (r * (delta * (m_b - m_a_value) - noise_0) - raw_0) % q == 0
+        for m_b in _centered_solutions(r * delta, raw_0 + r * (delta * m_a_value + noise_0), q, t)
     ]
-    if len(pairs) != 1:
-        raise FloodedOrMalformedError(
-            f"{len(pairs)} scalar pairs (r, m_b) reproduce the response exactly, not one"
-        )
-    [(r_value, m_b_value)] = pairs
-    return Polynomial.constant(r_value, params.d, t), Polynomial.constant(m_b_value, params.d, t)
+
+
+def _centered_solutions(a: int, b: int, modulus: int, t: int) -> range:
+    """Every x in [-(t // 2), (t + 1) // 2) with a*x = b (mod modulus).
+
+    With g = gcd(a, modulus) there is none unless g divides b; otherwise
+    the solutions are one residue class mod modulus // g.
+    """
+    g = math.gcd(a, modulus)
+    if b % g:
+        return range(0)
+    step = modulus // g
+    first = b // g * pow(a // g, -1, step)
+    low = -(t // 2)
+    return range(low + (first - low) % step, (t + 1) // 2, step)
 
 
 @dataclass

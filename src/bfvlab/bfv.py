@@ -97,6 +97,18 @@ def get_params(name: str) -> BfvParams:
         raise ValueError(f"unknown parameter set {name!r} (known: {known})") from None
 
 
+def _check_ring(obj) -> None:
+    """Refuse a key or ciphertext holding a polynomial outside Z_q[x]/(x^d + 1) of its params."""
+    d, q = obj.params.d, obj.params.q
+    for f in fields(obj)[:-1]:
+        poly = getattr(obj, f.name)
+        if (poly.d, poly.modulus) != (d, q):
+            raise ValueError(
+                f"{f.name} has degree {poly.d} and modulus {poly.modulus}, "
+                f"not the d = {d} and q = {q} of its parameters"
+            )
+
+
 @dataclass(frozen=True)
 class SecretKey:
     """Binary secret polynomial s, stored mod q, and its parameters."""
@@ -105,6 +117,7 @@ class SecretKey:
     params: BfvParams
 
     def __post_init__(self) -> None:
+        _check_ring(self)
         if ((self.s.coeffs != 0) & (self.s.coeffs != 1)).any():
             raise ValueError("secret key coefficients must be binary")
 
@@ -117,6 +130,8 @@ class PublicKey:
     pk1: Polynomial
     params: BfvParams
 
+    __post_init__ = _check_ring
+
 
 @dataclass(frozen=True)
 class Ciphertext:
@@ -125,6 +140,8 @@ class Ciphertext:
     c0: Polynomial
     c1: Polynomial
     params: BfvParams
+
+    __post_init__ = _check_ring
 
 
 def same_params(*objs) -> BfvParams:
@@ -331,10 +348,8 @@ def _from_json(cls, obj: dict):
     payload = obj.get("payload")
     if not isinstance(payload, list) or len(payload) != count:
         raise ValueError(f"payload must hold exactly {count} coefficient vectors")
-    vectors = [_coeff_array(values) for values in payload]
-    if any(v.size != params.d for v in vectors):
-        raise ValueError("payload vectors must match the ring degree")
-    return cls(*(Polynomial(v, params.q) for v in vectors), params)
+    # the constructor refuses a vector whose length is not params.d
+    return cls(*(Polynomial(_coeff_array(values), params.q) for values in payload), params)
 
 
 # every object carries its params, so one serializer writes all three

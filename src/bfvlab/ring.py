@@ -1,12 +1,15 @@
 """Exact arithmetic in Z_m[x] / (x^d + 1) with centered coefficients.
 
 Coefficients are int64 centered residues in [-m/2, m/2), for m < 2**62.
-A constant operand, zero included, multiplies through _mul_divmod.  Every
-other product runs one limb kernel: "valid" convolutions of [-a, a] limbs
-with b limbs, in float32 where every sum stays within 2**24 and in float64
-within 2**53 (see _limb_plan), which _mul_divmod recombines mod m in int64;
-decryption rounds with its quotient.  Every array reduction is one floor
-division (_divmod, _center).  Sampled values stay integer too; there is no NTT.
+A constant operand, zero included, multiplies through _mul_divmod, whose
+first digit is as wide as the other operand allows, so a product that fits
+int64 is one multiply.  Every other product runs one limb kernel: "valid"
+convolutions of [-a, a] limbs with b limbs, in float32 where every sum stays
+within 2**24 and in float64 within 2**53 (see _limb_plan), which _mul_divmod
+recombines mod m in int64 straight from the signed sums when that bound is
+below m; decryption rounds with its quotient.  Every array reduction is one
+floor division (_divmod, _center).  Sampled values stay integer too; there is
+no NTT.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
 _INT64_BUDGET = 62
 _FLOAT32_EXACT = 1 << 24
 _FLOAT64_EXACT = 1 << 53
+_EXACT = {np.float32: _FLOAT32_EXACT, np.float64: _FLOAT64_EXACT}
 
 
 def reduce_centered(value: int, modulus: int) -> int:
@@ -237,15 +241,20 @@ def _mul_divmod(x: np.ndarray, c: int, modulus: int) -> tuple[np.ndarray, np.nda
     """(x * c // modulus, x * c % modulus) for int64 x with |x| < modulus, c >= 0.
 
     The quotient is the floor, so the remainder lies in [0, modulus) for
-    either sign of x.  Horner over base-2**k digits of c with
-    k = 63 - bits(modulus - 1): |x * digit| and rem * 2**k stay below
-    2**63, the sum of two residues stays below 2 * modulus < 2**63, and
-    |quotient| <= c because |x| < modulus, so c must be below 2**63 as well.
+    either sign of x.  Horner over the digits of c: the top digit is
+    63 - bits(max|x|) bits wide, never narrower than the k = 63 - bits(modulus - 1)
+    of every later digit, so a c of at most that many bits is one multiply and
+    one floor division.  |x * digit| stays below 2**63 for the top digit and
+    for each later one, rem * 2**k stays below 2**63, the sum of two residues
+    stays below 2 * modulus < 2**63, and |quotient| <= c because |x| < modulus,
+    so c must be below 2**63 as well.
     """
     k = 63 - (modulus - 1).bit_length()
+    top_bits = 63 - int(np.abs(x).max()).bit_length()
+    steps = -(-max(c.bit_length() - top_bits, 0) // k)  # the later digits
+    quo, rem = _divmod(x * (c >> steps * k), modulus)
     mask = (1 << k) - 1
-    quo = rem = np.zeros_like(x)
-    for shift in range((c.bit_length() - 1) // k * k, -1, -k):
+    for shift in range((steps - 1) * k, -1, -k):
         high, rem = _divmod(rem << k, modulus)
         quo = (quo << k) + high
         digit = (c >> shift) & mask
@@ -263,7 +272,9 @@ def _negacyclic_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     k = sum_j b[j] * (a[k-j] if j <= k else -a[k-j+d]) directly: d limb products of
     at most La * Lb each, so every partial sum, in any BLAS order (FMA too), is an
     integer of at most d * La * Lb, which _limb_plan keeps within 2**24 for a
-    float32 pair and 2**53 for a float64 pair: both types hold it exactly.
+    float32 pair and 2**53 for a float64 pair: both types hold it exactly.  When
+    that bound is below the modulus, the signed sum is already a _mul_divmod
+    operand (|x| < modulus) and is recombined unreduced.
     """
     d = int(a.size)
     width_a, width_b, types = _limb_plan(
@@ -274,12 +285,13 @@ def _negacyclic_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     for i, la in enumerate(_split_limbs(a, width_a, len(types))):
         la = np.concatenate((-la[1:], la))
         for j, (lb, dtype) in enumerate(zip(limbs_b, types[i])):
-            conv = np.convolve(la.astype(dtype), lb.astype(dtype), "valid")
-            head = _divmod(conv.astype(np.int64), modulus)[1]
+            conv = np.convolve(la.astype(dtype), lb.astype(dtype), "valid").astype(np.int64)
+            if _EXACT[dtype] >= modulus:  # the plan's bound, not a pass over conv
+                conv = _divmod(conv, modulus)[1]
             weight = pow(2, i * width_a + j * width_b, modulus)
             if weight != 1:
-                head = _mul_divmod(head, weight, modulus)[1]
-            acc = _center(acc + head, modulus)
+                conv = _mul_divmod(conv, weight, modulus)[1]
+            acc = _center(acc + conv, modulus)
     return acc
 
 

@@ -70,3 +70,26 @@ def round_ratio_oracle(num: int, den: int) -> int:
     if frac < Fraction(1, 2):
         return floor
     return floor + 1 if f > 0 else floor
+
+
+def reply_pairs_scan(noise: list[int], raw: list[int], m_a: int, t: int, q: int):
+    """Every (r, m_b) with [r*(delta*(m_b - m_a) - noise)]_q = raw, by scanning.
+
+    r runs over every nonzero centered residue mod t and must give
+    -r*noise on each non-constant coefficient; m_b then runs over every
+    centered residue mod t and must give the constant one.  Returns None
+    when no r gives the tail.
+    """
+    delta = q // t
+    scalars = range(-(t // 2), (t + 1) // 2)
+    r_values = [
+        r for r in scalars if r and all((r * n + x) % q == 0 for n, x in zip(noise[1:], raw[1:]))
+    ]
+    if not r_values:
+        return None
+    return [
+        (r, m_b)
+        for r in r_values
+        for m_b in scalars
+        if (r * (delta * (m_b - m_a) - noise[0]) - raw[0]) % q == 0
+    ]

@@ -21,6 +21,7 @@ from bfvlab.attacks import (
     FloodedOrMalformedError,
     InsufficientNoiseStructureError,
     ZeroCheckOracle,
+    _reply_pairs,
     bit_leak_attack,
     bit_leak_offset,
     bit_leak_probe,
@@ -37,6 +38,7 @@ from bfvlab.attacks import (
 from bfvlab.ring import reduce_centered, sample_gaussian, sample_uniform
 
 from conftest import encrypt_draws, make_rng
+from oracles import center_mod, reply_pairs_scan
 
 
 # --- one-query chosen-ciphertext recovery ----------------------------------------
@@ -225,6 +227,38 @@ def test_circuit_privacy_recovers_every_honest_trial_at_even_t(small_params):
     report = run_circuit_privacy_attack(small_params, make_rng(29), trials=16)
     assert report.details["recoveries"] == 16
     assert report.success
+
+
+def test_reply_pairs_match_the_residue_scan():
+    # q = 2**k: a noise coefficient sharing 2**e with q leaves up to 2**e
+    # candidate r, so even t and non-unit r give several pairs or none
+    rng = make_rng(37)
+    d = 4
+    seen = set()
+    for _ in range(400):
+        k = int(rng.integers(6, 12))
+        q = 1 << k
+        t = int(rng.integers(2, min(q, 80)))
+        params = BfvParams(d=d, q=q, t=t)
+        e = int(rng.integers(0, k))
+        noise = [center_mod(int(v) << e, q) for v in rng.integers(-3, 4, d)]
+        if not any(noise[1:]):
+            noise[1] = 1 << e if e < k - 1 else -(1 << e)
+        m_a, m_b, r = (int(v) for v in rng.integers(-(t // 2), (t + 1) // 2, 3))
+        raw = [center_mod(r * (params.delta * (m_b - m_a) - noise[0]), q)]
+        raw += [center_mod(-r * n, q) for n in noise[1:]]
+        if rng.random() < 0.3:  # a reply no honest evaluation gives
+            raw[int(rng.integers(0, d))] += int(rng.integers(1, 4))
+        expected = reply_pairs_scan(noise, raw, m_a, t, q)
+        noise_poly, raw_coeffs = Polynomial(noise, q), Polynomial(raw, q).coeffs
+        if expected is None:
+            with pytest.raises(FloodedOrMalformedError, match="response tail"):
+                _reply_pairs(noise_poly, raw_coeffs, m_a, params)
+            seen.add("no r")
+        else:
+            assert sorted(_reply_pairs(noise_poly, raw_coeffs, m_a, params)) == expected
+            seen.add(min(len(expected), 2))
+    assert seen == {"no r", 0, 1, 2}
 
 
 def test_random_multiplier_draws_once_at_prime_t(small_prime_t_params):

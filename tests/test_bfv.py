@@ -1,6 +1,7 @@
 """Scheme-level behavior: parameters, key relations, noise identities,
 roundtrips, homomorphic operations, flooding, serialization."""
 
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from bfvlab import (
     Ciphertext,
     PARAM_SETS,
     Polynomial,
+    PublicKey,
     SecretKey,
     attacks,
     get_params,
@@ -76,6 +78,20 @@ def test_keygen_is_deterministic_per_seed(small_params):
 def test_secret_key_rejects_non_binary():
     with pytest.raises(ValueError):
         SecretKey(Polynomial([0, 1, 2, 0], 97), BfvParams(d=4, q=97, t=2))
+
+
+@pytest.mark.parametrize("cls", [SecretKey, PublicKey, Ciphertext])
+@pytest.mark.parametrize(
+    "d,q,match",
+    [(8, 97, "degree 8 .* d = 4"), (4, 101, "modulus 101, not .* q = 97")],
+    ids=["degree", "modulus"],
+)
+def test_keys_and_ciphertexts_refuse_polynomials_outside_their_ring(cls, d, q, match):
+    params = BfvParams(d=4, q=97, t=2)
+    count = len(fields(cls)) - 1
+    with pytest.raises(ValueError, match=match):
+        cls(*[Polynomial.constant(0, d, q)] * count, params)
+    cls(*[Polynomial.constant(0, 4, 97)] * count, params)
 
 
 # --- encryption / decryption ---------------------------------------------------------
@@ -204,14 +220,16 @@ def test_decrypt_margin_is_sound_exhaustively(pairs):
     # already decrypts 0 wrongly, so there the check is also tight.
     tight = 0
     for q, t in pairs:
-        params = BfvParams(d=2, q=q, t=t)
-        largest = _largest_admitted_noise(params)
+        largest = _largest_admitted_noise(BfvParams(d=2, q=q, t=t))
         messages = range(-(t // 2), (t + 1) // 2)
         noises = range(-largest, largest + 1)
-        raw = [params.delta * m + v for m in messages for v in noises] + [largest + 1]
-        n = len(raw)
-        ct = Ciphertext(Polynomial(raw, q), Polynomial.constant(0, n, q), params)
-        got = bfv.decrypt(SecretKey(Polynomial.constant(0, n, q), params), ct).to_coeff_list()
+        raw = [q // t * m + v for m in messages for v in noises] + [largest + 1]
+        # one ciphertext in the power-of-two ring that holds raw, zero-padded
+        n = 1 << max(1, (len(raw) - 1).bit_length())
+        params = BfvParams(d=n, q=q, t=t)
+        zero = Polynomial.constant(0, n, q)
+        ct = Ciphertext(Polynomial(raw + [0] * (n - len(raw)), q), zero, params)
+        got = bfv.decrypt(SecretKey(zero, params), ct).to_coeff_list()[: len(raw)]
         assert got[:-1] == [m for m in messages for _ in noises], (q, t)
         if q % t == 0:
             assert got[-1] != 0, (q, t)

@@ -192,14 +192,19 @@ def saturated_pairs(d: int, q: int) -> list[tuple[list[int], list[int]]]:
     convolves as one float32 and as one float64 pair, and set b[0] = 0:
     output d - 1 is then (d - 1) * a * b, odd, and one budget bit more
     would put it above 2**24 or 2**53, where the type holds no odd integer.
+    The high-limb row keeps only the top limb of each operand, so output d - 1
+    is the top pair's convolution at its full d * La * Lb, at the largest weight.
     """
     bits = (q // 2).bit_length()
-    width_a, width_b, _ = _limb_plan(bits, bits, d)
+    width_a, width_b, types = _limb_plan(bits, bits, d)
+    half = (q - 1) // 2
+    shift_a, shift_b = width_a * (len(types) - 1), width_b * (len(types[0]) - 1)
     rows = [
         (-(q // 2), [-(q // 2)] * d),
-        ((q - 1) // 2, [(q - 1) // 2] * d),
+        (half, [half] * d),
         ((1 << width_a) - 1, [(1 << width_b) - 1] * d),
-        ((q - 1) // 2, [1] * d),
+        (half, [1] * d),
+        (half >> shift_a << shift_a, [half >> shift_b << shift_b] * d),
     ]
     top = ((q - 1) // 2 + 1).bit_length() - 1  # 2**top - 1 is a centered residue
     for bits_b in (1, 5):
@@ -296,6 +301,17 @@ def test_scalar_mul_matches_oracle(q):
             quo, rem = _mul_divmod(np.array(xs, dtype=np.int64), c, q)
             got = [(int(x), int(y)) for x, y in zip(quo, rem)]
             assert got == [divmod(x * c, q) for x in xs], (xs, c)
+    # at the top digit's width: bits(max|x|) + bits(c) = 62 and 63 fit one int64
+    # multiply, 64 needs a second digit
+    for bits_x in sorted({1, (q - 1).bit_length() // 2, (q - 1).bit_length()}):
+        x_max = min((1 << bits_x) - 1, q - 1)
+        xs = [x_max, -x_max, x_max // 3, -(x_max // 2), 1, -1, 0]
+        for total in (62, 63, 64):
+            bits_c = total - bits_x
+            for c in (1 << (bits_c - 1), (1 << bits_c) - 1) if bits_c > 0 else ():
+                quo, rem = _mul_divmod(np.array(xs, dtype=np.int64), c, q)
+                got = [(int(x), int(y)) for x, y in zip(quo, rem)]
+                assert got == [divmod(x * c, q) for x in xs], (bits_x, c)
 
 
 def limb_maxima(bits: int, width: int, count: int) -> list[int]:
