@@ -63,7 +63,7 @@ def _resolve_config(args) -> tuple[BfvParams, Optional[str]]:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def _read_json(path: Path):

@@ -331,17 +331,17 @@ def test_verbose_is_offered_only_where_it_prints(tmp_path):
 PINNED_SHA256 = {
     # recorded under numpy 2.4.6; a numpy release that changes the
     # Generator streams changes these files too
-    "keygen.sk": "9ee82af5cd5fdb73d2ef63bde0493a390b27247692264b666b779a3c2ef497eb",
-    "keygen.pk": "ea0d2f3055886933ea1a210203718f017c44d9623c467669d066ec7a3654e886",
-    "encrypt": "313704caf8e944f9dd9292505039265d99dec410ed7a3a430a97b82430dc510f",
-    "decrypt": "44f53844227696c29d9c0d89d2b6c4b3b958be411f66712d78f36ea4e6fc820f",
-    "attack.cca": "8648086daea251c2a65af51c1b82bbc4fcecae465c21619db6c82e35c30c8724",
-    "attack.encoder": "a27257d30323e2384c01b2c7f6b75639832cfceeb186c6355cfe92f723d7c12a",
-    "attack.circuit": "4d872239f88ae47dd484034d55790614bdea9ac123b08bf3269af7d0c8640b61",
-    "attack.circuit-flood": "cf1663cf48ff2c95990459bf4e8cdba1cf7b055a9a699d1c9ddef2612d5ffebc",
-    "psi.honest": "6f88d7738c618582da1fad8e26872ed6c86fbc152c609f81a17e553fce8d539e",
-    "psi.flooding": "acac46b746c2ca4802baa0f765a27215461242b65ec873c79c37696ef31caf87",
-    "psi.malicious-probe": "3af7dccd20647c9548b353f7d9b769bd1df026c5a73bfafa3057110fe711e2da",
+    "keygen.sk": "7ae5ba8598a41fb73902280ea8d53a2efdad161767d14e43db8b416fe3a35ce4",
+    "keygen.pk": "912d3554007320df875071deadb7897685fa1d4787453c412e17d6c39e24a3a4",
+    "encrypt": "afd11bfb92132d88ff60037bf225c2d9694829d1978696165bc6aaa9c4042942",
+    "decrypt": "f7f486f6b6a9fed4e805b55525b958e96d8311e18e8a2dbe827df60efd19fa2a",
+    "attack.cca": "30f3593e0085735c3b1865a13b6cf9c2280c15e36fc7e4ce6e01d09097bada44",
+    "attack.encoder": "436787f74bd20f81669168b8a7a3c0a7405bec1aae96fc4e84e0c9837cb98940",
+    "attack.circuit": "36244253fff98aaaaf813baf9a60726c9a24a22c3a16467834c3fdfe03351e1b",
+    "attack.circuit-flood": "20831882eeab157d4de70ac45b151bad16b21b5b199ffcf12e3af8740c911acc",
+    "psi.honest": "ce1306d7f93e7e3b167f9bad42c364b3095070d97179ae75e4e5bce5036bb1f0",
+    "psi.flooding": "22a17e6f883f2c11457aa5aaa6771296a8a88e65ae43f31facf7aa2e33c7264e",
+    "psi.malicious-probe": "8291a69b8edd63a5a5a342d0b30a56a3b6b5e9a50c16c212b105963c628594b9",
 }
 
 
@@ -392,3 +392,38 @@ def test_seeded_artifacts_are_pinned(tmp_path):
     files = _seeded_artifacts(tmp_path)
     got = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
     assert got == PINNED_SHA256
+
+
+def test_written_files_are_one_line_of_sorted_json(tmp_path):
+    """Files share the wire frames' layout: compact, sorted keys, one newline."""
+    for name, path in _seeded_artifacts(tmp_path).items():
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", name
+
+
+def test_indented_files_from_earlier_versions_still_load(tmp_path):
+    """Keys and ciphertexts written with indent=2 read the same as compact ones."""
+    write_keys(tmp_path)
+    plain = tmp_path / "m.json"
+    plain.write_text("[7, 0, 255, -3]")
+
+    def encrypt(key, out):
+        argv = ["encrypt", "--key", key, "--in", plain, "--seed", 4, "--out", out]
+        assert run_cli(argv) == 0
+        return out.read_bytes()
+
+    def decrypt(key, ct, out):
+        assert run_cli(["decrypt", "--key", key, "--in", ct, "--out", out]) == 0
+        return out.read_bytes()
+
+    def indented(name):
+        path, old = tmp_path / name, tmp_path / f"indented-{name}"
+        old.write_text(json.dumps(json.loads(path.read_text()), indent=2, sort_keys=True) + "\n")
+        assert old.read_text() != path.read_text()
+        return old
+
+    ct = encrypt(tmp_path / "key.pk.json", tmp_path / "ct.json")
+    assert encrypt(indented("key.pk.json"), tmp_path / "ct-again.json") == ct
+    pt = decrypt(tmp_path / "key.sk.json", tmp_path / "ct.json", tmp_path / "pt.json")
+    old_sk, old_ct = indented("key.sk.json"), indented("ct.json")
+    assert decrypt(old_sk, old_ct, tmp_path / "pt-old.json") == pt
