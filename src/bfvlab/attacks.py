@@ -320,20 +320,20 @@ class AttackReport:
         return asdict(self)
 
 
-def _describe_params(params: BfvParams, name: Optional[str]) -> dict:
+def _describe_params(params: BfvParams) -> dict:
+    """The parameters, with the name of the bfv.PARAM_SETS entry they equal, if any."""
+    name = next((name for name, known in bfv.PARAM_SETS.items() if known == params), None)
     return asdict(params) if name is None else {**asdict(params), "name": name}
 
 
-def run_cca_attack(
-    params: BfvParams, rng: np.random.Generator, set_name: Optional[str] = None
-) -> AttackReport:
+def run_cca_attack(params: BfvParams, rng: np.random.Generator) -> AttackReport:
     """Generate a key pair, run the one-query recovery, compare to ground truth."""
     sk, _pk = bfv.keygen(params, rng)
     oracle = DecryptionOracle.honest(sk, params)
     recovered = cca_one_query(oracle, params)
     return AttackReport(
         attack="cca-one-query",
-        parameter_set=_describe_params(params, set_name),
+        parameter_set=_describe_params(params),
         oracle_calls=oracle.calls,
         recovered={"secret_key": recovered.s.to_hex()},
         success=recovered.s == sk.s and oracle.calls == 1,
@@ -341,16 +341,14 @@ def run_cca_attack(
     )
 
 
-def run_bit_leak_attack(
-    params: BfvParams, rng: np.random.Generator, set_name: Optional[str] = None
-) -> AttackReport:
+def run_bit_leak_attack(params: BfvParams, rng: np.random.Generator) -> AttackReport:
     """Generate a key pair, recover it through a zero-check oracle bit by bit."""
     sk, pk = bfv.keygen(params, rng)
     oracle = ZeroCheckOracle.honest(sk, params)
     recovered = bit_leak_attack(oracle, pk, params)
     return AttackReport(
         attack="bit-leak",
-        parameter_set=_describe_params(params, set_name),
+        parameter_set=_describe_params(params),
         oracle_calls=oracle.calls,
         recovered={"secret_key": recovered.s.to_hex()},
         success=recovered.s == sk.s and oracle.calls == params.d,
@@ -368,7 +366,6 @@ def run_circuit_privacy_attack(
     rng: np.random.Generator,
     flood_bound: Optional[int] = None,
     trials: int = 1,
-    set_name: Optional[str] = None,
 ) -> AttackReport:
     """Play both sides of the scalar product r*(m_b - c_a) and try the recovery.
 
@@ -416,7 +413,7 @@ def run_circuit_privacy_attack(
     success = recoveries == trials and correctness_failures == 0
     return AttackReport(
         attack="circuit-privacy",
-        parameter_set=_describe_params(params, set_name),
+        parameter_set=_describe_params(params),
         oracle_calls=0,
         recovered=last_recovered,
         success=success,
@@ -430,9 +427,7 @@ def run_circuit_privacy_attack(
     )
 
 
-def run_encoder_leak_demo(
-    params: BfvParams, rng: np.random.Generator, set_name: Optional[str] = None
-) -> AttackReport:
+def run_encoder_leak_demo(params: BfvParams, rng: np.random.Generator) -> AttackReport:
     """Millionaires'-style sums for the input pairs (1, 3) and (2, 2).
 
     Both pairs sum to 4, yet the decrypted polynomials differ (x + 2
@@ -461,7 +456,7 @@ def run_encoder_leak_demo(
     decodes_agree = first["decoded"] == second["decoded"]
     return AttackReport(
         attack="encoder-leak",
-        parameter_set=_describe_params(params, set_name),
+        parameter_set=_describe_params(params),
         oracle_calls=0,
         recovered={
             "sum_of_1_3": first["decrypted_hex"],

@@ -19,6 +19,7 @@ import numpy as np
 from .ring import (
     _INT64_BUDGET,
     Polynomial,
+    _int64_list,
     _mul_divmod,
     gaussian_tail,
     sample_binary,
@@ -171,12 +172,12 @@ def keygen(
 
 
 def plaintext(values: list, params: BfvParams) -> Polynomial:
-    """The message mod t from a list of at most d integers, zero-padded to d.
+    """The message mod t from a list of at most d integers (ring._int64_list), zero-padded to d.
 
     Each value v must satisfy -(t // 2) <= v < t; one of t // 2 or more
     reads as v - t, so t - 1 is -1.  Any other value raises ValueError.
     """
-    coeffs = _coeff_array(values)
+    coeffs = _int64_list(values)
     if coeffs.size > params.d:
         raise ValueError("too many plaintext coefficients for the ring degree")
     low, t = -(params.t // 2), params.t
@@ -321,16 +322,6 @@ def _params_from_header(obj: dict) -> BfvParams:
     return BfvParams(d=d, q=q, t=t, sigma=float(sigma))
 
 
-def _coeff_array(values) -> np.ndarray:
-    """The one intake of JSON coefficient lists: int elements (not bools) within int64."""
-    if not isinstance(values, list) or not set(map(type, values)) <= {int}:
-        raise ValueError("coefficients must be a JSON array of integers")
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise ValueError("coefficients must fit in int64") from None
-
-
 def _to_json(obj) -> dict:
     """Header plus one coefficient list per polynomial field of a key or ciphertext."""
     payload = [getattr(obj, f.name).to_coeff_list() for f in fields(obj)[:-1]]
@@ -348,8 +339,8 @@ def _from_json(cls, obj: dict):
     payload = obj.get("payload")
     if not isinstance(payload, list) or len(payload) != count:
         raise ValueError(f"payload must hold exactly {count} coefficient vectors")
-    # the constructor refuses a vector whose length is not params.d
-    return cls(*(Polynomial(_coeff_array(values), params.q) for values in payload), params)
+    # Polynomial takes in each list; the constructor refuses a length other than params.d
+    return cls(*(Polynomial(values, params.q) for values in payload), params)
 
 
 # every object carries its params, so one serializer writes all three

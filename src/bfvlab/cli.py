@@ -14,7 +14,6 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -45,9 +44,8 @@ def _add_common_flags(parser: argparse.ArgumentParser, default_set: str) -> None
     parser.set_defaults(default_set=default_set)
 
 
-def _resolve_config(args) -> tuple[BfvParams, Optional[str]]:
-    """The parameters the flags ask for, and the name of their set (None
-    for explicit --d/--q/--t)."""
+def _resolve_config(args) -> BfvParams:
+    """The parameters the flags ask for: explicit --d/--q/--t, or a named set."""
     explicit = [args.d, args.q, args.t]
     if any(v is not None for v in explicit):
         if any(v is None for v in explicit):
@@ -55,11 +53,10 @@ def _resolve_config(args) -> tuple[BfvParams, Optional[str]]:
         if args.params is not None:
             raise ValueError("give either --params or explicit --d/--q/--t, not both")
         sigma = BfvParams.sigma if args.sigma is None else args.sigma
-        return BfvParams(d=args.d, q=args.q, t=args.t, sigma=sigma), None
+        return BfvParams(d=args.d, q=args.q, t=args.t, sigma=sigma)
     if args.sigma is not None:
         raise ValueError("--sigma needs explicit --d, --q and --t")
-    set_name = args.params or args.default_set
-    return get_params(set_name), set_name
+    return get_params(args.params or args.default_set)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -74,7 +71,7 @@ def _read_json(path: Path):
 
 
 def _cmd_keygen(args) -> int:
-    params, _ = _resolve_config(args)
+    params = _resolve_config(args)
     sk, pk = bfv.keygen(params, np.random.default_rng(args.seed))
     prefix = Path(args.out or "key")
     sk_path = prefix.with_name(prefix.name + ".sk.json")
@@ -107,20 +104,20 @@ def _cmd_decrypt(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    params, name = _resolve_config(args)
+    params = _resolve_config(args)
     rng = np.random.default_rng(args.seed)
     start = time.perf_counter()
     if args.attack == "cca":
-        report = attacks.run_cca_attack(params, rng, set_name=name)
+        report = attacks.run_cca_attack(params, rng)
     elif args.attack == "bitleak":
-        report = attacks.run_bit_leak_attack(params, rng, set_name=name)
+        report = attacks.run_bit_leak_attack(params, rng)
     elif args.attack == "circuit":
         flood_bound = (1 << args.flood) if args.flood is not None else None
         report = attacks.run_circuit_privacy_attack(
-            params, rng, flood_bound=flood_bound, trials=args.trials, set_name=name
+            params, rng, flood_bound=flood_bound, trials=args.trials
         )
     else:
-        report = attacks.run_encoder_leak_demo(params, rng, set_name=name)
+        report = attacks.run_encoder_leak_demo(params, rng)
     elapsed = time.perf_counter() - start
 
     out = Path(args.out or f"{args.attack}-report.json")
@@ -147,7 +144,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_psi(args) -> int:
-    params, _ = _resolve_config(args)
+    params = _resolve_config(args)
     if args.flood is not None and args.strategy != "flooding":
         raise ValueError("--flood needs --strategy flooding")
     if args.index is not None and args.strategy != "malicious-probe":

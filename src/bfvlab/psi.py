@@ -164,13 +164,6 @@ class BobState:
     phase: str = "ready"
 
 
-def _as_message(value, params: BfvParams) -> Polynomial:
-    """An integer input in [-(t // 2), t) as a constant message, via bfv.plaintext."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"input must be an integer, not {value!r}")
-    return bfv.plaintext([int(value)], params)
-
-
 def _read_message(msg: WireMessage, kind: str, session_id, peer):
     """The one reader of pubkey, query and response messages: check the kind and
     session, load the body, and check it against peer (a key, ciphertext or
@@ -207,7 +200,7 @@ def alice_init(
     state = AliceState(
         sk=sk,
         pk=pk,
-        m_a=_as_message(m_a, params),
+        m_a=bfv.plaintext([m_a], params),
         session_id=session_id,
         rng=rng,
     )
@@ -235,7 +228,7 @@ def bob_init(
     pk = _read_message(pubkey_msg, "pubkey", None, params)
     return BobState(
         pk=pk,
-        m_b=_as_message(m_b, params),
+        m_b=bfv.plaintext([m_b], params),
         r=Polynomial.constant(attacks.random_multiplier(params, rng), params.d, params.t),
         session_id=pubkey_msg.session_id,
         rng=rng,

@@ -59,15 +59,30 @@ def _center(x: np.ndarray, modulus: int) -> np.ndarray:
     return x - (x + modulus // 2) // modulus * modulus
 
 
+def _int64_list(values: list) -> np.ndarray:
+    """The one intake of integers from outside: a list of Python ints or numpy
+    signed-integer scalars, never bools, as int64; anything else raises ValueError."""
+    if not isinstance(values, list) or not all(
+        issubclass(k, (int, np.signedinteger)) and k is not bool for k in set(map(type, values))
+    ):
+        raise ValueError(f"expected a list of integers, not {values!r:.40}")
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("integers must fit in int64") from None
+
+
 class Polynomial:
     """Length-d coefficient vector with centered residues mod `modulus`.
 
     Instances are immutable by convention: all operations return new
     polynomials.  Coefficients are stored as int64, which the modulus
     bound 2 <= modulus < 2**62 (_INT64_BUDGET) keeps lossless; any
-    other modulus raises ValueError.  `coeffs` must become a 1-D,
-    non-empty signed-integer array under np.asarray; floats, strings,
-    None, bools and values outside int64 raise ValueError, never coerced.
+    other modulus raises ValueError.  `coeffs` is a non-empty 1-D
+    signed-integer ndarray, or a list that _int64_list takes in: Python
+    ints or numpy signed-integer scalars, never bools, within int64.
+    Anything else (tuples, ranges, floats, strings, None, bools, unsigned
+    or out-of-range values) raises ValueError, never coerced.
     """
 
     __slots__ = ("coeffs", "modulus")
@@ -75,9 +90,11 @@ class Polynomial:
     def __init__(self, coeffs, modulus: int):
         if not 2 <= modulus < (1 << _INT64_BUDGET):
             raise ValueError("modulus must satisfy 2 <= modulus < 2**62")
-        arr = np.asarray(coeffs)
-        if arr.dtype.kind != "i" or arr.ndim != 1 or arr.size == 0:
-            raise ValueError(f"coefficients must be a non-empty 1-D integer vector: {arr!r:.40}")
+        arr = _int64_list(coeffs) if isinstance(coeffs, list) else coeffs
+        if (
+            not isinstance(arr, np.ndarray) or arr.dtype.kind != "i" or arr.ndim != 1 or not arr.size
+        ):
+            raise ValueError(f"coefficients must be a non-empty 1-D integer vector: {coeffs!r:.40}")
         arr = arr.astype(np.int64)  # a copy: never alias the caller's array
         low, high = arr.min(), arr.max()
         if low < -(modulus // 2) or high >= (modulus + 1) // 2:  # free when centered

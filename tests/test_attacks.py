@@ -7,6 +7,7 @@ import pytest
 
 import bfvlab.bfv as bfv
 from bfvlab import (
+    PARAM_SETS,
     BfvParams,
     Ciphertext,
     Polynomial,
@@ -385,11 +386,20 @@ def test_encoder_leak_demo_exact_polynomials():
 
 
 def test_run_cca_attack_report(small_params):
-    report = run_cca_attack(small_params, make_rng(18), set_name=None)
+    report = run_cca_attack(small_params, make_rng(18))
     assert report.success
     assert report.oracle_calls == 1
     assert report.attack == "cca-one-query"
     assert report.parameter_set["d"] == small_params.d
+
+
+def test_reports_name_the_set_their_params_equal(small_params):
+    # the name is looked up in PARAM_SETS, so no caller passes it
+    report = run_cca_attack(get_params("cca-1024"), make_rng(18))
+    assert report.parameter_set["name"] == "cca-1024"
+    assert "name" not in run_cca_attack(small_params, make_rng(18)).parameter_set
+    # the lookup names one set only because no two sets are equal
+    assert len(set(PARAM_SETS.values())) == len(PARAM_SETS)
 
 
 def test_run_bit_leak_attack_report(small_params):

@@ -39,6 +39,8 @@ def test_entry_holds_medians_layers_machine_and_tier1(tmp_path, monkeypatch, cap
     )
     entry = bench_record.build_entry(tmp_path, junit)
     assert (entry["commit"], entry["machine"]) == ("abc123", MACHINE)
+    sources = (ROOT / "src" / "bfvlab").glob("*.py")
+    assert entry["src_lines"] == sum(len(path.read_text().splitlines()) for path in sources) > 0
     for w in BENCHMARK["workloads"]:
         summary = entry["workloads"][w["name"]]
         assert {n: s["median"] for n, s in summary["end_to_end"].items()} == dict.fromkeys(names, 3.0)

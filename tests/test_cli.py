@@ -136,6 +136,13 @@ def test_attack_cca_report_and_determinism(tmp_path):
     assert "elapsed_seconds" not in report
 
 
+def test_explicit_flags_equal_to_a_set_get_its_name(tmp_path):
+    out = tmp_path / "cca.json"
+    argv = ["attack", "cca", "--d", 1024, "--q", 2**54, "--t", 256, "--out", out]
+    assert run_cli(argv) == 0
+    assert json.loads(out.read_text())["parameter_set"]["name"] == "cca-1024"
+
+
 def test_attack_bitleak_small_parameters(tmp_path):
     out = tmp_path / "bitleak.json"
     assert run_cli(["attack", "bitleak", *SMALL, "--seed", 2, "--out", out]) == 0

@@ -94,10 +94,15 @@ def test_polynomial_rejects_bad_shapes():
         Polynomial([1, 2], 1)
     with pytest.raises(ValueError):
         Polynomial([[1, 2], [3, 4]], 97)
-    # nothing is truncated or coerced into an integer
-    for bad in ([1.9, 0], ["1", "0"], [None, 0], [True, False], [2**63, 0], "10", None):
+    # nothing is truncated or coerced into an integer; [1, True] used to load as [1, 1],
+    # and a tuple or range is not the list intake
+    for bad in (
+        [1.9, 0], ["1", "0"], [None, 0], [True, False], [1, True], [True, 2], [np.True_, 1],
+        [np.uint8(1), 0], [2**63, 0], (1, 2), range(1, 3), "10", None,
+    ):
         with pytest.raises(ValueError):
             Polynomial(bad, 97)
+    assert Polynomial([np.int32(-1), np.int64(2), 3], 97).to_coeff_list() == [-1, 2, 3]
     # the int64 bound: beyond it a scalar product divided by zero
     # (2**62 + 1) or overflowed int64 (2**63) instead of refusing
     for modulus in (2**62, 2**62 + 1, 2**63):

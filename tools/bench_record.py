@@ -12,11 +12,11 @@ The records must come from the tree being recorded, made beforehand:
 
 A record older than the newest src/ file is refused and named, since it
 may come from another tree.  The entry holds the commit, whether src/ or
-tests/ differed from it and a digest of the measured src/ files, per
-workload the median and the runs of each end-to-end metric over the
-seeds, the traced per-layer counts, the machine record, and the Tier-1
-wall time with its five slowest tests.  Nothing is gated on it; a later
-entry is diffed against it.
+tests/ differed from it, a digest of the measured src/ files and the
+line count of src/bfvlab/*.py, per workload the median and the runs of
+each end-to-end metric over the seeds, the traced per-layer counts, the
+machine record, and the Tier-1 wall time with its five slowest tests.
+Nothing is gated on it; a later entry is diffed against it.
 """
 
 from __future__ import annotations
@@ -51,6 +51,11 @@ def src_digest() -> str:
     for path in _src_files():
         digest.update(path.relative_to(ROOT).as_posix().encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()
+
+
+def src_lines() -> int:
+    """Total line count of src/bfvlab/*.py, as `wc -l` counts it."""
+    return sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "bfvlab").glob("*.py"))
 
 
 def _load(records: Path, workload: str, seed: int, trace: int) -> dict:
@@ -107,6 +112,7 @@ def build_entry(records: Path, junit: Path) -> dict:
         "commit": _git("rev-parse", "HEAD"),
         "dirty": bool(_git("status", "--porcelain", "--", "src", "tests")),
         "src_sha256": src_digest(),
+        "src_lines": src_lines(),
         "seeds": SEEDS,
         "trace_seed": TRACE_SEED,
         "machine": machines[0],
