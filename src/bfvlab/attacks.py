@@ -29,7 +29,7 @@ import numpy as np
 from . import bfv
 from .bfv import BfvParams, Ciphertext, PublicKey, SecretKey
 from .encoders import integer_decode, integer_encode
-from .ring import Polynomial, gaussian_tail, monomial, reduce_centered
+from .ring import Polynomial, _as_int, gaussian_tail, monomial, reduce_centered
 
 __all__ = [
     "AttackError",
@@ -106,9 +106,7 @@ def cca_one_query(oracle: DecryptionOracle, params: BfvParams) -> SecretKey:
     representative of 1 is -1.
     """
     probe = Ciphertext(
-        Polynomial.constant(0, params.d, params.q),
-        Polynomial.constant(params.delta, params.d, params.q),
-        params,
+        monomial(0, 0, params.d, params.q), monomial(0, params.delta, params.d, params.q), params
     )
     bits = oracle(probe).coeffs % params.t
     if (bits > 1).any():
@@ -254,7 +252,7 @@ def circuit_privacy_recover(
         )
     [(r_value, m_b_value)] = pairs
     d, t = params.d, params.t
-    return Polynomial.constant(r_value, d, t), Polynomial.constant(m_b_value, d, t)
+    return monomial(0, r_value, d, t), monomial(0, m_b_value, d, t)
 
 
 def _reply_pairs(
@@ -356,11 +354,6 @@ def run_bit_leak_attack(params: BfvParams, rng: np.random.Generator) -> AttackRe
     )
 
 
-def _random_scalar(params: BfvParams, rng: np.random.Generator) -> int:
-    """Uniform centered scalar mod t."""
-    return reduce_centered(int(rng.integers(0, params.t)), params.t)
-
-
 def run_circuit_privacy_attack(
     params: BfvParams,
     rng: np.random.Generator,
@@ -375,6 +368,7 @@ def run_circuit_privacy_attack(
     and the report counts blocked trials.  Decryption correctness of the
     (possibly flooded) response is checked in every trial.
     """
+    trials = _as_int(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     recoveries = 0
@@ -383,25 +377,25 @@ def run_circuit_privacy_attack(
     last_recovered: dict = {}
     for _ in range(trials):
         sk, pk = bfv.keygen(params, rng)
-        m_a_value = _random_scalar(params, rng)
+        m_a_value = reduce_centered(rng.integers(0, params.t), params.t)  # uniform mod t
         m_b_value = (
-            m_a_value if rng.random() < 0.5 else _random_scalar(params, rng)
+            m_a_value if rng.random() < 0.5 else reduce_centered(rng.integers(0, params.t), params.t)
         )
         r_value = random_multiplier(params, rng)
-        m_a = Polynomial.constant(m_a_value, params.d, params.t)
-        m_b = Polynomial.constant(m_b_value, params.d, params.t)
+        m_a = monomial(0, m_a_value, params.d, params.t)
+        m_b = monomial(0, m_b_value, params.d, params.t)
         c_a = bfv.encrypt(pk, m_a, rng)
-        r = Polynomial.constant(r_value, params.d, params.t)
+        r = monomial(0, r_value, params.d, params.t)
         response = bob_reply(c_a, m_b, r, pk, rng, flood_bound)
 
         # The response must still decrypt to r*(m_b - m_a) regardless of flooding.
         expected = reduce_centered(r_value * (m_b_value - m_a_value), params.t)
         raw = bfv.decrypt_raw(sk, response)
-        if bfv.round_raw(raw, params) != Polynomial.constant(expected, params.d, params.t):
+        if bfv.round_raw(raw, params) != monomial(0, expected, params.d, params.t):
             correctness_failures += 1
 
         # (raw, 0) has the response's raw decryption, so recovery needs no second c1*s
-        trivial = Ciphertext(raw, Polynomial.constant(0, params.d, params.q), params)
+        trivial = Ciphertext(raw, monomial(0, 0, params.d, params.q), params)
         try:
             r_rec, m_b_rec = circuit_privacy_recover(sk, c_a, m_a, trivial)
         except AttackError:

@@ -19,6 +19,7 @@ import numpy as np
 from .ring import (
     _INT64_BUDGET,
     Polynomial,
+    _as_int,
     _int64_list,
     _mul_divmod,
     gaussian_tail,
@@ -60,7 +61,8 @@ __all__ = [
 @dataclass(frozen=True)
 class BfvParams:
     """Scheme parameters: ring degree d, coefficient modulus q of
-    Z_q[x] / (x^d + 1), plaintext modulus t, noise width sigma."""
+    Z_q[x] / (x^d + 1), plaintext modulus t, noise width sigma.
+    d, q and t are exactly ints; anything else raises ValueError."""
 
     d: int
     q: int
@@ -68,6 +70,9 @@ class BfvParams:
     sigma: float = 3.2
 
     def __post_init__(self) -> None:
+        for name in ("d", "q", "t"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, not {getattr(self, name)!r}")
         if self.d < 2 or self.d & (self.d - 1):
             raise ValueError("ring degree must be a power of two, at least 2")
         if not 2 <= self.q < (1 << _INT64_BUDGET):
@@ -190,7 +195,7 @@ def _lift(m: Polynomial, params: BfvParams) -> Polynomial:
     """The message m, a polynomial mod t, re-centered mod q; any other modulus raises ValueError."""
     if m.modulus != params.t:
         raise ValueError(f"message modulus {m.modulus} is not the plaintext modulus t = {params.t}")
-    return m.with_modulus(params.q)
+    return Polynomial(m.coeffs, params.q)
 
 
 def encrypt(pk: PublicKey, m: Polynomial, rng: np.random.Generator) -> Ciphertext:
@@ -272,6 +277,7 @@ def encrypt_zero_flood(pk: PublicKey, flood_bound: int, rng: np.random.Generator
     flood - e*u + e2*s stays within flood_bound + 2d*tail, and a bound
     whose total misses the decrypt margin raises ValueError.
     """
+    flood_bound = _as_int(flood_bound, "flood_bound")
     if flood_bound < 0:
         raise ValueError("flood_bound must be non-negative")
     params = pk.params
@@ -313,9 +319,6 @@ def _params_from_header(obj: dict) -> BfvParams:
         d, q, t, sigma = obj["d"], obj["q"], obj["t"], obj["sigma"]
     except KeyError as missing:
         raise ValueError(f"missing field {missing} in serialized object") from None
-    for name, value in (("d", d), ("q", q), ("t", t)):
-        if type(value) is not int:
-            raise ValueError(f"field {name!r} must be an integer, not {value!r}")
     # the bound also rejects nan, inf and ints too large for a float
     if type(sigma) not in (int, float) or not abs(sigma) <= sys.float_info.max:
         raise ValueError(f"field 'sigma' must be a finite number, not {sigma!r}")

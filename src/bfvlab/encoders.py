@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bfv import BfvParams
-from .ring import Polynomial
+from .ring import Polynomial, _as_int
 
 __all__ = ["integer_encode", "integer_decode"]
 
@@ -25,6 +25,7 @@ def integer_encode(n: int, params: BfvParams) -> Polynomial:
     carry-free sum must survive reduction mod t; coefficients are
     stored centered mod t.
     """
+    n = _as_int(n, "n")
     magnitude = abs(n)
     if magnitude.bit_length() > params.d:
         raise OverflowError(

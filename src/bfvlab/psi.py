@@ -27,7 +27,7 @@ import numpy as np
 
 from . import attacks, bfv
 from .bfv import BfvParams, Ciphertext, PublicKey, SecretKey
-from .ring import Polynomial
+from .ring import Polynomial, monomial
 
 __all__ = [
     "ProtocolError",
@@ -139,7 +139,7 @@ def _message(obj) -> WireMessage:
 
 @dataclass
 class AliceState:
-    """Alice's side: key pair, input, outcome, and a phase tag enforcing
+    """Alice's side: key pair, input, session id, and a phase tag enforcing
     message order."""
 
     sk: SecretKey
@@ -147,7 +147,6 @@ class AliceState:
     m_a: Polynomial
     session_id: str
     rng: np.random.Generator
-    outcome: Optional[Outcome] = None
     phase: str = "init"
 
 
@@ -229,7 +228,7 @@ def bob_init(
     return BobState(
         pk=pk,
         m_b=bfv.plaintext([m_b], params),
-        r=Polynomial.constant(attacks.random_multiplier(params, rng), params.d, params.t),
+        r=monomial(0, attacks.random_multiplier(params, rng), params.d, params.t),
         session_id=pubkey_msg.session_id,
         rng=rng,
         strategy=strategy,
@@ -258,9 +257,8 @@ def alice_finish(state: AliceState, response: WireMessage) -> Outcome:
         raise ProtocolError(f"alice cannot finish in phase {state.phase!r}")
     ct = _read_message(response, "response", state.session_id, state.sk)
     decrypted = bfv.decrypt(state.sk, ct)
-    state.outcome = Outcome.EQUAL if decrypted.is_zero() else Outcome.NOT_EQUAL
     state.phase = "done"
-    return state.outcome
+    return Outcome.EQUAL if decrypted.is_zero() else Outcome.NOT_EQUAL
 
 
 @dataclass

@@ -9,7 +9,8 @@ within 2**24 and in float64 within 2**53 (see _limb_plan), which _mul_divmod
 recombines mod m in int64 straight from the signed sums when that bound is
 below m; decryption rounds with its quotient.  Every array reduction is one
 floor division (_divmod, _center).  Sampled values stay integer too; there is
-no NTT.
+no NTT.  A value a caller passes (coefficient, factor, index) is an int or numpy
+signed integer, never a bool (_is_int), and a modulus is exactly an int.
 """
 
 from __future__ import annotations
@@ -36,11 +37,23 @@ _FLOAT64_EXACT = 1 << 53
 _EXACT = {np.float32: _FLOAT32_EXACT, np.float64: _FLOAT64_EXACT}
 
 
+def _is_int(kind: type) -> bool:
+    """The one rule for an integer value: its type is int or a numpy signed integer, not bool."""
+    return issubclass(kind, (int, np.signedinteger)) and kind is not bool
+
+
+def _as_int(value, name: str) -> int:
+    """value as a Python int if _is_int allows its type; otherwise ValueError naming it."""
+    if not _is_int(type(value)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 def reduce_centered(value: int, modulus: int) -> int:
-    """Return the residue of value mod modulus lying in [-modulus/2, modulus/2)."""
-    if modulus < 2:
-        raise ValueError("modulus must be at least 2")
-    r = value % modulus
+    """Return the residue of value mod modulus lying in [-modulus/2, modulus/2), as an int."""
+    if type(modulus) is not int or modulus < 2:
+        raise ValueError(f"modulus must be an int of at least 2, not {modulus!r}")
+    r = _as_int(value, "value") % modulus
     if r >= (modulus + 1) // 2:
         r -= modulus
     return r
@@ -60,11 +73,8 @@ def _center(x: np.ndarray, modulus: int) -> np.ndarray:
 
 
 def _int64_list(values: list) -> np.ndarray:
-    """The one intake of integers from outside: a list of Python ints or numpy
-    signed-integer scalars, never bools, as int64; anything else raises ValueError."""
-    if not isinstance(values, list) or not all(
-        issubclass(k, (int, np.signedinteger)) and k is not bool for k in set(map(type, values))
-    ):
+    """The one intake of integer lists: a list of _is_int values as int64, else ValueError."""
+    if not isinstance(values, list) or not all(map(_is_int, set(map(type, values)))):
         raise ValueError(f"expected a list of integers, not {values!r:.40}")
     try:
         return np.array(values, dtype=np.int64)
@@ -76,20 +86,19 @@ class Polynomial:
     """Length-d coefficient vector with centered residues mod `modulus`.
 
     Instances are immutable by convention: all operations return new
-    polynomials.  Coefficients are stored as int64, which the modulus
-    bound 2 <= modulus < 2**62 (_INT64_BUDGET) keeps lossless; any
-    other modulus raises ValueError.  `coeffs` is a non-empty 1-D
-    signed-integer ndarray, or a list that _int64_list takes in: Python
-    ints or numpy signed-integer scalars, never bools, within int64.
-    Anything else (tuples, ranges, floats, strings, None, bools, unsigned
-    or out-of-range values) raises ValueError, never coerced.
+    polynomials.  Coefficients are int64, which the bound 2 <= modulus < 2**62
+    (_INT64_BUDGET) keeps lossless; the modulus is exactly an int.  `coeffs` is a
+    non-empty 1-D signed-integer ndarray or a list _int64_list takes in, and a
+    scalar factor is an int or numpy signed integer, never a bool.  Anything else
+    (floats, bools, unsigned or out-of-range values, tuples, None) raises ValueError.
     """
 
     __slots__ = ("coeffs", "modulus")
+    __array_ufunc__ = None  # so np.uint64(3) * p reaches __rmul__ and is refused
 
     def __init__(self, coeffs, modulus: int):
-        if not 2 <= modulus < (1 << _INT64_BUDGET):
-            raise ValueError("modulus must satisfy 2 <= modulus < 2**62")
+        if type(modulus) is not int or not 2 <= modulus < (1 << _INT64_BUDGET):
+            raise ValueError(f"modulus must be an int with 2 <= modulus < 2**62, not {modulus!r}")
         arr = _int64_list(coeffs) if isinstance(coeffs, list) else coeffs
         if (
             not isinstance(arr, np.ndarray) or arr.dtype.kind != "i" or arr.ndim != 1 or not arr.size
@@ -108,19 +117,9 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
-    @classmethod
-    def constant(cls, value: int, d: int, modulus: int) -> "Polynomial":
-        coeffs = np.zeros(d, dtype=np.int64)
-        coeffs[0] = reduce_centered(value, modulus)
-        return cls(coeffs, modulus)
-
     @property
     def d(self) -> int:
         return int(self.coeffs.size)
-
-    def with_modulus(self, modulus: int) -> "Polynomial":
-        """Re-center the same coefficient values under a different modulus."""
-        return Polynomial(self.coeffs, modulus)
 
     def _check_compatible(self, other: "Polynomial") -> None:
         if self.modulus != other.modulus:
@@ -143,9 +142,7 @@ class Polynomial:
         if isinstance(other, Polynomial):
             self._check_compatible(other)
             return self._ring_mul(other)
-        if isinstance(other, (int, np.integer)):
-            return self._scalar_mul(int(other))
-        return NotImplemented
+        return self._scalar_mul(other)
 
     __rmul__ = __mul__
 
@@ -159,7 +156,7 @@ class Polynomial:
         """A constant operand (zero included) is a scalar; any other product runs the kernel."""
         for a, b in ((self, other), (other, self)):
             if not b.coeffs[1:].any():
-                return a._scalar_mul(int(b.coeffs[0]))
+                return a._scalar_mul(b.coeffs[0])
         product = _negacyclic_mul(self.coeffs, other.coeffs, self.modulus)
         return Polynomial(product, self.modulus)
 
@@ -314,6 +311,7 @@ def _negacyclic_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
 
 def monomial(index: int, coeff: int, d: int, modulus: int) -> Polynomial:
     """The polynomial coeff * x^index in Z_modulus[x] / (x^d + 1)."""
+    index = _as_int(index, "monomial index")
     if not 0 <= index < d:
         raise ValueError(f"monomial index {index} outside [0, {d})")
     coeffs = np.zeros(d, dtype=np.int64)

@@ -3,6 +3,7 @@ probe structure, error paths, and report plumbing."""
 
 import copy
 
+import numpy as np
 import pytest
 
 import bfvlab.bfv as bfv
@@ -64,7 +65,7 @@ def test_cca_works_with_binary_plaintext_modulus():
 
 
 def test_cca_rejects_dishonest_oracle(small_params):
-    junk = Polynomial.constant(5, small_params.d, small_params.t)
+    junk = monomial(0, 5, small_params.d, small_params.t)
     oracle = DecryptionOracle(lambda ct: junk)
     with pytest.raises(AttackError):
         cca_one_query(oracle, small_params)
@@ -92,7 +93,7 @@ def test_probe_against_all_zero_key():
     # force s = 0: pk = (-e, a) decrypts like a key pair with zero key
     a = sample_uniform(params.d, params.q, rng)
     e = sample_gaussian(params.d, params.q, params.sigma, rng)
-    sk = SecretKey(Polynomial.constant(0, params.d, params.q), params)
+    sk = SecretKey(monomial(0, 0, params.d, params.q), params)
     pk = PublicKey(-e, a, params)
     for index in range(params.d):
         assert bfv.decrypt(sk, bit_leak_probe(pk, index, params)).is_zero()
@@ -156,6 +157,15 @@ def test_bit_leak_refuses_unsound_parameters_before_any_query():
     assert oracle.calls == 0
 
 
+def test_bit_leak_probe_takes_an_integer_index(small_params):
+    # True used to index every coefficient as a numpy mask, probing all key bits at once
+    _, pk = bfv.keygen(small_params, make_rng(30))
+    for bad in (True, 1.0, np.uint8(1)):
+        with pytest.raises(ValueError, match="monomial index"):
+            bit_leak_probe(pk, bad, small_params)
+    assert bit_leak_probe(pk, np.int64(1), small_params) == bit_leak_probe(pk, 1, small_params)
+
+
 def test_bit_leak_at_full_size_spot_indices():
     params = get_params("bitleak-2048")
     sk, pk = bfv.keygen(params, make_rng(9))
@@ -171,11 +181,11 @@ def test_bit_leak_at_full_size_spot_indices():
 
 def _honest_exchange(params, rng, m_a_value, m_b_value, r_value):
     sk, pk = bfv.keygen(params, rng)
-    m_a = Polynomial.constant(m_a_value, params.d, params.t)
+    m_a = monomial(0, m_a_value, params.d, params.t)
     c_a = bfv.encrypt(pk, m_a, rng)
     response = bfv.mul_plain(
-        bfv.sub_from_plain(Polynomial.constant(m_b_value, params.d, params.t), c_a),
-        Polynomial.constant(r_value, params.d, params.t),
+        bfv.sub_from_plain(monomial(0, m_b_value, params.d, params.t), c_a),
+        monomial(0, r_value, params.d, params.t),
     )
     return sk, c_a, m_a, response
 
@@ -295,7 +305,7 @@ def test_bob_reply_refuses_flood_its_reply_cannot_carry(small_prime_t_params):
     q, t, d = params.q, params.t, params.d
     rng = make_rng(27)
     sk, pk = bfv.keygen(params, rng)
-    m_a, m_b, r = (Polynomial.constant(v, params.d, params.t) for v in (-41, 41, 41))
+    m_a, m_b, r = (monomial(0, v, params.d, params.t) for v in (-41, 41, 41))
     c_a = bfv.encrypt(pk, m_a, rng)
     # worst case |r|*((2d+1)*tail + (q mod t)) + F + 2d*tail within the margin
     margin = (q - t * (q % t) - 1) // (2 * t)
@@ -303,7 +313,7 @@ def test_bob_reply_refuses_flood_its_reply_cannot_carry(small_prime_t_params):
     with pytest.raises(ValueError, match="flooded reply noise"):
         bob_reply(c_a, m_b, r, pk, rng, largest + 1)
     bfv.encrypt_zero_flood(pk, largest + 1, rng)  # the zero alone is fine
-    expected = Polynomial.constant(41 * 82, params.d, params.t)
+    expected = monomial(0, 41 * 82, params.d, params.t)
     for _ in range(100):
         reply = bob_reply(c_a, m_b, r, pk, rng, largest)
         assert bfv.decrypt(sk, reply) == expected
@@ -314,11 +324,11 @@ def test_circuit_privacy_blocked_by_flooding():
     rng = make_rng(13)
     for bound in (50, 2**20, 2**30):
         sk, pk = bfv.keygen(params, rng)
-        m_a = Polynomial.constant(3, params.d, params.t)
+        m_a = monomial(0, 3, params.d, params.t)
         c_a = bfv.encrypt(pk, m_a, rng)
         response = bfv.mul_plain(
-            bfv.sub_from_plain(Polynomial.constant(10, params.d, params.t), c_a),
-            Polynomial.constant(4, params.d, params.t),
+            bfv.sub_from_plain(monomial(0, 10, params.d, params.t), c_a),
+            monomial(0, 4, params.d, params.t),
         )
         flooded = bfv.add(response, bfv.encrypt_zero_flood(pk, bound, rng))
         with pytest.raises(FloodedOrMalformedError):
@@ -331,11 +341,11 @@ def test_circuit_privacy_needs_noise_structure():
     sk, _ = bfv.keygen(params, rng)
     d, q, delta = params.d, params.q, params.delta
     # noiseless encryption of m_a = 3: n = 0 identically
-    m_a = Polynomial.constant(3, params.d, params.t)
-    c_a = Ciphertext(m_a.with_modulus(q) * delta, Polynomial.constant(0, d, q), params)
+    m_a = monomial(0, 3, params.d, params.t)
+    c_a = Ciphertext(Polynomial(m_a.coeffs, q) * delta, monomial(0, 0, d, q), params)
     response = bfv.mul_plain(
-        bfv.sub_from_plain(Polynomial.constant(9, params.d, params.t), c_a),
-        Polynomial.constant(2, params.d, params.t),
+        bfv.sub_from_plain(monomial(0, 9, params.d, params.t), c_a),
+        monomial(0, 2, params.d, params.t),
     )
     with pytest.raises(InsufficientNoiseStructureError):
         circuit_privacy_recover(sk, c_a, m_a, response)
@@ -361,7 +371,7 @@ def test_evaluation_noise_is_the_encryption_randomness_combination():
         sk, pk = bfv.keygen(params, rng)
         e = -(pk.pk0 + pk.pk1 * sk.s)
         for _ in range(trials):
-            m_a = Polynomial.constant(int(rng.integers(0, params.t)), params.d, params.t)
+            m_a = monomial(0, int(rng.integers(0, params.t)), params.d, params.t)
             u, e1, e2 = encrypt_draws(params, rng)
             c_a = bfv.encrypt(pk, m_a, rng)
             assert evaluation_noise(sk, c_a, m_a) == e1 + e2 * sk.s - e * u
@@ -423,6 +433,12 @@ def test_run_circuit_privacy_attack_counts(small_prime_t_params):
     assert flooded.details["correctness_failures"] == 0
     with pytest.raises(ValueError):
         run_circuit_privacy_attack(small_prime_t_params, make_rng(20), trials=0)
+    # True used to write "trials": true into the report, and 2.5 raised TypeError
+    for bad in (True, 2.5):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            run_circuit_privacy_attack(small_prime_t_params, make_rng(20), trials=bad)
+    one = run_circuit_privacy_attack(small_prime_t_params, make_rng(20), trials=np.int64(1))
+    assert type(one.details["trials"]) is int
 
 
 def test_run_encoder_leak_demo_report():
@@ -443,7 +459,7 @@ def test_oracle_counters_track_every_call(small_params):
     sk, pk = bfv.keygen(small_params, make_rng(23))
     dec = DecryptionOracle.honest(sk, small_params)
     zc = ZeroCheckOracle.honest(sk, small_params)
-    one = Polynomial.constant(1, small_params.d, small_params.t)
+    one = monomial(0, 1, small_params.d, small_params.t)
     ct = bfv.encrypt(pk, one, make_rng(24))
     for expected in (1, 2, 3):
         dec(ct)

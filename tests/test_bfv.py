@@ -18,6 +18,7 @@ from bfvlab import (
     attacks,
     get_params,
     integer_encode,
+    monomial,
     psi,
 )
 
@@ -55,6 +56,10 @@ def test_params_validation():
     for sigma in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="sigma"):
             BfvParams(d=8, q=97, t=4, sigma=sigma)
+    # d, q and t are exactly ints: t = 16.0 used to give a float delta
+    for field, value in (("t", 16.0), ("q", 2.0**30), ("d", 8.0), ("t", np.int64(16)), ("d", True)):
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            BfvParams(**{"d": 8, "q": 2**30, "t": 16, field: value})
 
 
 # --- key generation ----------------------------------------------------------------
@@ -90,8 +95,8 @@ def test_keys_and_ciphertexts_refuse_polynomials_outside_their_ring(cls, d, q, m
     params = BfvParams(d=4, q=97, t=2)
     count = len(fields(cls)) - 1
     with pytest.raises(ValueError, match=match):
-        cls(*[Polynomial.constant(0, d, q)] * count, params)
-    cls(*[Polynomial.constant(0, 4, 97)] * count, params)
+        cls(*[monomial(0, 0, d, q)] * count, params)
+    cls(*[monomial(0, 0, 4, 97)] * count, params)
 
 
 # --- encryption / decryption ---------------------------------------------------------
@@ -124,7 +129,7 @@ def test_noise_respects_componentwise_bound(small_params):
     e = -(pk.pk0 + pk.pk1 * sk.s)
     d, t = small_params.d, small_params.t
     for _ in range(20):
-        m = Polynomial.constant(int(rng.integers(0, t)), d, t)
+        m = monomial(0, int(rng.integers(0, t)), d, t)
         u, e1, e2 = encrypt_draws(small_params, rng)
         ct = bfv.encrypt(pk, m, rng)
         bound = (e * u).max_abs() + e1.max_abs() + (e2 * sk.s).max_abs()
@@ -135,7 +140,7 @@ def test_fresh_noise_below_parameter_bound():
     params = get_params("bitleak-2048")
     rng = make_rng(10)
     sk, pk = bfv.keygen(params, rng)
-    m = Polynomial.constant(3, params.d, params.t)
+    m = monomial(0, 3, params.d, params.t)
     ct = bfv.encrypt(pk, m, rng)
     assert bfv.noise(sk, ct, m).max_abs() <= GAUSS_TAIL * (2 * params.d + 1)
 
@@ -160,7 +165,7 @@ def test_decrypt_is_rounding_of_raw(q, t):
     # integer) that fits, and uniform draws.
     d = 64
     params = BfvParams(d=d, q=q, t=t)
-    sk = SecretKey(Polynomial.constant(0, d, q), params)
+    sk = SecretKey(monomial(0, 0, d, q), params)
     chosen = [q // 2, -(q // 2), 0, 1, -1]
     if q % (2 * t) == 0:
         tie = q // (2 * t)
@@ -171,7 +176,7 @@ def test_decrypt_is_rounding_of_raw(q, t):
     for _ in range(20):
         drawn = rng.integers(-(q // 2), (q + 1) // 2, d - len(chosen), dtype=np.int64)
         raw = chosen + [int(x) for x in drawn]
-        ct = Ciphertext(Polynomial(raw, q), Polynomial.constant(0, d, q), params)
+        ct = Ciphertext(Polynomial(raw, q), monomial(0, 0, d, q), params)
         expected = [center_mod(round_ratio_oracle(center_mod(c, q) * t, q), t) for c in raw]
         assert bfv.decrypt(sk, ct).to_coeff_list() == expected
 
@@ -187,10 +192,10 @@ def test_decrypt_noiseless_ciphertexts(small_params):
         small_params.delta,
     )
     m = Polynomial(rng.integers(0, t, d, dtype=np.int64), t)
-    ct = Ciphertext(m.with_modulus(q) * delta, Polynomial.constant(0, d, q), small_params)
+    ct = Ciphertext(Polynomial(m.coeffs, q) * delta, monomial(0, 0, d, q), small_params)
     assert bfv.decrypt(sk, ct) == m
     ct_key = Ciphertext(
-        Polynomial.constant(0, d, q), Polynomial.constant(delta, d, q), small_params
+        monomial(0, 0, d, q), monomial(0, delta, d, q), small_params
     )
     assert bfv.decrypt(sk, ct_key).to_coeff_list() == sk.s.to_coeff_list()
 
@@ -227,7 +232,7 @@ def test_decrypt_margin_is_sound_exhaustively(pairs):
         # one ciphertext in the power-of-two ring that holds raw, zero-padded
         n = 1 << max(1, (len(raw) - 1).bit_length())
         params = BfvParams(d=n, q=q, t=t)
-        zero = Polynomial.constant(0, n, q)
+        zero = monomial(0, 0, n, q)
         ct = Ciphertext(Polynomial(raw + [0] * (n - len(raw)), q), zero, params)
         got = bfv.decrypt(SecretKey(zero, params), ct).to_coeff_list()[: len(raw)]
         assert got[:-1] == [m for m in messages for _ in noises], (q, t)
@@ -244,10 +249,10 @@ def test_addition_of_one_and_three():
     params = get_params("psi-83")
     rng = make_rng(13)
     sk, pk = bfv.keygen(params, rng)
-    ct1 = bfv.encrypt(pk, Polynomial.constant(1, params.d, params.t), rng)
-    ct3 = bfv.encrypt(pk, Polynomial.constant(3, params.d, params.t), rng)
+    ct1 = bfv.encrypt(pk, monomial(0, 1, params.d, params.t), rng)
+    ct3 = bfv.encrypt(pk, monomial(0, 3, params.d, params.t), rng)
     total = bfv.add(ct1, ct3)
-    assert bfv.decrypt(sk, total) == Polynomial.constant(4, params.d, params.t)
+    assert bfv.decrypt(sk, total) == monomial(0, 4, params.d, params.t)
 
 
 def test_addition_is_homomorphic_mod_t(small_params):
@@ -265,8 +270,8 @@ def test_addition_is_homomorphic_mod_t(small_params):
 def test_addition_noise_is_subadditive(small_params):
     rng = make_rng(15)
     sk, pk = bfv.keygen(small_params, rng)
-    ma = Polynomial.constant(5, small_params.d, small_params.t)
-    mb = Polynomial.constant(9, small_params.d, small_params.t)
+    ma = monomial(0, 5, small_params.d, small_params.t)
+    mb = monomial(0, 9, small_params.d, small_params.t)
     ca = bfv.encrypt(pk, ma, rng)
     cb = bfv.encrypt(pk, mb, rng)
     msum = ma + mb
@@ -309,12 +314,12 @@ def test_message_under_any_modulus_but_t_is_refused(op, modulus):
         "noise": lambda m: bfv.noise(sk, ct, m),
     }[op]
     if modulus == "q":
-        m = Polynomial.constant(5, params.d, params.q)
+        m = monomial(0, 5, params.d, params.q)
     else:
         m = integer_encode(5, get_params("bitleak-2048"))
     with pytest.raises(ValueError, match=f"modulus {m.modulus} is not the plaintext modulus"):
         run(m)
-    run(m.with_modulus(params.t))  # the same coefficients mod t are accepted
+    run(Polynomial(m.coeffs, params.t))  # the same coefficients mod t are accepted
 
 
 @pytest.mark.parametrize(
@@ -338,13 +343,13 @@ def test_operands_from_another_parameter_set_are_refused(op):
     # used to decrypt under the bitleak-2048 parameters to 15, silently
     params = get_params("psi-83")
     sk, pk = bfv.keygen(params, make_rng(40))
-    m = Polynomial.constant(5, params.d, params.t)
+    m = monomial(0, 5, params.d, params.t)
     ct = bfv.encrypt(pk, m, make_rng(41))
-    r, m_b = (Polynomial.constant(v, params.d, params.t) for v in (2, 7))
+    r, m_b = (monomial(0, v, params.d, params.t) for v in (2, 7))
     reply = attacks.bob_reply(ct, m_b, r, pk, make_rng(42))
     foreign = get_params("bitleak-2048")
     sk_f, pk_f = bfv.keygen(foreign, make_rng(43))
-    ct_f = bfv.encrypt(pk_f, Polynomial.constant(5, foreign.d, foreign.t), make_rng(44))
+    ct_f = bfv.encrypt(pk_f, monomial(0, 5, foreign.d, foreign.t), make_rng(44))
     answers_zero = attacks.ZeroCheckOracle(lambda _: True)
     # each call takes its other operand, or its params, from o
     run = {
@@ -369,7 +374,7 @@ def test_operands_from_another_parameter_set_are_refused(op):
 
 def test_same_params_returns_the_shared_set(small_params):
     sk, pk = bfv.keygen(small_params, make_rng(46))
-    ct = bfv.encrypt(pk, Polynomial.constant(1, small_params.d, small_params.t), make_rng(47))
+    ct = bfv.encrypt(pk, monomial(0, 1, small_params.d, small_params.t), make_rng(47))
     assert bfv.same_params(sk, pk, ct, small_params) is small_params
     with pytest.raises(ValueError, match="different parameters"):
         bfv.same_params(ct, BfvParams(d=64, q=2**30, t=257))
@@ -378,7 +383,7 @@ def test_same_params_returns_the_shared_set(small_params):
 def test_sub_from_plain_of_equal_messages_is_zero(small_params):
     rng = make_rng(18)
     sk, pk = bfv.keygen(small_params, rng)
-    m = Polynomial.constant(42, small_params.d, small_params.t)
+    m = monomial(0, 42, small_params.d, small_params.t)
     ct = bfv.encrypt(pk, m, rng)
     diff = bfv.sub_from_plain(m, ct)
     assert bfv.decrypt(sk, diff).is_zero()
@@ -387,16 +392,16 @@ def test_sub_from_plain_of_equal_messages_is_zero(small_params):
 def test_mul_plain_scales_message_and_noise(small_params):
     rng = make_rng(19)
     sk, pk = bfv.keygen(small_params, rng)
-    m = Polynomial.constant(3, small_params.d, small_params.t)
+    m = monomial(0, 3, small_params.d, small_params.t)
     ct = bfv.encrypt(pk, m, rng)
     base_noise = bfv.noise(sk, ct, m).max_abs()
 
-    one = Polynomial.constant(1, small_params.d, small_params.t)
+    one = monomial(0, 1, small_params.d, small_params.t)
     assert bfv.decrypt(sk, bfv.mul_plain(ct, one)) == m
 
-    two = Polynomial.constant(2, small_params.d, small_params.t)
+    two = monomial(0, 2, small_params.d, small_params.t)
     doubled = bfv.mul_plain(ct, two)
-    m2 = Polynomial.constant(6, small_params.d, small_params.t)
+    m2 = monomial(0, 6, small_params.d, small_params.t)
     assert bfv.decrypt(sk, doubled) == m2
     # noise grows by at most the l1 norm of the multiplier (= 2 here; t | q)
     assert bfv.noise(sk, doubled, m2).max_abs() <= 2 * base_noise
@@ -419,7 +424,7 @@ def test_flooded_zero_with_zero_bound_degenerates(small_params):
     sk, pk = bfv.keygen(small_params, rng)
     ct = bfv.encrypt_zero_flood(pk, 0, rng)
     assert bfv.decrypt(sk, ct).is_zero()
-    zero = Polynomial.constant(0, small_params.d, small_params.t)
+    zero = monomial(0, 0, small_params.d, small_params.t)
     assert bfv.noise(sk, ct, zero).max_abs() <= GAUSS_TAIL * (
         2 * small_params.d + 1
     )
@@ -441,6 +446,11 @@ def test_flood_bound_validation(small_params):
         with pytest.raises(ValueError):
             bfv.encrypt_zero_flood(pk, unsound, rng)
     bfv.encrypt_zero_flood(pk, largest, rng)
+    # 2.5 used to be accepted as a bound
+    for not_int in (2.5, True, np.uint32(7), "7"):
+        with pytest.raises(ValueError, match="flood_bound must be an integer"):
+            bfv.encrypt_zero_flood(pk, not_int, rng)
+    bfv.encrypt_zero_flood(pk, np.int64(largest), rng)
 
 
 def test_flooded_zeros_at_largest_bound_decrypt_to_zero(small_params):
@@ -469,7 +479,7 @@ def test_adding_flooded_zero_preserves_decryption_at_full_size():
     rng = make_rng(24)
     sk, pk = bfv.keygen(params, rng)
     for value in (0, 1, -41, 41):
-        m = Polynomial.constant(value, params.d, params.t)
+        m = monomial(0, value, params.d, params.t)
         ct = bfv.encrypt(pk, m, rng)
         flooded = bfv.add(ct, bfv.encrypt_zero_flood(pk, 2**30, rng))
         assert bfv.decrypt(sk, flooded) == m
@@ -481,7 +491,7 @@ def test_adding_flooded_zero_preserves_decryption_at_full_size():
 def test_json_roundtrips(small_params):
     rng = make_rng(25)
     sk, pk = bfv.keygen(small_params, rng)
-    m = Polynomial.constant(9, small_params.d, small_params.t)
+    m = monomial(0, 9, small_params.d, small_params.t)
     ct = bfv.encrypt(pk, m, rng)
 
     sk2 = bfv.secret_key_from_json(bfv.secret_key_to_json(sk))
@@ -544,7 +554,7 @@ def test_json_validation_errors(small_params):
     ],
 )
 def test_json_header_is_strict(small_params, field, value):
-    obj = bfv.secret_key_to_json(SecretKey(Polynomial.constant(0, 64, 2**30), small_params))
+    obj = bfv.secret_key_to_json(SecretKey(monomial(0, 0, 64, 2**30), small_params))
     with pytest.raises(ValueError):
         bfv.secret_key_from_json({**obj, field: value})
 
@@ -552,7 +562,7 @@ def test_json_header_is_strict(small_params, field, value):
 @pytest.mark.parametrize("value", [1.9, "1", None, 2**70, 2**63, True, False])
 def test_json_payload_is_strict(small_params, value):
     # 1.9, "1" and True used to load as the key bit 1
-    obj = bfv.secret_key_to_json(SecretKey(Polynomial.constant(0, 64, 2**30), small_params))
+    obj = bfv.secret_key_to_json(SecretKey(monomial(0, 0, 64, 2**30), small_params))
     vec = list(obj["payload"][0])
     vec[3] = value
     with pytest.raises(ValueError):
@@ -573,9 +583,9 @@ def test_plaintext_helpers(small_params):
     for value in (300, t, -(t // 2) - 1):
         with pytest.raises(ValueError, match=rf"\[{-(t // 2)}, {t}\) for t = {t}"):
             bfv.plaintext([1, value], small_params)
-    assert Polynomial.constant(0, d, t).is_zero()
-    assert Polynomial.constant(200, d, t).to_coeff_list()[:2] == [-56, 0]
-    assert bfv.plaintext([], small_params) == Polynomial.constant(0, d, t)
+    assert monomial(0, 0, d, t).is_zero()
+    assert monomial(0, 200, d, t).to_coeff_list()[:2] == [-56, 0]
+    assert bfv.plaintext([], small_params) == monomial(0, 0, d, t)
     for bad in ([0] * (d + 1), [1, True], [1.0], "12"):
         with pytest.raises(ValueError):
             bfv.plaintext(bad, small_params)

@@ -18,7 +18,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from hypothesis import strategies as st
 
 import bfvlab.bfv as bfv
-from bfvlab import BfvParams, Polynomial, SecretKey
+from bfvlab import BfvParams, Polynomial, SecretKey, monomial
 from bfvlab.psi import (
     ProtocolError,
     Transcript,
@@ -48,7 +48,7 @@ D, Q, T = PARAMS.d, PARAMS.q, PARAMS.t
 
 _rng = np.random.default_rng(4)
 SK, PK = bfv.keygen(PARAMS, _rng)
-CT = bfv.encrypt(PK, Polynomial.constant(5, PARAMS.d, PARAMS.t), _rng)
+CT = bfv.encrypt(PK, monomial(0, 5, PARAMS.d, PARAMS.t), _rng)
 
 # kind -> (valid JSON object, loader)
 OBJECTS = {

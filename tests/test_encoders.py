@@ -1,6 +1,7 @@
 """Integer encoder: binary expansion, decode at x = 2, the deliberate
 many-to-one collisions, and overflow handling."""
 
+import numpy as np
 import pytest
 
 from bfvlab import BfvParams, Polynomial, integer_decode, integer_encode
@@ -72,6 +73,14 @@ def test_encode_overflow():
         integer_encode(256, tight)
     with pytest.raises(OverflowError):
         integer_encode(-256, tight)
+
+
+def test_encode_takes_integers_only(params):
+    # 2.5 and np.int64(3) used to raise AttributeError, and True encoded as 1
+    for bad in (2.5, True, np.uint8(3), "3"):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            integer_encode(bad, params)
+    assert integer_encode(np.int64(-3), params) == integer_encode(-3, params)
 
 
 def test_encode_needs_room_for_a_bit_value():

@@ -35,7 +35,7 @@ from bfvlab.psi import (
     session_zero_check_oracle,
     verify_transcript,
 )
-from bfvlab.ring import reduce_centered
+from bfvlab.ring import monomial, reduce_centered
 
 from conftest import make_rng
 
@@ -87,7 +87,7 @@ def test_no_false_positives_over_many_runs(small_prime_t_params):
         np.float64(2.0),
         # small_params' set, so only the integer check can refuse it
         pytest.param(
-            Polynomial.constant(2, 64, 256),
+            monomial(0, 2, 64, 256),
             id="plaintext",
         ),
         # outside [-128, 256) at small_params' t = 256
@@ -377,6 +377,12 @@ def test_malicious_probe_outcome_leaks_key_bit(small_params):
         )
         # Equal (zero decryption) exactly when the probed bit is 0
         assert (transcript.outcome == "equal") == (s[index] == 0)
+    # True used to probe every key coefficient at once and answer
+    with pytest.raises(ValueError, match="monomial index"):
+        run_session(small_params, 9, 0, rng, strategy=MaliciousBitProbe(True), alice_keys=keys)
+    # and a flood bound of 2.5 used to be accepted
+    with pytest.raises(ValueError, match="flood_bound must be an integer"):
+        run_session(small_params, 9, 0, rng, strategy=Flooding(2.5), alice_keys=keys)
 
 
 def test_session_oracle_recovers_full_key(small_params):
@@ -403,13 +409,13 @@ def test_session_oracle_rejects_non_probe_queries(small_params):
     rng = make_rng(22)
     keys = bfv.keygen(small_params, rng)
     oracle = session_zero_check_oracle(9, keys, rng.spawn(1)[0])
-    m = Polynomial.constant(1, small_params.d, small_params.t)
+    m = monomial(0, 1, small_params.d, small_params.t)
     ct = bfv.encrypt(keys[1], m, rng)
     with pytest.raises(ProtocolError):
         oracle(ct)
     # a probe whose c1 or amplitude is off is not a probe either
     probe = bit_leak_probe(keys[1], 0, small_params)
-    one = Polynomial.constant(1, small_params.d, small_params.q)
+    one = monomial(0, 1, small_params.d, small_params.q)
     for query in (
         Ciphertext(probe.c0, probe.c1 + one, small_params),
         Ciphertext(probe.c0 + one, probe.c1, small_params),

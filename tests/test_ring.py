@@ -67,6 +67,13 @@ def test_reduce_centered_is_additive_after_reduction():
 def test_reduce_centered_rejects_tiny_modulus():
     with pytest.raises(ValueError):
         reduce_centered(5, 1)
+    # a value is an int or numpy signed integer, never a bool, and a modulus is
+    # exactly an int: 2.5 used to come back as 2.5 and True as 1
+    for value, modulus in ((2.5, 97), (True, 97), (np.uint8(5), 97), (5, 97.0), (5, np.int64(97))):
+        with pytest.raises(ValueError):
+            reduce_centered(value, modulus)
+    r = reduce_centered(np.int64(200), 256)
+    assert r == -56 and type(r) is int
 
 
 # --- construction ------------------------------------------------------------
@@ -107,6 +114,10 @@ def test_polynomial_rejects_bad_shapes():
     # (2**62 + 1) or overflowed int64 (2**63) instead of refusing
     for modulus in (2**62, 2**62 + 1, 2**63):
         with pytest.raises(ValueError, match=r"2 <= modulus < 2\*\*62"):
+            Polynomial([3, -5, 7, 1], modulus)
+    # a modulus is exactly an int: np.int64(97) used to fail later with AttributeError
+    for modulus in (np.int64(97), 97.0, True):
+        with pytest.raises(ValueError, match="modulus must be an int"):
             Polynomial([3, -5, 7, 1], modulus)
 
 
@@ -264,8 +275,8 @@ def test_mul_algebraic_properties():
         c = Polynomial(rng.integers(-half, half, d, dtype=np.int64), q)
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
-    one = Polynomial.constant(1, d, q)
-    zero = Polynomial.constant(0, d, q)
+    one = monomial(0, 1, d, q)
+    zero = monomial(0, 0, d, q)
     a = Polynomial(rng.integers(-half, half, d, dtype=np.int64), q)
     assert a * one == a
     assert (a * zero).is_zero()
@@ -298,6 +309,14 @@ def test_scalar_mul_matches_oracle(q):
         got = (pa * scalar).to_coeff_list()
         assert got == [center_mod(c * scalar, q) for c in a], scalar
         assert got == (scalar * pa).to_coeff_list()
+    # a factor is an int or numpy signed integer, on either side; True, 2.5 and
+    # np.uint64(3) used to be read as 1, 2 and 3
+    for bad in (True, 2.5, np.uint64(3), "3", None, np.array([3])):
+        with pytest.raises(ValueError):
+            pa * bad
+        with pytest.raises(ValueError):
+            bad * pa
+    assert pa * np.int64(3) == np.int64(3) * pa == pa * 3
     # the helper behind it also carries the exact quotient
     # for signed x with |x| < q too: the floor quotient and a remainder in [0, q)
     residues = [c % q for c in a]
@@ -363,6 +382,15 @@ def test_monomial_constructor():
         monomial(8, 1, d, q)
     with pytest.raises(ValueError):
         monomial(-1, 1, d, q)
+    # True used to index every coefficient as a numpy mask, 1.0 raised IndexError
+    # and a coefficient of 2.7 was truncated to 2
+    for index in (True, 1.0, np.uint8(1)):
+        with pytest.raises(ValueError, match="monomial index"):
+            monomial(index, 5, d, q)
+    for coeff in (True, 2.7):
+        with pytest.raises(ValueError):
+            monomial(1, coeff, d, q)
+    assert monomial(np.int64(1), np.int64(5), d, q) == monomial(1, 5, d, q)
 
 
 # --- samplers -------------------------------------------------------------------
@@ -444,11 +472,11 @@ def test_from_hex_rejects_bad_lengths():
 
 def test_with_modulus_lifts_and_reduces():
     p = Polynomial([5, -3, 0, 1], 83)
-    lifted = p.with_modulus(2**54)
+    lifted = Polynomial(p.coeffs, 2**54)
     assert lifted.modulus == 2**54
     assert lifted.to_coeff_list() == [5, -3, 0, 1]
     wide = Polynomial([200, -300, 0, 50], 2**54)
-    reduced = wide.with_modulus(256)
+    reduced = Polynomial(wide.coeffs, 256)
     assert reduced.to_coeff_list() == [centered_scan(c, 256) for c in [200, -300, 0, 50]]
 
 
@@ -457,6 +485,6 @@ def test_misc_accessors():
     assert p.d == 4
     assert p.max_abs() == 7
     assert not p.is_zero()
-    assert Polynomial.constant(0, 4, 97).is_zero()
-    assert Polynomial.constant(99, 4, 97).to_coeff_list() == [2, 0, 0, 0]
+    assert monomial(0, 0, 4, 97).is_zero()
+    assert monomial(0, 99, 4, 97).to_coeff_list() == [2, 0, 0, 0]
     assert "Polynomial" in repr(p)
