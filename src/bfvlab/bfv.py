@@ -10,7 +10,6 @@ Gaussian, and decryption scales by t/q with round-half-away-from-zero.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -62,7 +61,8 @@ __all__ = [
 class BfvParams:
     """Scheme parameters: ring degree d, coefficient modulus q of
     Z_q[x] / (x^d + 1), plaintext modulus t, noise width sigma.
-    d, q and t are exactly ints; anything else raises ValueError."""
+    d, q and t are exactly ints; sigma is a positive finite int or float, kept
+    as a float; anything else raises ValueError."""
 
     d: int
     q: int
@@ -79,8 +79,10 @@ class BfvParams:
             raise ValueError("coefficient modulus must satisfy 2 <= q < 2**62")
         if not 1 < self.t < self.q:
             raise ValueError("plaintext modulus must satisfy 1 < t < q")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError("sigma must be positive and finite")
+        # the bound also rejects nan, inf and ints too large for a float
+        if type(self.sigma) not in (int, float) or not 0 < self.sigma <= sys.float_info.max:
+            raise ValueError(f"sigma must be a positive finite number, not {self.sigma!r:.40}")
+        object.__setattr__(self, "sigma", float(self.sigma))
 
     @property
     def delta(self) -> int:
@@ -316,13 +318,9 @@ def _params_from_header(obj: dict) -> BfvParams:
     if obj.get("scheme") != SCHEME_TAG:
         raise ValueError(f"unsupported scheme tag {obj.get('scheme')!r}")
     try:
-        d, q, t, sigma = obj["d"], obj["q"], obj["t"], obj["sigma"]
+        return BfvParams(d=obj["d"], q=obj["q"], t=obj["t"], sigma=obj["sigma"])
     except KeyError as missing:
         raise ValueError(f"missing field {missing} in serialized object") from None
-    # the bound also rejects nan, inf and ints too large for a float
-    if type(sigma) not in (int, float) or not abs(sigma) <= sys.float_info.max:
-        raise ValueError(f"field 'sigma' must be a finite number, not {sigma!r}")
-    return BfvParams(d=d, q=q, t=t, sigma=float(sigma))
 
 
 def _to_json(obj) -> dict:

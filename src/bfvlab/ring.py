@@ -4,12 +4,14 @@ Coefficients are int64 centered residues in [-m/2, m/2), for m < 2**62.
 A constant operand, zero included, multiplies through _mul_divmod, whose
 first digit is as wide as the other operand allows, so a product that fits
 int64 is one multiply.  Every other product runs one limb kernel: "valid"
-convolutions of [-a, a] limbs with b limbs, in float32 where every sum stays
-within 2**24 and in float64 within 2**53 (see _limb_plan), which _mul_divmod
-recombines mod m in int64 straight from the signed sums when that bound is
-below m; decryption rounds with its quotient.  Every array reduction is one
-floor division (_divmod, _center).  Sampled values stay integer too; there is
-no NTT.  A value a caller passes (coefficient, factor, index) is an int or numpy
+convolutions of [-a, a] limbs with b limbs.  A pair of limbs of largest values
+La, Lb sums to at most d * La * Lb, and the limb widths come from the one
+inequality d * La * Lb <= 2**53 (see _limb_plan); a pair runs in float32 when
+its bound is within 2**24.  _mul_divmod recombines the sums mod m in int64,
+straight from the signed sums when a pair's bound is below m; decryption
+rounds with its quotient.  Every array reduction is one floor division
+(_divmod, _center).  Sampled values stay integer too; there is no NTT.  A
+value a caller passes (coefficient, factor, index, degree) is an int or numpy
 signed integer, never a bool (_is_int), and a modulus is exactly an int.
 """
 
@@ -34,7 +36,6 @@ __all__ = [
 _INT64_BUDGET = 62
 _FLOAT32_EXACT = 1 << 24
 _FLOAT64_EXACT = 1 << 53
-_EXACT = {np.float32: _FLOAT32_EXACT, np.float64: _FLOAT64_EXACT}
 
 
 def _is_int(kind: type) -> bool:
@@ -47,6 +48,11 @@ def _as_int(value, name: str) -> int:
     if not _is_int(type(value)):
         raise ValueError(f"{name} must be an integer, not {value!r}")
     return int(value)
+
+
+def _check_modulus(modulus: int) -> None:
+    if type(modulus) is not int or not 2 <= modulus < (1 << _INT64_BUDGET):
+        raise ValueError(f"modulus must be an int with 2 <= modulus < 2**62, not {modulus!r}")
 
 
 def reduce_centered(value: int, modulus: int) -> int:
@@ -97,8 +103,7 @@ class Polynomial:
     __array_ufunc__ = None  # so np.uint64(3) * p reaches __rmul__ and is refused
 
     def __init__(self, coeffs, modulus: int):
-        if type(modulus) is not int or not 2 <= modulus < (1 << _INT64_BUDGET):
-            raise ValueError(f"modulus must be an int with 2 <= modulus < 2**62, not {modulus!r}")
+        _check_modulus(modulus)
         arr = _int64_list(coeffs) if isinstance(coeffs, list) else coeffs
         if (
             not isinstance(arr, np.ndarray) or arr.dtype.kind != "i" or arr.ndim != 1 or not arr.size
@@ -180,6 +185,7 @@ class Polynomial:
     @classmethod
     def from_hex(cls, text: str, modulus: int) -> "Polynomial":
         """Inverse of to_hex; anything but whole fields of hex digits raises ValueError."""
+        _check_modulus(modulus)
         nbytes = _hex_field_bytes(modulus)
         data = bytes.fromhex(text)
         # fromhex skips whitespace, so the length check also rejects it
@@ -207,38 +213,26 @@ class Polynomial:
 
 
 def _hex_field_bytes(modulus: int) -> int:
-    bits = (modulus - 1).bit_length()
-    return (bits + 7) // 8
+    return ((modulus - 1).bit_length() + 7) // 8
 
 
 @cache
 def _limb_plan(bits_a: int, bits_b: int, d: int) -> tuple[int, int, tuple]:
-    """Choose limb widths and a float type per limb pair so every convolution is exact.
+    """Limb widths from the float64 bound d * La * Lb <= 2**53, and each pair's bound.
 
-    A limb's largest value L is 2**width - 1, or less for the narrower top limb;
-    pair (i, j) runs in float32 when d * La_i * Lb_j <= 2**24 and in float64 when
-    it is <= 2**53, the bounds _negacyclic_mul proves.  Returns (width_a, width_b,
-    types), types[i][j] the type of pair (i, j), at the least cost, a float64
-    convolution counting as two float32 ones; ties go to fewer convolutions.
+    La and Lb are the largest values of a limb of a and of b: 2**width - 1, or less
+    for a narrower top limb.  With a budget of 53 - ceil(log2 d) bits, b keeps its
+    full width when a fits beside it and otherwise takes at most half the budget;
+    a then takes the widest limbs with d * La * max(Lb) <= 2**53.  Returns
+    (width_a, width_b, bounds), bounds[i][j] = d * La_i * Lb_j for limb pair (i, j).
     """
     def maxima(bits: int, width: int) -> list[int]:  # the largest value of each limb
         return [min((1 << width) - 1, ((1 << bits) - 1) >> s) for s in range(0, bits, width)]
-    best = ((float("inf"),),)
-    limbs_b = [maxima(bits_b, width) for width in range(bits_b, 0, -1)]
-    for max_a in (maxima(bits_a, width) for width in range(bits_a, 0, -1)):
-        for max_b in limbs_b:
-            # the low limbs are the largest, and every pair costs at least 1
-            pairs = len(max_a) * len(max_b)
-            if d * max_a[0] * max_b[0] > _FLOAT64_EXACT or pairs > best[0][0]:
-                continue
-            types = tuple(
-                tuple(np.float32 if d * la * lb <= _FLOAT32_EXACT else np.float64 for lb in max_b)
-                for la in max_a
-            )
-            cost = (sum(1 if t is np.float32 else 2 for row in types for t in row), pairs)
-            if cost <= best[0]:  # then to the narrower widths
-                best = (cost, max_a[0].bit_length(), max_b[0].bit_length(), types)
-    return best[1:]
+    budget = 53 - (d - 1).bit_length()
+    width_b = min(bits_b, max(budget - bits_a, budget // 2))
+    width_a = min(bits_a, (_FLOAT64_EXACT // (d * ((1 << width_b) - 1)) + 1).bit_length() - 1)
+    max_a, max_b = maxima(bits_a, width_a), maxima(bits_b, width_b)
+    return width_a, width_b, tuple(tuple(d * la * lb for lb in max_b) for la in max_a)
 
 
 def _split_limbs(arr: np.ndarray, width: int, count: int) -> list[np.ndarray]:
@@ -285,22 +279,23 @@ def _negacyclic_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     Each "valid" convolution of an a-limb [-a[1:], a] with a b-limb gives output
     k = sum_j b[j] * (a[k-j] if j <= k else -a[k-j+d]) directly: d limb products of
     at most La * Lb each, so every partial sum, in any BLAS order (FMA too), is an
-    integer of at most d * La * Lb, which _limb_plan keeps within 2**24 for a
-    float32 pair and 2**53 for a float64 pair: both types hold it exactly.  When
-    that bound is below the modulus, the signed sum is already a _mul_divmod
-    operand (|x| < modulus) and is recombined unreduced.
+    integer of at most d * La * Lb, the pair's bound from _limb_plan, which keeps
+    it within 2**53.  A pair runs in float32 when its bound is within 2**24 and in
+    float64 otherwise: both types hold it exactly.  When the bound is below the
+    modulus, the signed sum is already a _mul_divmod operand (|x| < modulus) and
+    is recombined unreduced.
     """
     d = int(a.size)
-    width_a, width_b, types = _limb_plan(
-        int(np.abs(a).max()).bit_length(), int(np.abs(b).max()).bit_length(), d
-    )
-    limbs_b = _split_limbs(b, width_b, len(types[0]))
+    bits_a, bits_b = (int(np.abs(x).max()).bit_length() for x in (a, b))
+    width_a, width_b, bounds = _limb_plan(bits_a, bits_b, d)
+    limbs_b = _split_limbs(b, width_b, len(bounds[0]))
     acc = np.zeros(d, dtype=np.int64)
-    for i, la in enumerate(_split_limbs(a, width_a, len(types))):
+    for i, la in enumerate(_split_limbs(a, width_a, len(bounds))):
         la = np.concatenate((-la[1:], la))
-        for j, (lb, dtype) in enumerate(zip(limbs_b, types[i])):
+        for j, (lb, bound) in enumerate(zip(limbs_b, bounds[i])):
+            dtype = np.float32 if bound <= _FLOAT32_EXACT else np.float64
             conv = np.convolve(la.astype(dtype), lb.astype(dtype), "valid").astype(np.int64)
-            if _EXACT[dtype] >= modulus:  # the plan's bound, not a pass over conv
+            if bound >= modulus:  # the pair's bound, not a pass over conv
                 conv = _divmod(conv, modulus)[1]
             weight = pow(2, i * width_a + j * width_b, modulus)
             if weight != 1:
@@ -311,7 +306,7 @@ def _negacyclic_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
 
 def monomial(index: int, coeff: int, d: int, modulus: int) -> Polynomial:
     """The polynomial coeff * x^index in Z_modulus[x] / (x^d + 1)."""
-    index = _as_int(index, "monomial index")
+    index, d = _as_int(index, "monomial index"), _as_int(d, "d")
     if not 0 <= index < d:
         raise ValueError(f"monomial index {index} outside [0, {d})")
     coeffs = np.zeros(d, dtype=np.int64)
@@ -321,13 +316,13 @@ def monomial(index: int, coeff: int, d: int, modulus: int) -> Polynomial:
 
 def sample_uniform(d: int, modulus: int, rng: np.random.Generator) -> Polynomial:
     """Uniform polynomial over Z_modulus, one independent draw per coefficient."""
-    raw = rng.integers(0, modulus, size=d, dtype=np.int64)
+    raw = rng.integers(0, modulus, size=_as_int(d, "d"), dtype=np.int64)
     return Polynomial(raw, modulus)
 
 
 def sample_binary(d: int, modulus: int, rng: np.random.Generator) -> Polynomial:
     """Polynomial with independent uniform {0, 1} coefficients."""
-    raw = rng.integers(0, 2, size=d, dtype=np.int64)
+    raw = rng.integers(0, 2, size=_as_int(d, "d"), dtype=np.int64)
     return Polynomial(raw, modulus)
 
 
@@ -354,6 +349,6 @@ def sample_gaussian(
     weights = np.exp(-(support.astype(np.float64) ** 2) / (2.0 * sigma * sigma))
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
-    draws = rng.random(d)
+    draws = rng.random(_as_int(d, "d"))
     values = support[np.searchsorted(cdf, draws, side="right")]
     return Polynomial(values, modulus)

@@ -53,9 +53,14 @@ def test_params_validation():
     for t in (1, 97):
         with pytest.raises(ValueError, match="plaintext modulus"):
             BfvParams(d=8, q=97, t=t)
-    for sigma in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="sigma"):
+    # True used to be accepted and written as "sigma": true, which no loader
+    # reads back; np.float32(3.2) was kept as a numpy scalar; 10**400 and "3"
+    # raised OverflowError and TypeError
+    for sigma in (-1.0, 0, float("nan"), float("inf"), True, np.float32(3.2), 10**400, "3"):
+        with pytest.raises(ValueError, match="sigma must be a positive finite number"):
             BfvParams(d=8, q=97, t=4, sigma=sigma)
+    # an int sigma is kept as a float
+    assert type(BfvParams(d=8, q=97, t=4, sigma=3).sigma) is float
     # d, q and t are exactly ints: t = 16.0 used to give a float delta
     for field, value in (("t", 16.0), ("q", 2.0**30), ("d", 8.0), ("t", np.int64(16)), ("d", True)):
         with pytest.raises(ValueError, match=f"{field} must be an int"):
@@ -550,6 +555,8 @@ def test_json_validation_errors(small_params):
         ("sigma", float("nan")),
         ("sigma", float("inf")),
         ("sigma", "3.2"),
+        ("sigma", True),
+        ("sigma", 0),
         pytest.param("sigma", 10**400, id="sigma-10**400"),
     ],
 )

@@ -194,8 +194,9 @@ def test_mul_matches_bruteforce_oracle(d, q, pairs):
         got = (Polynomial(a, q) * Polynomial(b, q)).to_coeff_list()
         assert got == negacyclic_mul_oracle(a, b, q)
     for a, b in saturated_pairs(d, q):
-        got = (Polynomial(a, q) * Polynomial(b, q)).to_coeff_list()
-        assert got == negacyclic_mul_oracle(a, b, q), (a[0], b[-1])
+        want = negacyclic_mul_oracle(a, b, q)
+        assert (Polynomial(a, q) * Polynomial(b, q)).to_coeff_list() == want, (a[0], b[-1])
+        assert (Polynomial(b, q) * Polynomial(a, q)).to_coeff_list() == want, (b[-1], a[0])
 
 
 def saturated_pairs(d: int, q: int) -> list[tuple[list[int], list[int]]]:
@@ -205,16 +206,16 @@ def saturated_pairs(d: int, q: int) -> list[tuple[list[int], list[int]]]:
     whose sums stay about sqrt(d) below a bound, cannot show a float
     budget one bit too large; these do.  The bound rows take, for a
     binary and a Gaussian-width b, the widest all-ones a the plan
-    convolves as one float32 and as one float64 pair, and set b[0] = 0:
+    convolves as one float32 and as one float64 pair (pair_types), and set b[0] = 0:
     output d - 1 is then (d - 1) * a * b, odd, and one budget bit more
     would put it above 2**24 or 2**53, where the type holds no odd integer.
     The high-limb row keeps only the top limb of each operand, so output d - 1
     is the top pair's convolution at its full d * La * Lb, at the largest weight.
     """
     bits = (q // 2).bit_length()
-    width_a, width_b, types = _limb_plan(bits, bits, d)
+    width_a, width_b, bounds = _limb_plan(bits, bits, d)
     half = (q - 1) // 2
-    shift_a, shift_b = width_a * (len(types) - 1), width_b * (len(types[0]) - 1)
+    shift_a, shift_b = width_a * (len(bounds) - 1), width_b * (len(bounds[0]) - 1)
     rows = [
         (-(q // 2), [-(q // 2)] * d),
         (half, [half] * d),
@@ -228,12 +229,16 @@ def saturated_pairs(d: int, q: int) -> list[tuple[list[int], list[int]]]:
         if y > (q - 1) // 2:
             continue
         for dtype in (np.float32, np.float64):
-            single = [
-                k for k in range(1, top + 1) if _limb_plan(k, bits_b, d)[2] == ((dtype,),)
-            ]
+            single = [k for k in range(1, top + 1) if pair_types(k, bits_b, d) == ((dtype,),)]
             if single:
                 rows.append(((1 << max(single)) - 1, [0] + [y] * (d - 1)))
     return [([x] * d, b) for x, b in rows]
+
+
+def pair_types(bits_a: int, bits_b: int, d: int) -> tuple:
+    """The float type the kernel runs each limb pair in: float32 when its bound is within 2**24."""
+    bounds = _limb_plan(bits_a, bits_b, d)[2]
+    return tuple(tuple(np.float32 if x <= 2**24 else np.float64 for x in row) for row in bounds)
 
 
 def test_mul_matches_bruteforce_oracle_at_full_size():
@@ -345,29 +350,45 @@ def limb_maxima(bits: int, width: int, count: int) -> list[int]:
 
 def test_limb_plan_keeps_each_pair_within_its_float_budget():
     rng = make_rng(36)
-    for _ in range(300):
+    for n in range(600):
         bits_a = int(rng.integers(1, 62))
         bits_b = int(rng.integers(1, 62))
-        d = 1 << int(rng.integers(1, 13))
-        width_a, width_b, types = _limb_plan(bits_a, bits_b, d)
-        max_a = limb_maxima(bits_a, width_a, len(types))
-        max_b = limb_maxima(bits_b, width_b, len(types[0]))
+        # every other degree is not a power of two: the bound holds for any d
+        d = 1 << int(rng.integers(1, 13)) if n % 2 else int(rng.integers(1, 4097))
+        width_a, width_b, bounds = _limb_plan(bits_a, bits_b, d)
+        max_a = limb_maxima(bits_a, width_a, len(bounds))
+        max_b = limb_maxima(bits_b, width_b, len(bounds[0]))
         assert width_a * (len(max_a) - 1) < bits_a <= width_a * len(max_a)
         assert width_b * (len(max_b) - 1) < bits_b <= width_b * len(max_b)
-        for la, row in zip(max_a, types):
-            for lb, dtype in zip(max_b, row):
-                # every partial sum is an integer of at most d * La * Lb
-                budget = {np.float32: 24, np.float64: 53}[dtype]
-                assert d * la * lb <= 2**budget, (bits_a, bits_b, d)
+        # every partial sum of pair (i, j) is an integer of at most d * La_i * Lb_j
+        assert bounds == tuple(tuple(d * la * lb for lb in max_b) for la in max_a)
+        assert max(map(max, bounds)) <= 2**53, (bits_a, bits_b, d)
+        # and a is as wide as that allows: one more bit would break it
+        if width_a < bits_a:
+            assert d * ((2 << width_a) - 1) * max_b[0] > 2**53, (bits_a, bits_b, d)
 
 
-def test_limb_plan_at_the_deployed_geometry():
-    # q = 2**54, d = 2048: a 53-bit wide operand times a binary one is one
-    # float64 pair (40-bit low limb) and one float32 pair (13-bit top limb);
-    # a Gaussian (tail 19, 5 bits) times a binary operand is one float32 pair
-    assert _limb_plan(53, 1, 2048) == (40, 1, ((np.float64,), (np.float32,)))
-    assert _limb_plan(5, 1, 2048) == (5, 1, ((np.float32,),))
-    assert _limb_plan(1, 5, 2048) == (1, 5, ((np.float32,),))
+def test_limb_plan_at_the_deployed_geometry(monkeypatch):
+    # q = 2**54: a 53-bit wide operand times a binary one is one float64 pair
+    # and one float32 pair, with a 42-bit low limb at d = 2048 and a 43-bit one
+    # at d = 1024; a Gaussian (tail 19, 5 bits) times a binary operand, in
+    # either order, is one float32 pair
+    assert _limb_plan(53, 1, 2048) == (42, 1, ((2048 * (2**42 - 1),), (2048 * (2**11 - 1),)))
+    assert _limb_plan(53, 1, 1024) == (43, 1, ((1024 * (2**43 - 1),), (1024 * (2**10 - 1),)))
+    assert pair_types(53, 1, 2048) == pair_types(53, 1, 1024) == ((np.float64,), (np.float32,))
+    assert _limb_plan(5, 1, 2048) == (5, 1, ((2048 * 31,),))
+    assert _limb_plan(1, 5, 2048) == (1, 5, ((2048 * 31,),))
+    assert pair_types(5, 1, 2048) == pair_types(1, 5, 2048) == ((np.float32,),)
+    # the kernel runs the types its plan gives: the wide x binary products the
+    # benchmark times are one float64 and one float32 convolution each
+    seen, convolve = [], np.convolve
+    monkeypatch.setattr(np, "convolve", lambda x, y, m: seen.append(x.dtype) or convolve(x, y, m))
+    for d in (2048, 1024):
+        wide, binary = sample_uniform(d, 2**54, make_rng(d)), sample_binary(d, 2**54, make_rng(d))
+        assert wide.max_abs().bit_length() == 53
+        seen.clear()
+        wide * binary
+        assert seen == [np.float64, np.float32], d
 
 
 # --- monomial constructor -----------------------------------------------------
@@ -391,6 +412,11 @@ def test_monomial_constructor():
         with pytest.raises(ValueError):
             monomial(1, coeff, d, q)
     assert monomial(np.int64(1), np.int64(5), d, q) == monomial(1, 5, d, q)
+    # so is d: 8.0 and True used to raise numpy's TypeError
+    for size in (8.0, True, np.uint8(8)):
+        with pytest.raises(ValueError, match="d must be an integer"):
+            monomial(0, 1, size, q)
+    assert monomial(0, 1, np.int64(d), q) == monomial(0, 1, d, q)
 
 
 # --- samplers -------------------------------------------------------------------
@@ -399,12 +425,17 @@ def test_monomial_constructor():
 def test_samplers_are_deterministic_per_seed():
     d, q = 128, 2**54
     for sampler in (
-        lambda r: sample_uniform(d, q, r),
-        lambda r: sample_binary(d, q, r),
-        lambda r: sample_gaussian(d, q, 3.2, r),
+        lambda n, r: sample_uniform(n, q, r),
+        lambda n, r: sample_binary(n, q, r),
+        lambda n, r: sample_gaussian(n, q, 3.2, r),
     ):
-        assert sampler(make_rng(77)) == sampler(make_rng(77))
-        assert sampler(make_rng(77)) != sampler(make_rng(78))
+        assert sampler(d, make_rng(77)) == sampler(d, make_rng(77))
+        assert sampler(d, make_rng(77)) != sampler(d, make_rng(78))
+        # d is an integer: 4.0 and True used to raise numpy's TypeError
+        assert sampler(np.int64(d), make_rng(77)) == sampler(d, make_rng(77))
+        for size in (4.0, True, np.uint8(4)):
+            with pytest.raises(ValueError, match="d must be an integer"):
+                sampler(size, make_rng(77))
 
 
 def test_sample_binary_range():
@@ -468,6 +499,11 @@ def test_from_hex_rejects_bad_lengths():
     for field in ("0x0a", "+00a", " 00a", "0_0a", "00a\n", "-00a"):
         with pytest.raises(ValueError):
             Polynomial.from_hex(field, 2**16)
+    # the modulus rule runs before the field width is read: np.int64(97) used
+    # to raise AttributeError, and True and 1 made zero-byte fields
+    for modulus in (np.int64(97), 97.0, True, 1, 2**62):
+        with pytest.raises(ValueError, match="modulus must be an int"):
+            Polynomial.from_hex("01", modulus)
 
 
 def test_with_modulus_lifts_and_reduces():
