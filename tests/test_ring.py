@@ -180,6 +180,9 @@ def test_add_rejects_mismatched_operands():
         # the largest modulus a Polynomial accepts
         (8, 2**62 - 1, 100),
         (8, 3, 300),
+        # an odd modulus below 2**53 with three limbs a side: the saturated rows'
+        # high pairs need their sums reduced before the weight multiplies them
+        (64, 2**50 - 27, 10),
         # saturated rows only, at the cli-1024 and the largest deployed geometry
         (1024, 2**54, 0),
         (2048, 2**54, 0),
@@ -353,7 +356,7 @@ def test_limb_plan_keeps_each_pair_within_its_float_budget():
     for n in range(600):
         bits_a = int(rng.integers(1, 62))
         bits_b = int(rng.integers(1, 62))
-        # every other degree is not a power of two: the bound holds for any d
+        # half the degrees are any d up to 4096, not only powers of two
         d = 1 << int(rng.integers(1, 13)) if n % 2 else int(rng.integers(1, 4097))
         width_a, width_b, bounds = _limb_plan(bits_a, bits_b, d)
         max_a = limb_maxima(bits_a, width_a, len(bounds))
