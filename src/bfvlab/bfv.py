@@ -10,7 +10,6 @@ Gaussian, and decryption scales by t/q with round-half-away-from-zero.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -19,6 +18,7 @@ from .ring import (
     _INT64_BUDGET,
     Polynomial,
     _as_int,
+    _as_sigma,
     _int64_list,
     _mul_divmod,
     gaussian_tail,
@@ -61,8 +61,8 @@ __all__ = [
 class BfvParams:
     """Scheme parameters: ring degree d, coefficient modulus q of
     Z_q[x] / (x^d + 1), plaintext modulus t, noise width sigma.
-    d, q and t are exactly ints; sigma is a positive finite int or float, kept
-    as a float; anything else raises ValueError."""
+    d, q and t are exactly ints; sigma follows ring._as_sigma, a positive
+    finite int or float kept as a float; anything else raises ValueError."""
 
     d: int
     q: int
@@ -79,10 +79,7 @@ class BfvParams:
             raise ValueError("coefficient modulus must satisfy 2 <= q < 2**62")
         if not 1 < self.t < self.q:
             raise ValueError("plaintext modulus must satisfy 1 < t < q")
-        # the bound also rejects nan, inf and ints too large for a float
-        if type(self.sigma) not in (int, float) or not 0 < self.sigma <= sys.float_info.max:
-            raise ValueError(f"sigma must be a positive finite number, not {self.sigma!r:.40}")
-        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "sigma", _as_sigma(self.sigma))
 
     @property
     def delta(self) -> int:

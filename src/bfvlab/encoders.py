@@ -43,8 +43,7 @@ def integer_encode(n: int, params: BfvParams) -> Polynomial:
 
 
 def integer_decode(m: Polynomial) -> int:
-    """Evaluate the message m (mod t) at x = 2 using centered coefficients."""
-    total = 0
-    for i, c in enumerate(m.to_coeff_list()):
-        total += c << i
-    return total
+    """Evaluate the message m (mod t) at x = 2 using centered coefficients;
+    only the nonzero ones are summed."""
+    nonzero = np.flatnonzero(m.coeffs)
+    return sum(c << i for i, c in zip(nonzero.tolist(), m.coeffs[nonzero].tolist()))

@@ -3,20 +3,25 @@
 Coefficients are int64 centered residues in [-m/2, m/2), for m < 2**62.
 A constant operand, zero included, multiplies through _mul_divmod, whose
 first digit is as wide as the other operand allows, so a product that fits
-int64 is one multiply.  Every other product runs one limb kernel: "valid"
-convolutions of [-a, a] limbs with b limbs.  A pair of limbs of largest values
-La, Lb sums to at most d * La * Lb, and the limb widths come from the one
-inequality d * La * Lb <= 2**53 (see _limb_plan); a pair runs in float32 when
-its bound is within 2**24.  _mul_divmod recombines the sums mod m in int64,
-straight from the signed sums when a pair's bound is below m; decryption
-rounds with its quotient.  Every array reduction is one floor division
-(_divmod, _center).  Sampled values stay integer too; there is no NTT.  A
-value a caller passes (coefficient, factor, index, degree) is an int or numpy
-signed integer, never a bool (_is_int), and a modulus is exactly an int.
+int64 is one multiply.  Every other product runs one exact FFT kernel
+(_negacyclic_mul) at every degree: balanced limbs, folded to complex length
+d/2 with the twist exp(i pi / d), one batched forward and one batched inverse
+transform of our own (radix-2 stages and an 8-point table DFT), then np.rint.
+Its docstring derives the error bound C(n) * d * La * Lb for limbs of largest
+values La, Lb, and _limb_plan picks the fewest limbs that keep it below 1/2, so
+the rounding is exact: two 27-bit limbs for a 53-bit operand times a binary
+one at d = 1024 and 2048.  _mul_divmod recombines the limb pairs mod m in
+int64; decryption rounds with its quotient.  Every array reduction is one
+floor division (_divmod, _center).  Sampled values stay integer too; there is
+no NTT.  A value a caller passes (coefficient, factor, index, degree) is an
+int or numpy signed integer, never a bool (_is_int), a modulus is exactly an
+int, and a noise width is a positive finite int or float (_as_sigma).
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from functools import cache
 
 import numpy as np
@@ -31,11 +36,14 @@ __all__ = [
     "sample_gaussian",
 ]
 
-# Residues and the _mul_divmod recombination are int64, so q < 2**62; float32
-# and float64 hold every integer up to 2**24 and 2**53, the limb sum bounds.
+# Residues and the _mul_divmod recombination are int64, so q < 2**62.
 _INT64_BUDGET = 62
-_FLOAT32_EXACT = 1 << 24
-_FLOAT64_EXACT = 1 << 53
+# The product kernel's arithmetic: binary64 rounding to nearest, every
+# twiddle-table entry within 2**-52 of its root (a test enumerates them),
+# and DFTs of up to 8 points applied as one matmul with a table.
+_UNIT_ROUNDOFF = 2.0**-53
+_TWIDDLE_ERROR = 2.0**-52
+_TABLE_DFT = 8
 
 
 def _is_int(kind: type) -> bool:
@@ -48,6 +56,15 @@ def _as_int(value, name: str) -> int:
     if not _is_int(type(value)):
         raise ValueError(f"{name} must be an integer, not {value!r}")
     return int(value)
+
+
+def _as_sigma(sigma) -> float:
+    """The one rule for a noise width: an int or float, not a bool, positive and
+    finite, as a float; anything else raises ValueError."""
+    # the bound also rejects nan, inf and ints too large for a float
+    if type(sigma) not in (int, float) or not 0 < sigma <= sys.float_info.max:
+        raise ValueError(f"sigma must be a positive finite number, not {sigma!r:.40}")
+    return float(sigma)
 
 
 def _check_modulus(modulus: int) -> None:
@@ -216,33 +233,137 @@ def _hex_field_bytes(modulus: int) -> int:
     return ((modulus - 1).bit_length() + 7) // 8
 
 
-@cache
-def _limb_plan(bits_a: int, bits_b: int, d: int) -> tuple[int, int, tuple]:
-    """Limb widths from the float64 bound d * La * Lb <= 2**53, and each pair's bound.
+def _fold_size(d: int) -> int:
+    """N, the length of the negacyclic product the kernel transforms: d when d is a
+    power of two of at least 2, otherwise the power of two >= 2d - 1."""
+    return d if d > 1 and not d & (d - 1) else 1 << max(1, (2 * d - 2).bit_length())
 
-    La and Lb are the largest values of a limb of a and of b: 2**width - 1, or less
-    for a narrower top limb.  With a budget of 53 - ceil(log2 d) bits, b keeps its
-    full width when a fits beside it and otherwise takes at most half the budget;
-    a then takes the widest limbs with d * La * max(Lb) <= 2**53.  Returns
-    (width_a, width_b, bounds), bounds[i][j] = d * La_i * Lb_j for limb pair (i, j).
+
+def _roots(count: int) -> np.ndarray:
+    """exp(2 pi i k / count) for k < count, count a power of two.
+
+    cos and sin are evaluated on [0, pi/4] only; the rest of the circle is
+    exact swaps and sign changes of those entries.
     """
-    def maxima(bits: int, width: int) -> list[int]:  # the largest value of each limb
-        return [min((1 << width) - 1, ((1 << bits) - 1) >> s) for s in range(0, bits, width)]
-    budget = 53 - (d - 1).bit_length()
-    width_b = min(bits_b, max(budget - bits_a, budget // 2))
-    width_a = min(bits_a, (_FLOAT64_EXACT // (d * ((1 << width_b) - 1)) + 1).bit_length() - 1)
-    max_a, max_b = maxima(bits_a, width_a), maxima(bits_b, width_b)
-    return width_a, width_b, tuple(tuple(d * la * lb for lb in max_b) for la in max_a)
+    eighth = max(count // 8, 1)
+    angle = np.pi / 4 * np.arange(eighth + 1) / eighth
+    first = np.cos(angle) + 1j * np.sin(angle)
+    quarter = np.concatenate((first, 1j * first[eighth - 1 : 0 : -1].conj()))
+    return np.concatenate((quarter, 1j * quarter, -quarter, -1j * quarter))[:: 8 * eighth // count]
 
 
-def _split_limbs(arr: np.ndarray, width: int, count: int) -> list[np.ndarray]:
-    """Sign-magnitude base-2**width limbs; each limb keeps the coefficient sign."""
-    if count == 1:
-        return [arr]
-    mag = np.abs(arr)
-    sign = np.sign(arr)
-    mask = (1 << width) - 1
-    return [((mag >> (k * width)) & mask) * sign for k in range(count)]
+@cache
+def _transform_tables(n: int) -> tuple:
+    """Every table the length-n transforms read, made once per length from _roots
+    entries and their conjugates: the twiddles of each radix-2 stage, forward and
+    inverse, the m-point DFT table and its conjugate, and the twist theta**j and
+    untwist theta**-j / n, theta = exp(i pi / 2n)."""
+    m = min(n, _TABLE_DFT)
+    roots = _roots(n)
+    stages = tuple(roots[: n // 2 : n // (2 * h)].copy() for h in _stage_halves(n))
+    k = np.arange(m)
+    table = roots[np.outer(k, k) % m * (n // m)]
+    twist = _roots(4 * n)[:n].copy()
+    tables = stages, tuple(t.conj() for t in stages), table, table.conj(), twist, twist.conj() / n
+    for array in (*tables[0], *tables[1], *tables[2:]):
+        array.flags.writeable = False  # cached, so shared by every caller
+    return tables
+
+
+def _stage_halves(n: int) -> list[int]:
+    """The half-block sizes of the radix-2 stages: n/2, n/4, ..., down to the table DFT's m."""
+    return [n >> k for k in range(1, (n // min(n, _TABLE_DFT)).bit_length())]
+
+
+def _transform(v: np.ndarray, inverse: bool) -> np.ndarray:
+    """The DFT of each row of v in one fixed permuted order, or (inverse) n times its inverse.
+
+    Forward: radix-2 decimation-in-frequency stages (u, w) -> (u + w, (u - w) t)
+    on blocks of 2h, t = exp(2 pi i j / 2h), down to blocks of m = min(n, 8),
+    then one matmul with the m-point DFT table; the output order is not
+    natural, and only the inverse reads it.  Inverse: the conjugate table, then
+    each stage undone in reverse order, (u, w) -> (u + w conj(t), u - w conj(t)).
+    The forward transform overwrites v.
+    """
+    rows, n = v.shape
+    stages, stages_conj, table, table_conj = _transform_tables(n)[:4]
+    if inverse:
+        v = v.reshape(-1, table.shape[0]) @ table_conj
+        for t in reversed(stages_conj):
+            blocks = v.reshape(-1, 2, t.size)
+            u, w = blocks[:, 0], blocks[:, 1]
+            turned = w * t
+            np.subtract(u, turned, out=w)
+            u += turned
+        return v.reshape(rows, n)
+    for t in stages:
+        blocks = v.reshape(-1, 2, t.size)
+        u, w = blocks[:, 0], blocks[:, 1]
+        diff = u - w
+        u += w
+        np.multiply(diff, t, out=w)
+    return (v.reshape(-1, table.shape[0]) @ table).reshape(rows, n)
+
+
+@cache
+def _transform_error(n: int) -> float:
+    """C(n): a product through length-n transforms errs by at most C(n) ||x||_2 ||y||_2.
+
+    The terms are derived in _negacyclic_mul's docstring.  Each factor (1 + x)
+    is summed as log1p(x), so no step subtracts 1 from a rounded product.
+    """
+    u, beta = _UNIT_ROUNDOFF, _TWIDDLE_ERROR
+    m = min(n, _TABLE_DFT)
+    mu = math.sqrt(2) * 2 * u / (1 - 2 * u)  # a complex product
+    nu = math.log1p(beta) + math.log1p(mu)  # a product with a table entry
+    rho = math.log1p(u) + nu  # a radix-2 stage
+    tau = math.sqrt(m) * (beta + math.sqrt(2) * 2 * m * u / (1 - 2 * m * u) * (1 + beta))
+    eta = len(_stage_halves(n)) * rho + math.log1p(tau)  # a transform
+    kappa = eta + nu  # the twist and a forward transform
+    inverse = math.log1p(math.sqrt(n) * math.expm1(eta))
+    return math.expm1(nu + math.log1p(mu) + 2 * kappa + inverse)
+
+
+@cache
+def _limb_plan(bits_a: int, bits_b: int, d: int) -> tuple[int, int, int, int, int]:
+    """Balanced limbs for a product of a bits_a-bit and a bits_b-bit operand, bits_a >= bits_b:
+    (width_a, count_a, width_b, count_b, bound).
+
+    Every output of a limb pair is an integer of at most bound = d * La * Lb, for
+    La, Lb the largest limb values, and the kernel errs by at most
+    C(n) * bound (_transform_error, n = _fold_size(d) / 2); the plan keeps that
+    below 1/2.  b keeps one limb when it is within the square root of the
+    largest La * Lb this admits, and otherwise takes limbs within it; a then
+    takes limbs within what is left.  An operand that does not fit in one limb
+    gets the fewest that the widest admissible width needs, k, each as narrow
+    as k allows: width ceil((bits + 1) / k), every limb at most 2**(width - 1)
+    in magnitude.  So 53 bits beside a binary operand are two 27-bit limbs.
+    """
+    cap = math.ceil(0.5 / (d * _transform_error(_fold_size(d) // 2))) - 1  # La * Lb <= cap
+
+    def limbs(bits: int, limit: int) -> tuple[int, int, int]:  # (width, count, largest limb)
+        if (1 << bits) - 1 <= limit:
+            return bits, 1, (1 << bits) - 1
+        count = -(-(bits + 1) // limit.bit_length())
+        width = -(-(bits + 1) // count)
+        return width, count, 1 << (width - 1)
+
+    width_b, count_b, max_b = limbs(bits_b, math.isqrt(cap))
+    width_a, count_a, max_a = limbs(bits_a, cap // max_b)
+    return width_a, count_a, width_b, count_b, d * max_a * max_b
+
+
+def _split_limbs(arr: np.ndarray, width: int, count: int) -> np.ndarray:
+    """count balanced base-2**width limbs of arr, one row each, low first: arr is
+    the sum of limb k * 2**(k * width), every limb but the top one in
+    [-2**(width - 1), 2**(width - 1))."""
+    limbs = np.empty((count, arr.size), dtype=np.int64)
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    for k in range(count - 1):
+        limbs[k] = ((arr + half) & mask) - half
+        arr = (arr - limbs[k]) >> width
+    limbs[count - 1] = arr
+    return limbs
 
 
 def _mul_divmod(x: np.ndarray, c: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
@@ -276,31 +397,79 @@ def _mul_divmod(x: np.ndarray, c: int, modulus: int) -> tuple[np.ndarray, np.nda
 def _negacyclic_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     """Exact centered negacyclic product of two nonzero centered int64 vectors.
 
-    Each "valid" convolution of an a-limb [-a[1:], a] with a b-limb gives output
-    k = sum_j b[j] * (a[k-j] if j <= k else -a[k-j+d]) directly: d limb products of
-    at most La * Lb each, so every partial sum, in any BLAS order (FMA too), is an
-    integer of at most d * La * Lb, the pair's bound from _limb_plan, which keeps
-    it within 2**53.  A pair runs in float32 when its bound is within 2**24 and in
-    float64 otherwise: both types hold it exactly.  When the bound is below the
-    modulus, the signed sum is already a _mul_divmod operand (|x| < modulus) and
-    is recombined unreduced.
+    The product runs over C.  Each operand splits into balanced limbs
+    (_limb_plan, _split_limbs).  A limb row x of length N = _fold_size(d),
+    zero-padded past d, becomes the n = N/2 values X_j = (x_j + i x_{j+n}) theta**j,
+    theta = exp(i pi / N): R[x]/(x^N + 1) is C[y]/(y^n - i), and y = theta z
+    makes its product a cyclic convolution of length n (R. Crandall and
+    B. Fagin, Math. Comp. 62, 1994).  One forward _transform of every limb row,
+    one pointwise product per limb pair, one inverse _transform, the untwist
+    theta**-j / n and np.rint give each pair's convolution as integers; a padded
+    product is folded by x^d = -1.  The pairs recombine mod m through
+    _mul_divmod and _center, reduced first when the plan's bound reaches m.
+
+    Why np.rint is exact.  Binary64 rounds to nearest with unit roundoff
+    u = 2**-53; gamma_k = k u / (1 - k u).  A complex sum errs by at most
+    u |exact|, a complex product by mu |a| |b| with mu = sqrt(2) gamma_2
+    (N. Higham, Accuracy and Stability of Numerical Algorithms, Lemma 3.5; its
+    componentwise argument holds with an FMA too), and a table entry by
+    beta = _TWIDDLE_ERROR, which a test proves entry by entry against
+    40-digit values.  A product with a table entry then errs by
+    nu = (1 + beta)(1 + mu) - 1 relative, and scaling by 1/n, a power of two,
+    is exact.  Each step below is sqrt(2), sqrt(m) or 1
+    times a unitary map, so errors carry through in the 2-norm as in
+    C. Percival, Math. Comp. 72 (2003):
+      - a radix-2 stage errs by rho = (1 + u)(1 + nu) - 1 relative;
+      - the m-point table DFT is a matmul; BLAS forms each real output from
+        its 2m real products in any order, with or without FMA, within
+        gamma_2m of their absolute sum, so, with the table's own error, it
+        errs by tau = sqrt(m) (beta + sqrt(2) gamma_2m (1 + beta)) relative;
+      - a transform with s = log2(n/m) stages errs by
+        eta = (1 + rho)**s (1 + tau) - 1, and the twist with it by
+        kappa = (1 + eta)(1 + nu) - 1, against sqrt(n) ||x||_2.
+    An output z_j = (1/n) sum_k P_k w**-jk takes the forward and pointwise
+    errors through Cauchy-Schwarz, at most ((1 + mu)(1 + kappa)**2 - 1) ||x|| ||y||,
+    and the inverse's own error in the 2-norm, at most eta ||P||_2 / sqrt(n) <=
+    sqrt(n) eta (1 + mu)(1 + kappa)**2 ||x|| ||y|| for the computed products P;
+    |z_j| <= ||x|| ||y||, and the untwist adds nu.  So each coefficient is off
+    by at most
+        C(n) ||x||_2 ||y||_2 <= C(n) d La Lb,
+        C(n) = (1 + nu)(1 + mu)(1 + kappa)**2 (1 + sqrt(n) eta) - 1,
+    which _limb_plan keeps below 1/2.  A sum that underflows is exact, and a
+    product that underflows errs by at most 2**-1075, far inside that margin.
+    At d = 2048, C(1024) = 3773 u, so two 27-bit limbs of a 53-bit operand
+    times a binary one are off by at most 2048 * 2**26 * C = 0.058.
     """
-    d = int(a.size)
     bits_a, bits_b = (int(np.abs(x).max()).bit_length() for x in (a, b))
-    width_a, width_b, bounds = _limb_plan(bits_a, bits_b, d)
-    limbs_b = _split_limbs(b, width_b, len(bounds[0]))
+    if bits_b > bits_a:  # the plan takes the wider operand first
+        a, b, bits_a, bits_b = b, a, bits_b, bits_a
+    d = int(a.size)
+    size = _fold_size(d)
+    n = size // 2
+    width_a, count_a, width_b, count_b, bound = _limb_plan(bits_a, bits_b, d)
+    limbs = np.concatenate((_split_limbs(a, width_a, count_a), _split_limbs(b, width_b, count_b)))
+    if size != d:
+        limbs = np.concatenate((limbs, np.zeros((limbs.shape[0], size - d), np.int64)), axis=1)
+    twist, untwist = _transform_tables(n)[4:]
+    spec = np.empty((limbs.shape[0], n), dtype=np.complex128)
+    spec.real, spec.imag = limbs[:, :n], limbs[:, n:]
+    spec *= twist
+    spec = _transform(spec, inverse=False)
+    pairs = (spec[:count_a, None] * spec[None, count_a:]).reshape(-1, n)
+    out = _transform(pairs, inverse=True)
+    out *= untwist
+    parts = np.rint(out.view(np.float64)).reshape(-1, n, 2)  # (c_j, c_{j+n}) pairs
+    conv = parts.transpose(0, 2, 1).astype(np.int64).reshape(-1, size)
+    if size != d:  # the zero-padded product is linear
+        conv = conv[:, :d] - conv[:, d : 2 * d]
+    if bound >= modulus:
+        conv = _divmod(conv, modulus)[1]
     acc = np.zeros(d, dtype=np.int64)
-    for i, la in enumerate(_split_limbs(a, width_a, len(bounds))):
-        la = np.concatenate((-la[1:], la))
-        for j, (lb, bound) in enumerate(zip(limbs_b, bounds[i])):
-            dtype = np.float32 if bound <= _FLOAT32_EXACT else np.float64
-            conv = np.convolve(la.astype(dtype), lb.astype(dtype), "valid").astype(np.int64)
-            if bound >= modulus:  # the pair's bound, not a pass over conv
-                conv = _divmod(conv, modulus)[1]
-            weight = pow(2, i * width_a + j * width_b, modulus)
-            if weight != 1:
-                conv = _mul_divmod(conv, weight, modulus)[1]
-            acc = _center(acc + conv, modulus)
+    for (i, j), row in zip(np.ndindex(count_a, count_b), conv):
+        weight = pow(2, i * width_a + j * width_b, modulus)
+        if weight != 1:
+            row = _mul_divmod(row, weight, modulus)[1]
+        acc = _center(acc + row, modulus)
     return acc
 
 
@@ -342,8 +511,7 @@ def sample_gaussian(
     The support is cut at gaussian_tail(sigma); weights are proportional
     to exp(-x^2 / (2 sigma^2)) on the retained support.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    sigma = _as_sigma(sigma)
     tail = gaussian_tail(sigma)
     support = np.arange(-tail, tail + 1, dtype=np.int64)
     weights = np.exp(-(support.astype(np.float64) ** 2) / (2.0 * sigma * sigma))

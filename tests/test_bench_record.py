@@ -14,8 +14,8 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 MACHINE = {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2}
 
 
-def _write_record(records, workload, seed, trace, metrics):
-    result = {"correct": True, "attempted": 3, "failed": 0,
+def _write_record(records, workload, seed, trace, metrics, attempted=3):
+    result = {"correct": True, "attempted": attempted, "failed": 0,
               "metrics": {name: {"value": v, "unit": "u"} for name, v in metrics.items()}}
     record = {"workload": workload, "seed": seed, "trace": trace, "machine": MACHINE,
               "result": result}
@@ -27,7 +27,7 @@ def test_entry_holds_medians_layers_machine_and_tier1(tmp_path, monkeypatch, cap
     names = [m["name"] for m in BENCHMARK["end_to_end"]]
     for w in BENCHMARK["workloads"]:
         for seed, value in ((1, 5.0), (2, 1.0), (3, 3.0)):
-            _write_record(tmp_path, w["name"], seed, 0, {n: value for n in names})
+            _write_record(tmp_path, w["name"], seed, 0, {n: value for n in names}, 100 * seed)
         _write_record(tmp_path, w["name"], 0, 1, {"ring.sample.calls": 4.0})
     junit = tmp_path / "tier1.xml"
     cases = "".join(
@@ -45,6 +45,8 @@ def test_entry_holds_medians_layers_machine_and_tier1(tmp_path, monkeypatch, cap
         summary = entry["workloads"][w["name"]]
         assert {n: s["median"] for n, s in summary["end_to_end"].items()} == dict.fromkeys(names, 3.0)
         assert summary["end_to_end"][names[0]]["runs"] == [5.0, 1.0, 3.0]
+        # each run's op count sits beside its metrics, in seed order
+        assert summary["attempted"] == [100, 200, 300]
         assert summary["per_layer"] == {"ring.sample.calls": 4.0}
     tier1 = entry["tier1"]
     assert (tier1["wall_s"], tier1["tests"], tier1["failures"]) == (21.5, 7, 0)

@@ -36,6 +36,32 @@ def test_encode_matches_bit_loop_oracle(d, t):
         assert integer_encode(n, params).to_coeff_list() == integer_encode_oracle(n, d)
 
 
+def test_decode_matches_the_dense_loop():
+    # decode sums only the nonzero coefficients; it must equal the loop over
+    # every coefficient that it replaced
+    def dense(m):
+        total = 0
+        for i, c in enumerate(m.to_coeff_list()):
+            total += c << i
+        return total
+
+    rng = make_rng(5)
+    d, t = 1024, 256
+    sparse = np.zeros(d, dtype=np.int64)
+    sparse[[0, 7, 511, 1023]] = [3, -1, 127, -128]
+    for coeffs in (
+        rng.integers(-(t // 2), t // 2, d),  # dense
+        sparse,
+        -np.abs(rng.integers(-(t // 2), t // 2, d)),  # negative
+        np.zeros(d, dtype=np.int64),
+        np.eye(1, d, d - 1, dtype=np.int64)[0],
+    ):
+        m = Polynomial(coeffs, t)
+        assert integer_decode(m) == dense(m)
+        assert type(integer_decode(m)) is int
+    assert integer_decode(Polynomial(np.zeros(d, dtype=np.int64), t)) == 0
+
+
 def test_decode_frozen_examples(params):
     x_plus_2 = Polynomial([2, 1] + [0] * 62, params.t)
     two_x = Polynomial([0, 2] + [0] * 62, params.t)

@@ -1,5 +1,9 @@
 """Ring arithmetic against independent oracles and frozen examples."""
 
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,7 +17,19 @@ from bfvlab.ring import (
     sample_gaussian,
     sample_uniform,
 )
-from bfvlab.ring import _limb_plan, _mul_divmod
+from bfvlab import ring
+from bfvlab.ring import (
+    _TABLE_DFT,
+    _TWIDDLE_ERROR,
+    _UNIT_ROUNDOFF,
+    _fold_size,
+    _limb_plan,
+    _mul_divmod,
+    _roots,
+    _stage_halves,
+    _transform_error,
+    _transform_tables,
+)
 
 from conftest import make_rng
 from oracles import (
@@ -180,12 +196,19 @@ def test_add_rejects_mismatched_operands():
         # the largest modulus a Polynomial accepts
         (8, 2**62 - 1, 100),
         (8, 3, 300),
-        # an odd modulus below 2**53 with three limbs a side: the saturated rows'
-        # high pairs need their sums reduced before the weight multiplies them
+        # an odd modulus below 2**53 with three limbs a side
         (64, 2**50 - 27, 10),
         # saturated rows only, at the cli-1024 and the largest deployed geometry
         (1024, 2**54, 0),
         (2048, 2**54, 0),
+        # degrees that are not powers of two: zero-padded, then folded by x^d = -1
+        (1, 97, 20),
+        (3, 97, 100),
+        (5, 2**54, 40),
+        (6, 2**62 - 57, 40),
+        (7, 3, 100),
+        (12, (2**30) - 35, 40),
+        (100, 2**54, 4),
     ],
 )
 def test_mul_matches_bruteforce_oracle(d, q, pairs):
@@ -203,45 +226,55 @@ def test_mul_matches_bruteforce_oracle(d, q, pairs):
 
 
 def saturated_pairs(d: int, q: int) -> list[tuple[list[int], list[int]]]:
-    """Operands whose limb sums reach the kernel's bounds.
+    """Operands at the extremes of the modulus and of the kernel's limb plans.
 
-    Every output coefficient sums d limb products, so random operands,
-    whose sums stay about sqrt(d) below a bound, cannot show a float
-    budget one bit too large; these do.  The bound rows take, for a
-    binary and a Gaussian-width b, the widest all-ones a the plan
-    convolves as one float32 and as one float64 pair (pair_types), and set b[0] = 0:
-    output d - 1 is then (d - 1) * a * b, odd, and one budget bit more
-    would put it above 2**24 or 2**53, where the type holds no odd integer.
-    The high-limb row keeps only the top limb of each operand, so output d - 1
-    is the top pair's convolution at its full d * La * Lb, at the largest weight.
+    The kernel's error grows with ||x||_2 ||y||_2 <= d * La * Lb over its limb
+    rows.  The plan rows take, for a wide operand beside a binary, a
+    Gaussian-width and a wide one, the plan's widest limbs and put every limb
+    of both operands at its largest value in all d coefficients
+    (saturating_value), the largest norms that plan admits.  The first rows
+    reach the largest centered residues, whose sums the recombination reduces.
     """
-    bits = (q // 2).bit_length()
-    width_a, width_b, bounds = _limb_plan(bits, bits, d)
     half = (q - 1) // 2
-    shift_a, shift_b = width_a * (len(bounds) - 1), width_b * (len(bounds[0]) - 1)
-    rows = [
-        (-(q // 2), [-(q // 2)] * d),
-        (half, [half] * d),
-        ((1 << width_a) - 1, [(1 << width_b) - 1] * d),
-        (half, [1] * d),
-        (half >> shift_a << shift_a, [half >> shift_b << shift_b] * d),
-    ]
-    top = ((q - 1) // 2 + 1).bit_length() - 1  # 2**top - 1 is a centered residue
-    for bits_b in (1, 5):
-        y = (1 << bits_b) - 1
-        if y > (q - 1) // 2:
-            continue
-        for dtype in (np.float32, np.float64):
-            single = [k for k in range(1, top + 1) if pair_types(k, bits_b, d) == ((dtype,),)]
-            if single:
-                rows.append(((1 << max(single)) - 1, [0] + [y] * (d - 1)))
+    rows = [(-(q // 2), [-(q // 2)] * d), (half, [half] * d), (half, [1] * d)]
+    bits = half.bit_length()
+    for bits_b in sorted({1, min(5, bits), bits}):
+        width_a, count_a, width_b, count_b, _ = _limb_plan(bits, bits_b, d)
+        x = saturating_value(bits, width_a, count_a)
+        y = saturating_value(bits_b, width_b, count_b)
+        if max(x, y) <= half:
+            rows.append((x, [y] * d))
     return [([x] * d, b) for x, b in rows]
 
 
-def pair_types(bits_a: int, bits_b: int, d: int) -> tuple:
-    """The float type the kernel runs each limb pair in: float32 when its bound is within 2**24."""
-    bounds = _limb_plan(bits_a, bits_b, d)[2]
-    return tuple(tuple(np.float32 if x <= 2**24 else np.float64 for x in row) for row in bounds)
+def balanced_limbs(value: int, width: int, count: int) -> list[int]:
+    """value's count balanced base-2**width digits, low first; the top one takes the rest."""
+    limbs = []
+    for _ in range(count - 1):
+        low = (value + (1 << (width - 1))) % (1 << width) - (1 << (width - 1))
+        limbs.append(low)
+        value = (value - low) >> width
+    return limbs + [value]
+
+
+def top_limb(bits: int, width: int, count: int) -> int:
+    """The largest top-limb magnitude of any value below 2**bits in magnitude: the
+    top limb grows with the value, so one of the two extremes has it."""
+    extremes = ((1 << bits) - 1, -((1 << bits) - 1))
+    return max(abs(balanced_limbs(v, width, count)[-1]) for v in extremes)
+
+
+def saturating_value(bits: int, width: int, count: int) -> int:
+    """A bits-bit value whose limbs all sit at their largest magnitude: -2**(width - 1)
+    in every low limb and, in the top one, the largest that any bits-bit value has."""
+    if count == 1:
+        return (1 << bits) - 1
+    low = -sum(1 << (width - 1 + k * width) for k in range(count - 1))
+    top = top_limb(bits, width, count)
+    value = (top << ((count - 1) * width)) + low
+    assert value.bit_length() == bits
+    assert balanced_limbs(value, width, count) == [-(1 << (width - 1))] * (count - 1) + [top]
+    return value
 
 
 def test_mul_matches_bruteforce_oracle_at_full_size():
@@ -346,52 +379,156 @@ def test_scalar_mul_matches_oracle(q):
                 assert got == [divmod(x * c, q) for x in xs], (bits_x, c)
 
 
-def limb_maxima(bits: int, width: int, count: int) -> list[int]:
-    """Largest value of each limb: 2**width - 1, or less for the narrower top limb."""
-    return [min((1 << width) - 1, ((1 << bits) - 1) >> (k * width)) for k in range(count)]
+def limb_maximum(bits: int, width: int, count: int) -> int:
+    """The largest limb magnitude of any value below 2**bits in magnitude."""
+    if count == 1:
+        return (1 << bits) - 1
+    return max(top_limb(bits, width, count), 1 << (width - 1))
 
 
-def test_limb_plan_keeps_each_pair_within_its_float_budget():
+def test_limb_plan_keeps_the_error_bound_below_one_half():
     rng = make_rng(36)
     for n in range(600):
         bits_a = int(rng.integers(1, 62))
-        bits_b = int(rng.integers(1, 62))
+        bits_b = int(rng.integers(1, bits_a + 1))
         # half the degrees are any d up to 4096, not only powers of two
         d = 1 << int(rng.integers(1, 13)) if n % 2 else int(rng.integers(1, 4097))
-        width_a, width_b, bounds = _limb_plan(bits_a, bits_b, d)
-        max_a = limb_maxima(bits_a, width_a, len(bounds))
-        max_b = limb_maxima(bits_b, width_b, len(bounds[0]))
-        assert width_a * (len(max_a) - 1) < bits_a <= width_a * len(max_a)
-        assert width_b * (len(max_b) - 1) < bits_b <= width_b * len(max_b)
-        # every partial sum of pair (i, j) is an integer of at most d * La_i * Lb_j
-        assert bounds == tuple(tuple(d * la * lb for lb in max_b) for la in max_a)
-        assert max(map(max, bounds)) <= 2**53, (bits_a, bits_b, d)
-        # and a is as wide as that allows: one more bit would break it
-        if width_a < bits_a:
-            assert d * ((2 << width_a) - 1) * max_b[0] > 2**53, (bits_a, bits_b, d)
+        width_a, count_a, width_b, count_b, bound = _limb_plan(bits_a, bits_b, d)
+        maxima = []
+        for bits, width, count in ((bits_a, width_a, count_a), (bits_b, width_b, count_b)):
+            # count limbs carry every value below 2**bits, and the same count of
+            # one-bit-narrower limbs would not
+            if count > 1:
+                assert count * (width - 1) - 1 < bits <= count * width - 1, (bits, width, count)
+            else:
+                assert width == bits
+            for v in ((1 << bits) - 1, -((1 << bits) - 1), 1, -1):
+                limbs = balanced_limbs(v, width, count)
+                assert sum(limb << (k * width) for k, limb in enumerate(limbs)) == v
+            maxima.append(limb_maximum(bits, width, count))
+        # every limb pair's outputs are integers of at most the plan's bound, and
+        # the transform's error on them stays below 1/2
+        error = _transform_error(_fold_size(d) // 2)
+        assert bound == d * maxima[0] * maxima[1]
+        assert bound * error < 0.5, (bits_a, bits_b, d)
+        # and a has as few limbs as that allows: one fewer would break it
+        if count_a > 1:
+            fewer = count_a - 1
+            widest = (1 << bits_a) - 1 if fewer == 1 else 1 << -(-(bits_a + 1) // fewer) - 1
+            assert d * widest * maxima[1] * error >= 0.5, (bits_a, bits_b, d)
 
 
 def test_limb_plan_at_the_deployed_geometry(monkeypatch):
-    # q = 2**54: a 53-bit wide operand times a binary one is one float64 pair
-    # and one float32 pair, with a 42-bit low limb at d = 2048 and a 43-bit one
-    # at d = 1024; a Gaussian (tail 19, 5 bits) times a binary operand, in
-    # either order, is one float32 pair
-    assert _limb_plan(53, 1, 2048) == (42, 1, ((2048 * (2**42 - 1),), (2048 * (2**11 - 1),)))
-    assert _limb_plan(53, 1, 1024) == (43, 1, ((1024 * (2**43 - 1),), (1024 * (2**10 - 1),)))
-    assert pair_types(53, 1, 2048) == pair_types(53, 1, 1024) == ((np.float64,), (np.float32,))
-    assert _limb_plan(5, 1, 2048) == (5, 1, ((2048 * 31,),))
-    assert _limb_plan(1, 5, 2048) == (1, 5, ((2048 * 31,),))
-    assert pair_types(5, 1, 2048) == pair_types(1, 5, 2048) == ((np.float32,),)
-    # the kernel runs the types its plan gives: the wide x binary products the
-    # benchmark times are one float64 and one float32 convolution each
-    seen, convolve = [], np.convolve
-    monkeypatch.setattr(np, "convolve", lambda x, y, m: seen.append(x.dtype) or convolve(x, y, m))
+    # q = 2**54: a 53-bit wide operand times a binary one is two balanced
+    # 27-bit limbs against one, at d = 2048 and at d = 1024; a Gaussian (tail
+    # 19, 5 bits) times a binary operand is one limb each
+    assert _limb_plan(53, 1, 2048) == (27, 2, 1, 1, 2048 * 2**26)
+    assert _limb_plan(53, 1, 1024) == (27, 2, 1, 1, 1024 * 2**26)
+    assert _limb_plan(5, 1, 2048) == (5, 1, 1, 1, 2048 * 31)
+    # the kernel runs the plan it states: each wide x binary product the
+    # benchmark times, in either order, is one forward transform of the three
+    # limb rows and one inverse transform of the two limb pairs
+    seen, transform = [], ring._transform
+
+    def counted(v, inverse):
+        seen.append((v.shape, inverse))
+        return transform(v, inverse)
+
+    monkeypatch.setattr(ring, "_transform", counted)
     for d in (2048, 1024):
         wide, binary = sample_uniform(d, 2**54, make_rng(d)), sample_binary(d, 2**54, make_rng(d))
         assert wide.max_abs().bit_length() == 53
-        seen.clear()
-        wide * binary
-        assert seen == [np.float64, np.float32], d
+        for product in (lambda: wide * binary, lambda: binary * wide):
+            seen.clear()
+            product()
+            assert seen == [((3, d // 2), False), ((2, d // 2), True)], d
+
+
+def exact_transform_error(n: int) -> Fraction:
+    """C(n) of the kernel's docstring in exact rational arithmetic, square roots rounded up."""
+    u, beta = Fraction(_UNIT_ROUNDOFF), Fraction(_TWIDDLE_ERROR)
+
+    def gamma(k: int) -> Fraction:
+        return k * u / (1 - k * u)
+
+    def sqrt_up(k: int) -> Fraction:
+        return Fraction(math.isqrt(k * 10**40) + 1, 10**20)
+
+    m = min(n, _TABLE_DFT)
+    mu = sqrt_up(2) * gamma(2)
+    nu = (1 + beta) * (1 + mu) - 1
+    rho = (1 + u) * (1 + nu) - 1
+    tau = sqrt_up(m) * (beta + sqrt_up(2) * gamma(2 * m) * (1 + beta))
+    eta = (1 + rho) ** ((n // m).bit_length() - 1) * (1 + tau) - 1
+    kappa = (1 + eta) * (1 + nu) - 1
+    return (1 + nu) * (1 + mu) * (1 + kappa) ** 2 * (1 + sqrt_up(n) * eta) - 1
+
+
+def test_error_bound_arithmetic_for_every_deployed_and_grid_plan():
+    # every kernel product the workloads and the CLI make is a 53-bit operand
+    # times a binary one at d = 2048 or 1024; the grid adds the operand widths
+    # of every modulus and degrees that are not powers of two
+    deployed = [(53, 1, 2048), (53, 1, 1024)]
+    widths = (1, 2, 5, 8, 20, 27, 40, 53, 54, 61)
+    degrees = (1, 2, 3, 5, 6, 7, 8, 12, 64, 100, 256, 1000, 1024, 2048, 3000, 4096)
+    grid = [(a, b, d) for d in degrees for a in widths for b in widths if b <= a]
+    exact = {}
+    for bits_a, bits_b, d in deployed + grid:
+        n = _fold_size(d) // 2
+        if n not in exact:
+            exact[n] = exact_transform_error(n)
+            # the float evaluation in ring agrees with the exact one
+            assert abs(Fraction(_transform_error(n)) / exact[n] - 1) < Fraction(1, 10**12), n
+        bound = _limb_plan(bits_a, bits_b, d)[4]
+        assert bound * exact[n] < Fraction(1, 2), (bits_a, bits_b, d)
+    # the deployed plans, with the margin the kernel's docstring states
+    assert round(exact[1024] / Fraction(_UNIT_ROUNDOFF)) == 3773
+    assert 2048 * 2**26 * exact[1024] < Fraction(58, 1000)
+    assert 1024 * 2**26 * exact[512] < Fraction(2, 100)
+
+
+def test_twiddle_tables_are_within_their_stated_error():
+    # _TWIDDLE_ERROR is proven by enumeration: every entry of every table the
+    # kernel reads, for every transform length up to d = 4096 (padded to
+    # 8192), against exp(2 pi i k / L) at 50 significant digits
+    largest = 4 * (_fold_size(4095) // 2)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        pi = Decimal("3.14159265358979323846264338327950288419716939937510582097")
+        # cos and sin of 2 pi / largest by their Taylor series, then each
+        # root as a power of that one
+        x, cos, sin, term = 2 * pi / largest, Decimal(0), Decimal(0), Decimal(1)
+        for k in range(30):
+            if k % 2:
+                sin += term if k % 4 == 1 else -term
+            else:
+                cos += term if k % 4 == 0 else -term
+            term = term * x / (k + 1)
+        reference, re, im = [], Decimal(1), Decimal(0)
+        for _ in range(largest):
+            reference.append((re, im))
+            re, im = re * cos - im * sin, re * sin + im * cos
+        worst = Decimal(0)
+        for count in (1 << j for j in range(largest.bit_length())):
+            table = _roots(count)
+            assert table.shape == (count,)
+            for entry, (re, im) in zip(table.tolist(), reference[:: largest // count]):
+                error = (Decimal(entry.real) - re) ** 2 + (Decimal(entry.imag) - im) ** 2
+                worst = max(worst, error)
+        assert worst.sqrt() <= Decimal(_TWIDDLE_ERROR), float(worst.sqrt())
+    # and every other table is made of those entries, conjugated or scaled by 1/n
+    for n in (1 << j for j in range(_fold_size(4095).bit_length() - 1)):
+        stages, stages_conj, table, table_conj, twist, untwist = _transform_tables(n)
+        roots, m = _roots(n), min(n, _TABLE_DFT)
+        assert [t.size for t in stages] == _stage_halves(n)
+        for t, t_conj in zip(stages, stages_conj):
+            assert np.array_equal(t, roots[:: n // (2 * t.size)][: t.size])
+            assert np.array_equal(t_conj, t.conj())
+        k = np.arange(m)
+        assert np.array_equal(table, roots[np.outer(k, k) % m * (n // m)])
+        assert np.array_equal(table_conj, table.conj())
+        assert np.array_equal(twist, _roots(4 * n)[:n])
+        assert np.array_equal(untwist * n, twist.conj())
 
 
 # --- monomial constructor -----------------------------------------------------
@@ -467,8 +604,16 @@ def test_sample_gaussian_tail_and_moments():
 
 
 def test_sample_gaussian_rejects_bad_sigma():
-    with pytest.raises(ValueError):
-        sample_gaussian(8, 97, 0.0, make_rng(1))
+    # one sigma rule, the one BfvParams applies: True used to sample at sigma 1
+    # and np.float32(3.2) was accepted; "3", inf and 10**400 raised TypeError,
+    # OverflowError and a numpy size error
+    for sigma in (0.0, -1.0, 0, float("nan"), float("inf"), True, np.float32(3.2), np.float64(3.2),
+                  10**400, "3", None):
+        with pytest.raises(ValueError, match="sigma must be a positive finite number"):
+            sample_gaussian(8, 97, sigma, make_rng(1))
+    # a valid sigma draws what it drew before, an int as its float
+    assert sample_gaussian(64, 97, 3, make_rng(1)) == sample_gaussian(64, 97, 3.0, make_rng(1))
+    assert sample_gaussian(8, 97, 3.2, make_rng(1)).to_coeff_list() == [0, 5, -3, 5, -2, -1, 3, -1]
 
 
 # --- text forms ------------------------------------------------------------------

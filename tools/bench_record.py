@@ -14,8 +14,8 @@ A record older than the newest src/ file is refused and named, since it
 may come from another tree.  The entry holds the commit, whether src/ or
 tests/ differed from it, a digest of the measured src/ files and the
 line count of src/bfvlab/*.py, per workload the median and the runs of
-each end-to-end metric over the seeds, the traced per-layer counts, the
-machine record, and the Tier-1 wall time with its five slowest tests.
+each end-to-end metric over the seeds with each run's attempted op count,
+the traced per-layer counts, the machine record, and the Tier-1 wall time with its five slowest tests.
 Nothing is gated on it; a later entry is diffed against it.
 """
 
@@ -102,6 +102,8 @@ def build_entry(records: Path, junit: Path) -> dict:
         machines += [r["machine"] for r in (*runs, traced)]
         workloads[workload] = {
             "end_to_end": {name: _summary(runs, name) for name in end_to_end},
+            # each run's op count, which peak_rss_mb grows with
+            "attempted": [r["result"]["attempted"] for r in runs],
             "per_layer": {
                 name: metric["value"] for name, metric in traced["result"]["metrics"].items()
             },
