@@ -19,6 +19,7 @@ from .ring import (
     Polynomial,
     _as_int,
     _as_sigma,
+    _check_degree,
     _int64_list,
     _mul_divmod,
     gaussian_tail,
@@ -73,8 +74,7 @@ class BfvParams:
         for name in ("d", "q", "t"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an int, not {getattr(self, name)!r}")
-        if self.d < 2 or self.d & (self.d - 1):
-            raise ValueError("ring degree must be a power of two, at least 2")
+        _check_degree(self.d)
         if not 2 <= self.q < (1 << _INT64_BUDGET):
             raise ValueError("coefficient modulus must satisfy 2 <= q < 2**62")
         if not 1 < self.t < self.q:

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import attacks, bfv, psi
 from .bfv import BfvParams, PARAM_SETS, get_params
+from .ring import _INT64_BUDGET
 
 __all__ = ["main"]
 
@@ -57,6 +58,13 @@ def _resolve_config(args) -> BfvParams:
     if args.sigma is not None:
         raise ValueError("--sigma needs explicit --d, --q and --t")
     return get_params(args.params or args.default_set)
+
+
+def _flood_bound(bits: str) -> int:
+    """--flood BITS as the bound 2**BITS, BITS < 62: 2**60 or more misses every margin."""
+    if not bits.isdecimal() or int(bits) >= _INT64_BUDGET:
+        raise argparse.ArgumentTypeError(f"BITS must satisfy 0 <= BITS < {_INT64_BUDGET}: {bits}")
+    return 1 << int(bits)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -112,9 +120,8 @@ def _cmd_attack(args) -> int:
     elif args.attack == "bitleak":
         report = attacks.run_bit_leak_attack(params, rng)
     elif args.attack == "circuit":
-        flood_bound = (1 << args.flood) if args.flood is not None else None
         report = attacks.run_circuit_privacy_attack(
-            params, rng, flood_bound=flood_bound, trials=args.trials
+            params, rng, flood_bound=args.flood, trials=args.trials
         )
     else:
         report = attacks.run_encoder_leak_demo(params, rng)
@@ -152,7 +159,7 @@ def _cmd_psi(args) -> int:
     if args.strategy == "honest":
         strategy = psi.Honest()
     elif args.strategy == "flooding":
-        strategy = psi.Flooding(bound=1 << (30 if args.flood is None else args.flood))
+        strategy = psi.Flooding(bound=1 << 30 if args.flood is None else args.flood)
     else:
         strategy = psi.MaliciousBitProbe(index=args.index or 0)
     transcript = psi.run_session(
@@ -211,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_one.set_defaults(handler=_cmd_attack)
     p_circuit = attack_sub.choices["circuit"]
     p_circuit.add_argument(
-        "--flood", type=int, metavar="BITS", help="flood the reply with noise on [-2^BITS, 2^BITS]"
+        "--flood", type=_flood_bound, metavar="BITS", help="flood noise on [-2^BITS, 2^BITS]"
     )
     p_circuit.add_argument("--trials", type=int, default=1, help="how many randomized trials")
 
@@ -226,9 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_psi.add_argument(
         "--flood",
-        type=int,
+        type=_flood_bound,
         metavar="BITS",
-        help="flooding strategy only: noise bound exponent (default 30)",
+        help="flooding strategy only: noise bound exponent, 0 <= BITS < 62 (default 30)",
     )
     p_psi.add_argument(
         "--index", type=int, help="malicious-probe strategy only: key bit to probe (default 0)"

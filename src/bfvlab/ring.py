@@ -4,9 +4,9 @@ Coefficients are int64 centered residues in [-m/2, m/2), for m < 2**62.
 A constant operand, zero included, multiplies through _mul_divmod, whose
 first digit is as wide as the other operand allows, so a product that fits
 int64 is one multiply.  Every other product runs one exact FFT kernel
-(_negacyclic_mul) at every degree: balanced limbs, folded to complex length
-d/2 with the twist exp(i pi / d), one batched forward and one batched inverse
-transform of our own (radix-2 stages and an 8-point table DFT), then np.rint.
+(_negacyclic_mul): balanced limbs, folded to complex length d/2 with the
+twist exp(i pi / d), one batched forward and one batched inverse transform
+of our own (radix-2 stages and an 8-point table DFT), then np.rint.
 Its docstring derives the error bound C(n) * d * La * Lb for limbs of largest
 values La, Lb, and _limb_plan picks the fewest limbs that keep it below 1/2, so
 the rounding is exact: two 27-bit limbs for a 53-bit operand times a binary
@@ -67,6 +67,12 @@ def _as_sigma(sigma) -> float:
     return float(sigma)
 
 
+def _check_degree(d: int) -> None:
+    """The one ring-degree rule, for Polynomial and BfvParams: a power of two, at least 2."""
+    if d < 2 or d & (d - 1):
+        raise ValueError(f"ring degree must be a power of two, at least 2, not {d}")
+
+
 def _check_modulus(modulus: int) -> None:
     if type(modulus) is not int or not 2 <= modulus < (1 << _INT64_BUDGET):
         raise ValueError(f"modulus must be an int with 2 <= modulus < 2**62, not {modulus!r}")
@@ -111,9 +117,10 @@ class Polynomial:
     Instances are immutable by convention: all operations return new
     polynomials.  Coefficients are int64, which the bound 2 <= modulus < 2**62
     (_INT64_BUDGET) keeps lossless; the modulus is exactly an int.  `coeffs` is a
-    non-empty 1-D signed-integer ndarray or a list _int64_list takes in, and a
-    scalar factor is an int or numpy signed integer, never a bool.  Anything else
-    (floats, bools, unsigned or out-of-range values, tuples, None) raises ValueError.
+    1-D signed-integer ndarray or a list _int64_list takes in, its length d a
+    power of two of at least 2 (_check_degree), and a scalar factor is an int or
+    numpy signed integer, never a bool.  Anything else (floats, bools, unsigned
+    or out-of-range values, tuples, None, other lengths) raises ValueError.
     """
 
     __slots__ = ("coeffs", "modulus")
@@ -122,10 +129,9 @@ class Polynomial:
     def __init__(self, coeffs, modulus: int):
         _check_modulus(modulus)
         arr = _int64_list(coeffs) if isinstance(coeffs, list) else coeffs
-        if (
-            not isinstance(arr, np.ndarray) or arr.dtype.kind != "i" or arr.ndim != 1 or not arr.size
-        ):
-            raise ValueError(f"coefficients must be a non-empty 1-D integer vector: {coeffs!r:.40}")
+        if not isinstance(arr, np.ndarray) or arr.dtype.kind != "i" or arr.ndim != 1:
+            raise ValueError(f"coefficients must be a 1-D integer vector: {coeffs!r:.40}")
+        _check_degree(arr.size)
         arr = arr.astype(np.int64)  # a copy: never alias the caller's array
         low, high = arr.min(), arr.max()
         if low < -(modulus // 2) or high >= (modulus + 1) // 2:  # free when centered
@@ -206,7 +212,7 @@ class Polynomial:
         nbytes = _hex_field_bytes(modulus)
         data = bytes.fromhex(text)
         # fromhex skips whitespace, so the length check also rejects it
-        if not data or 2 * len(data) != len(text) or len(data) % nbytes:
+        if 2 * len(data) != len(text) or len(data) % nbytes:
             raise ValueError(f"hex text must be whole fields of {2 * nbytes} hex digits")
         fields = np.frombuffer(data, dtype=np.uint8).reshape(-1, nbytes)
         wide = np.empty((fields.shape[0], 8), dtype=np.uint8)
@@ -217,11 +223,8 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return (
-            self.modulus == other.modulus
-            and self.coeffs.size == other.coeffs.size
-            and bool(np.array_equal(self.coeffs, other.coeffs))
-        )
+        # array_equal is False for arrays of different lengths
+        return self.modulus == other.modulus and bool(np.array_equal(self.coeffs, other.coeffs))
 
     def __repr__(self) -> str:
         head = ", ".join(str(int(c)) for c in self.coeffs[:8])
@@ -231,12 +234,6 @@ class Polynomial:
 
 def _hex_field_bytes(modulus: int) -> int:
     return ((modulus - 1).bit_length() + 7) // 8
-
-
-def _fold_size(d: int) -> int:
-    """N, the length of the negacyclic product the kernel transforms: d when d is a
-    power of two of at least 2, otherwise the power of two >= 2d - 1."""
-    return d if d > 1 and not d & (d - 1) else 1 << max(1, (2 * d - 2).bit_length())
 
 
 def _roots(count: int) -> np.ndarray:
@@ -331,7 +328,7 @@ def _limb_plan(bits_a: int, bits_b: int, d: int) -> tuple[int, int, int, int, in
 
     Every output of a limb pair is an integer of at most bound = d * La * Lb, for
     La, Lb the largest limb values, and the kernel errs by at most
-    C(n) * bound (_transform_error, n = _fold_size(d) / 2); the plan keeps that
+    C(n) * bound (_transform_error, n = d / 2); the plan keeps that
     below 1/2.  b keeps one limb when it is within the square root of the
     largest La * Lb this admits, and otherwise takes limbs within it; a then
     takes limbs within what is left.  An operand that does not fit in one limb
@@ -339,7 +336,7 @@ def _limb_plan(bits_a: int, bits_b: int, d: int) -> tuple[int, int, int, int, in
     as k allows: width ceil((bits + 1) / k), every limb at most 2**(width - 1)
     in magnitude.  So 53 bits beside a binary operand are two 27-bit limbs.
     """
-    cap = math.ceil(0.5 / (d * _transform_error(_fold_size(d) // 2))) - 1  # La * Lb <= cap
+    cap = math.ceil(0.5 / (d * _transform_error(d // 2))) - 1  # La * Lb <= cap
 
     def limbs(bits: int, limit: int) -> tuple[int, int, int]:  # (width, count, largest limb)
         if (1 << bits) - 1 <= limit:
@@ -398,15 +395,15 @@ def _negacyclic_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     """Exact centered negacyclic product of two nonzero centered int64 vectors.
 
     The product runs over C.  Each operand splits into balanced limbs
-    (_limb_plan, _split_limbs).  A limb row x of length N = _fold_size(d),
-    zero-padded past d, becomes the n = N/2 values X_j = (x_j + i x_{j+n}) theta**j,
-    theta = exp(i pi / N): R[x]/(x^N + 1) is C[y]/(y^n - i), and y = theta z
-    makes its product a cyclic convolution of length n (R. Crandall and
-    B. Fagin, Math. Comp. 62, 1994).  One forward _transform of every limb row,
-    one pointwise product per limb pair, one inverse _transform, the untwist
-    theta**-j / n and np.rint give each pair's convolution as integers; a padded
-    product is folded by x^d = -1.  The pairs recombine mod m through
-    _mul_divmod and _center, reduced first when the plan's bound reaches m.
+    (_limb_plan, _split_limbs).  A limb row x of length d becomes the
+    n = d/2 values X_j = (x_j + i x_{j+n}) theta**j, theta = exp(i pi / d):
+    R[x]/(x^d + 1) is C[y]/(y^n - i), and y = theta z makes its product a
+    cyclic convolution of length n (R. Crandall and B. Fagin, Math. Comp. 62,
+    1994).  One forward _transform of every limb row, one pointwise product
+    per limb pair, one inverse _transform, the untwist theta**-j / n and
+    np.rint give each pair's negacyclic convolution as integers.  The pairs
+    recombine mod m through _mul_divmod and _center, reduced first when the
+    plan's bound reaches m.
 
     Why np.rint is exact.  Binary64 rounds to nearest with unit roundoff
     u = 2**-53; gamma_k = k u / (1 - k u).  A complex sum errs by at most
@@ -444,12 +441,9 @@ def _negacyclic_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     if bits_b > bits_a:  # the plan takes the wider operand first
         a, b, bits_a, bits_b = b, a, bits_b, bits_a
     d = int(a.size)
-    size = _fold_size(d)
-    n = size // 2
+    n = d // 2
     width_a, count_a, width_b, count_b, bound = _limb_plan(bits_a, bits_b, d)
     limbs = np.concatenate((_split_limbs(a, width_a, count_a), _split_limbs(b, width_b, count_b)))
-    if size != d:
-        limbs = np.concatenate((limbs, np.zeros((limbs.shape[0], size - d), np.int64)), axis=1)
     twist, untwist = _transform_tables(n)[4:]
     spec = np.empty((limbs.shape[0], n), dtype=np.complex128)
     spec.real, spec.imag = limbs[:, :n], limbs[:, n:]
@@ -459,9 +453,7 @@ def _negacyclic_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     out = _transform(pairs, inverse=True)
     out *= untwist
     parts = np.rint(out.view(np.float64)).reshape(-1, n, 2)  # (c_j, c_{j+n}) pairs
-    conv = parts.transpose(0, 2, 1).astype(np.int64).reshape(-1, size)
-    if size != d:  # the zero-padded product is linear
-        conv = conv[:, :d] - conv[:, d : 2 * d]
+    conv = parts.transpose(0, 2, 1).astype(np.int64).reshape(-1, d)
     if bound >= modulus:
         conv = _divmod(conv, modulus)[1]
     acc = np.zeros(d, dtype=np.int64)

@@ -311,6 +311,7 @@ def test_unknown_arguments_are_rejected(tmp_path, capsys):
     assert "unrecognized arguments: --flod" in capsys.readouterr().err
     # a flag the command does not use is refused, not ignored
     out = tmp_path / "out.json"
+    psi_flooding = ["psi", "--alice", 1, "--bob", 1, "--strategy", "flooding"]
     for argv, message in (
         (["attack", "cca", "--flood", 30], "unrecognized arguments: --flood"),
         (["attack", "bitleak", *SMALL, "--trials", 5], "unrecognized arguments: --trials"),
@@ -319,6 +320,13 @@ def test_unknown_arguments_are_rejected(tmp_path, capsys):
          "--flood needs --strategy"),
         (["psi", "--alice", 1, "--bob", 1, "--strategy", "malicious-probe", "--flood", 3],
          "--flood needs --strategy"),
+        # a negative BITS used to fail as "negative shift count", naming no flag;
+        # anything but a decimal integer below 62 gets the one message
+        *(
+            ([*argv, "--flood", bits], "argument --flood: BITS must satisfy 0 <= BITS < 62")
+            for argv in (["attack", "circuit"], psi_flooding)
+            for bits in (-1, 62, "+3", "x")
+        ),
     ):
         assert run_cli([*argv, "--out", out]) == 1, argv
         assert message in capsys.readouterr().err, argv

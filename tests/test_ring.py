@@ -22,7 +22,6 @@ from bfvlab.ring import (
     _TABLE_DFT,
     _TWIDDLE_ERROR,
     _UNIT_ROUNDOFF,
-    _fold_size,
     _limb_plan,
     _mul_divmod,
     _roots,
@@ -102,7 +101,7 @@ def test_polynomial_centers_inputs():
     assert p.to_coeff_list() == [-56, -44, -1, 0]
     # 256 divides 2**64, so the row above never makes quotient * modulus
     # wrap in int64; these moduli do, at the int64 extremes
-    extremes = [2**63 - 1, -(2**63), -(2**63) + 1]
+    extremes = [2**63 - 1, -(2**63), -(2**63) + 1, 2**63 - 2]
     for q in (3, 97, 2**30 - 35, 2**62 - 57):
         assert Polynomial(extremes, q).to_coeff_list() == [center_mod(x, q) for x in extremes], q
     # coefficients beyond int64 are refused, not reduced
@@ -121,11 +120,12 @@ def test_polynomial_rejects_bad_shapes():
     # and a tuple or range is not the list intake
     for bad in (
         [1.9, 0], ["1", "0"], [None, 0], [True, False], [1, True], [True, 2], [np.True_, 1],
-        [np.uint8(1), 0], [2**63, 0], (1, 2), range(1, 3), "10", None,
+        [np.uint8(1), 0], [2**63, 0], (1, 2), range(1, 3), "10", None, [1, 2, 3],
     ):
         with pytest.raises(ValueError):
             Polynomial(bad, 97)
-    assert Polynomial([np.int32(-1), np.int64(2), 3], 97).to_coeff_list() == [-1, 2, 3]
+    mixed = [np.int32(-1), np.int64(2), 3, np.int16(-4)]
+    assert Polynomial(mixed, 97).to_coeff_list() == [-1, 2, 3, -4]
     # the int64 bound: beyond it a scalar product divided by zero
     # (2**62 + 1) or overflowed int64 (2**63) instead of refusing
     for modulus in (2**62, 2**62 + 1, 2**63):
@@ -196,19 +196,18 @@ def test_add_rejects_mismatched_operands():
         # the largest modulus a Polynomial accepts
         (8, 2**62 - 1, 100),
         (8, 3, 300),
+        # the smallest transform lengths, n = 1, 2, 8 and 16, across the moduli
+        (2, 97, 20),
+        (4, 97, 100),
+        (16, 2**54, 40),
+        (16, 2**62 - 57, 40),
+        (16, 3, 100),
+        (32, (2**30) - 35, 40),
         # an odd modulus below 2**53 with three limbs a side
         (64, 2**50 - 27, 10),
         # saturated rows only, at the cli-1024 and the largest deployed geometry
         (1024, 2**54, 0),
         (2048, 2**54, 0),
-        # degrees that are not powers of two: zero-padded, then folded by x^d = -1
-        (1, 97, 20),
-        (3, 97, 100),
-        (5, 2**54, 40),
-        (6, 2**62 - 57, 40),
-        (7, 3, 100),
-        (12, (2**30) - 35, 40),
-        (100, 2**54, 4),
     ],
 )
 def test_mul_matches_bruteforce_oracle(d, q, pairs):
@@ -223,6 +222,22 @@ def test_mul_matches_bruteforce_oracle(d, q, pairs):
         want = negacyclic_mul_oracle(a, b, q)
         assert (Polynomial(a, q) * Polynomial(b, q)).to_coeff_list() == want, (a[0], b[-1])
         assert (Polynomial(b, q) * Polynomial(a, q)).to_coeff_list() == want, (b[-1], a[0])
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 6, 7, 12, 100])
+def test_degrees_that_are_not_powers_of_two_are_refused(d):
+    # every ring is x^d + 1 with d a power of two, at least 2: a vector of any
+    # other length is refused when it is built, by the rule BfvParams applies
+    q = 97
+    for build in (
+        lambda: Polynomial([1] * d, q),
+        lambda: monomial(0, 1, d, q),
+        lambda: sample_uniform(d, q, make_rng(d)),
+        lambda: Polynomial.from_hex("01" * d, q),
+        lambda: BfvParams(d=d, q=q, t=4),
+    ):
+        with pytest.raises(ValueError, match="ring degree"):
+            build()
 
 
 def saturated_pairs(d: int, q: int) -> list[tuple[list[int], list[int]]]:
@@ -388,11 +403,12 @@ def limb_maximum(bits: int, width: int, count: int) -> int:
 
 def test_limb_plan_keeps_the_error_bound_below_one_half():
     rng = make_rng(36)
-    for n in range(600):
+    degrees = set()
+    for _ in range(600):
         bits_a = int(rng.integers(1, 62))
         bits_b = int(rng.integers(1, bits_a + 1))
-        # half the degrees are any d up to 4096, not only powers of two
-        d = 1 << int(rng.integers(1, 13)) if n % 2 else int(rng.integers(1, 4097))
+        d = 1 << int(rng.integers(1, 13))
+        degrees.add(d)
         width_a, count_a, width_b, count_b, bound = _limb_plan(bits_a, bits_b, d)
         maxima = []
         for bits, width, count in ((bits_a, width_a, count_a), (bits_b, width_b, count_b)):
@@ -408,7 +424,7 @@ def test_limb_plan_keeps_the_error_bound_below_one_half():
             maxima.append(limb_maximum(bits, width, count))
         # every limb pair's outputs are integers of at most the plan's bound, and
         # the transform's error on them stays below 1/2
-        error = _transform_error(_fold_size(d) // 2)
+        error = _transform_error(d // 2)
         assert bound == d * maxima[0] * maxima[1]
         assert bound * error < 0.5, (bits_a, bits_b, d)
         # and a has as few limbs as that allows: one fewer would break it
@@ -416,6 +432,8 @@ def test_limb_plan_keeps_the_error_bound_below_one_half():
             fewer = count_a - 1
             widest = (1 << bits_a) - 1 if fewer == 1 else 1 << -(-(bits_a + 1) // fewer) - 1
             assert d * widest * maxima[1] * error >= 0.5, (bits_a, bits_b, d)
+    # every transform length n = d / 2 from 1 to 2048
+    assert degrees == {1 << k for k in range(1, 13)}
 
 
 def test_limb_plan_at_the_deployed_geometry(monkeypatch):
@@ -467,14 +485,14 @@ def exact_transform_error(n: int) -> Fraction:
 def test_error_bound_arithmetic_for_every_deployed_and_grid_plan():
     # every kernel product the workloads and the CLI make is a 53-bit operand
     # times a binary one at d = 2048 or 1024; the grid adds the operand widths
-    # of every modulus and degrees that are not powers of two
+    # of every modulus and every degree up to 4096, so every n from 1 to 2048
     deployed = [(53, 1, 2048), (53, 1, 1024)]
     widths = (1, 2, 5, 8, 20, 27, 40, 53, 54, 61)
-    degrees = (1, 2, 3, 5, 6, 7, 8, 12, 64, 100, 256, 1000, 1024, 2048, 3000, 4096)
+    degrees = [1 << k for k in range(1, 13)]
     grid = [(a, b, d) for d in degrees for a in widths for b in widths if b <= a]
     exact = {}
     for bits_a, bits_b, d in deployed + grid:
-        n = _fold_size(d) // 2
+        n = d // 2
         if n not in exact:
             exact[n] = exact_transform_error(n)
             # the float evaluation in ring agrees with the exact one
@@ -489,9 +507,9 @@ def test_error_bound_arithmetic_for_every_deployed_and_grid_plan():
 
 def test_twiddle_tables_are_within_their_stated_error():
     # _TWIDDLE_ERROR is proven by enumeration: every entry of every table the
-    # kernel reads, for every transform length up to d = 4096 (padded to
-    # 8192), against exp(2 pi i k / L) at 50 significant digits
-    largest = 4 * (_fold_size(4095) // 2)
+    # kernel reads, for every transform length up to n = 4096 (d = 8192),
+    # against exp(2 pi i k / L) at 50 significant digits
+    largest = 16384
     with localcontext() as ctx:
         ctx.prec = 50
         pi = Decimal("3.14159265358979323846264338327950288419716939937510582097")
@@ -517,7 +535,7 @@ def test_twiddle_tables_are_within_their_stated_error():
                 worst = max(worst, error)
         assert worst.sqrt() <= Decimal(_TWIDDLE_ERROR), float(worst.sqrt())
     # and every other table is made of those entries, conjugated or scaled by 1/n
-    for n in (1 << j for j in range(_fold_size(4095).bit_length() - 1)):
+    for n in (1 << j for j in range((largest // 4).bit_length())):
         stages, stages_conj, table, table_conj, twist, untwist = _transform_tables(n)
         roots, m = _roots(n), min(n, _TABLE_DFT)
         assert [t.size for t in stages] == _stage_halves(n)
