@@ -6,7 +6,8 @@ first digit is as wide as the other operand allows, so a product that fits
 int64 is one multiply.  Every other product runs one exact FFT kernel
 (_negacyclic_mul): balanced limbs, folded to complex length d/2 with the
 twist exp(i pi / d), one batched forward and one batched inverse transform
-of our own (radix-2 stages and an 8-point table DFT), then np.rint.
+of our own (8-point table stages, one matmul each, after at most two radix-2
+butterflies), then np.rint.
 Its docstring derives the error bound C(n) * d * La * Lb for limbs of largest
 values La, Lb, and _limb_plan picks the fewest limbs that keep it below 1/2, so
 the rounding is exact: two 27-bit limbs for a 53-bit operand times a binary
@@ -250,14 +251,35 @@ def _roots(count: int) -> np.ndarray:
 
 
 @cache
+def _stage_plan(n: int) -> tuple[tuple[int, int], ...]:
+    """The twiddled stages of a length-n transform, outermost first, as (radix, h).
+
+    Each stage splits every block of radix * h values into radix rows of h and
+    multiplies row p, after its DFT, by exp(2 pi i j p / (radix h)).  The first
+    log2(n / m) mod 3 stages are radix-2 butterflies, the rest m-point table
+    stages, m = min(n, 8); every transform ends with the untwiddled m-point
+    table DFT on blocks of m, which is not listed.
+    """
+    m = min(n, _TABLE_DFT)
+    passes = (n // m).bit_length() - 1  # log2(n / m) radix-2 passes in all
+    butterflies = passes % 3
+    halves = [n >> k for k in range(1, butterflies + 1)]
+    blocks = [n >> (butterflies + 3 * k) for k in range(passes // 3)]
+    return tuple((2, h) for h in halves) + tuple((m, size // m) for size in blocks)
+
+
+@cache
 def _transform_tables(n: int) -> tuple:
     """Every table the length-n transforms read, made once per length from _roots
-    entries and their conjugates: the twiddles of each radix-2 stage, forward and
-    inverse, the m-point DFT table and its conjugate, and the twist theta**j and
-    untwist theta**-j / n, theta = exp(i pi / 2n)."""
+    entries and their conjugates: the (radix, h) twiddles of each _stage_plan
+    stage, forward and inverse, the m-point DFT table and its conjugate, and the
+    twist theta**j and untwist theta**-j / n, theta = exp(i pi / 2n)."""
     m = min(n, _TABLE_DFT)
     roots = _roots(n)
-    stages = tuple(roots[: n // 2 : n // (2 * h)].copy() for h in _stage_halves(n))
+    stages = tuple(
+        roots[np.outer(np.arange(radix), np.arange(h)) * (n // (radix * h))]
+        for radix, h in _stage_plan(n)
+    )
     k = np.arange(m)
     table = roots[np.outer(k, k) % m * (n // m)]
     twist = _roots(4 * n)[:n].copy()
@@ -267,39 +289,47 @@ def _transform_tables(n: int) -> tuple:
     return tables
 
 
-def _stage_halves(n: int) -> list[int]:
-    """The half-block sizes of the radix-2 stages: n/2, n/4, ..., down to the table DFT's m."""
-    return [n >> k for k in range(1, (n // min(n, _TABLE_DFT)).bit_length())]
-
-
 def _transform(v: np.ndarray, inverse: bool) -> np.ndarray:
     """The DFT of each row of v in one fixed permuted order, or (inverse) n times its inverse.
 
-    Forward: radix-2 decimation-in-frequency stages (u, w) -> (u + w, (u - w) t)
-    on blocks of 2h, t = exp(2 pi i j / 2h), down to blocks of m = min(n, 8),
-    then one matmul with the m-point DFT table; the output order is not
-    natural, and only the inverse reads it.  Inverse: the conjugate table, then
-    each stage undone in reverse order, (u, w) -> (u + w conj(t), u - w conj(t)).
-    The forward transform overwrites v.
+    Forward, decimation in frequency through the _stage_plan stages: a
+    radix-2 butterfly maps (u, w) -> (u + w, (u - w) t) on blocks of 2h,
+    t = exp(2 pi i j / 2h); a table stage views blocks of 8h as (8, h), makes
+    one matmul with the 8-point DFT table and multiplies entry (p, j) by
+    exp(2 pi i j p / 8h).  Then one matmul with the m-point table, m =
+    min(n, 8), on blocks of m.  So output k1 + r k2 of a block of r h sits in
+    row k1 at the position of k2: the order is a mixed-radix digit reversal,
+    and only the inverse reads it.  Inverse: every step undone in reverse
+    order with conjugate tables, (u, w) -> (u + w conj(t), u - w conj(t)) for
+    a butterfly.  The forward transform may overwrite v.
     """
     rows, n = v.shape
     stages, stages_conj, table, table_conj = _transform_tables(n)[:4]
+    m = table.shape[0]
     if inverse:
-        v = v.reshape(-1, table.shape[0]) @ table_conj
+        v = v.reshape(-1, m) @ table_conj
         for t in reversed(stages_conj):
-            blocks = v.reshape(-1, 2, t.size)
-            u, w = blocks[:, 0], blocks[:, 1]
-            turned = w * t
-            np.subtract(u, turned, out=w)
-            u += turned
+            blocks = v.reshape(-1, *t.shape)
+            if t.shape[0] == 2:
+                u, w = blocks[:, 0], blocks[:, 1]
+                turned = w * t[1]
+                np.subtract(u, turned, out=w)
+                u += turned
+            else:
+                blocks *= t
+                v = np.matmul(table_conj, blocks)
         return v.reshape(rows, n)
     for t in stages:
-        blocks = v.reshape(-1, 2, t.size)
-        u, w = blocks[:, 0], blocks[:, 1]
-        diff = u - w
-        u += w
-        np.multiply(diff, t, out=w)
-    return (v.reshape(-1, table.shape[0]) @ table).reshape(rows, n)
+        blocks = v.reshape(-1, *t.shape)
+        if t.shape[0] == 2:
+            u, w = blocks[:, 0], blocks[:, 1]
+            diff = u - w
+            u += w
+            np.multiply(diff, t[1], out=w)
+        else:
+            v = np.matmul(table, blocks)
+            v *= t
+    return (v.reshape(-1, m) @ table).reshape(rows, n)
 
 
 @cache
@@ -313,9 +343,13 @@ def _transform_error(n: int) -> float:
     m = min(n, _TABLE_DFT)
     mu = math.sqrt(2) * 2 * u / (1 - 2 * u)  # a complex product
     nu = math.log1p(beta) + math.log1p(mu)  # a product with a table entry
-    rho = math.log1p(u) + nu  # a radix-2 stage
-    tau = math.sqrt(m) * (beta + math.sqrt(2) * 2 * m * u / (1 - 2 * m * u) * (1 + beta))
-    eta = len(_stage_halves(n)) * rho + math.log1p(tau)  # a transform
+    rho = math.log1p(u) + nu  # a radix-2 butterfly
+    tau = math.log1p(
+        math.sqrt(m) * (beta + math.sqrt(2) * 2 * m * u / (1 - 2 * m * u) * (1 + beta))
+    )  # a table application
+    radices = [radix for radix, _ in _stage_plan(n)]
+    butterflies = radices.count(2)
+    eta = butterflies * rho + (len(radices) - butterflies) * (tau + nu) + tau  # a transform
     kappa = eta + nu  # the twist and a forward transform
     inverse = math.log1p(math.sqrt(n) * math.expm1(eta))
     return math.expm1(nu + math.log1p(mu) + 2 * kappa + inverse)
@@ -416,14 +450,16 @@ def _negacyclic_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     is exact.  Each step below is sqrt(2), sqrt(m) or 1
     times a unitary map, so errors carry through in the 2-norm as in
     C. Percival, Math. Comp. 72 (2003):
-      - a radix-2 stage errs by rho = (1 + u)(1 + nu) - 1 relative;
-      - the m-point table DFT is a matmul; BLAS forms each real output from
-        its 2m real products in any order, with or without FMA, within
-        gamma_2m of their absolute sum, so, with the table's own error, it
-        errs by tau = sqrt(m) (beta + sqrt(2) gamma_2m (1 + beta)) relative;
-      - a transform with s = log2(n/m) stages errs by
-        eta = (1 + rho)**s (1 + tau) - 1, and the twist with it by
-        kappa = (1 + eta)(1 + nu) - 1, against sqrt(n) ||x||_2.
+      - a radix-2 butterfly errs by rho = (1 + u)(1 + nu) - 1 relative;
+      - an m-point table application is a matmul; BLAS forms each real
+        output from its 2m real products in any order, with or without FMA,
+        within gamma_2m of their absolute sum, so, with the table's own
+        error, it errs by tau = sqrt(m) (beta + sqrt(2) gamma_2m (1 + beta))
+        relative, and a table stage's twiddles, _roots(n) entries, add nu;
+      - a transform of b butterflies and s twiddled table stages
+        (_stage_plan), then the last table DFT, errs by
+        eta = (1 + rho)**b ((1 + tau)(1 + nu))**s (1 + tau) - 1, and the
+        twist with it by kappa = (1 + eta)(1 + nu) - 1, against sqrt(n) ||x||_2.
     An output z_j = (1/n) sum_k P_k w**-jk takes the forward and pointwise
     errors through Cauchy-Schwarz, at most ((1 + mu)(1 + kappa)**2 - 1) ||x|| ||y||,
     and the inverse's own error in the 2-norm, at most eta ||P||_2 / sqrt(n) <=
@@ -434,8 +470,9 @@ def _negacyclic_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
         C(n) = (1 + nu)(1 + mu)(1 + kappa)**2 (1 + sqrt(n) eta) - 1,
     which _limb_plan keeps below 1/2.  A sum that underflows is exact, and a
     product that underflows errs by at most 2**-1075, far inside that margin.
-    At d = 2048, C(1024) = 3773 u, so two 27-bit limbs of a 53-bit operand
-    times a binary one are off by at most 2048 * 2**26 * C = 0.058.
+    At d = 2048, b = 1 and s = 2, so C(1024) = 7649 u, and two 27-bit limbs
+    of a 53-bit operand times a binary one are off by at most
+    2048 * 2**26 * C = 0.117; at d = 1024, 1024 * 2**26 * C(512) = 0.0412.
     """
     bits_a, bits_b = (int(np.abs(x).max()).bit_length() for x in (a, b))
     if bits_b > bits_a:  # the plan takes the wider operand first

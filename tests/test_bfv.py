@@ -511,8 +511,8 @@ def test_json_roundtrips(small_params):
 
 @pytest.mark.parametrize("name", sorted(PARAM_SETS))
 def test_key_file_header_is_the_params_fields(name):
-    # the header is built from BfvParams' fields, so a renamed or added
-    # field would change the file format; this pins it
+    # the header names BfvParams' four fields, so a renamed or added field
+    # would change the file format; this pins it
     params = get_params(name)
     sk, pk = bfv.keygen(params, make_rng(27))
     for obj, load in (
