@@ -250,7 +250,6 @@ def _roots(count: int) -> np.ndarray:
     return np.concatenate((quarter, 1j * quarter, -quarter, -1j * quarter))[:: 8 * eighth // count]
 
 
-@cache
 def _stage_plan(n: int) -> tuple[tuple[int, int], ...]:
     """The twiddled stages of a length-n transform, outermost first, as (radix, h).
 

@@ -515,6 +515,11 @@ def test_transform_meets_its_stated_error():
     # every length the kernel runs, against numpy's FFT in extended precision
     # (eps 2**-63, so the reference errs by far less than the bound allows)
     assert np.finfo(np.longdouble).eps <= 2.0**-63
+    # log2(n / 8) mod 3 butterflies, then 8-point table stages
+    assert _stage_plan(2048) == ((2, 1024), (2, 512), (8, 64), (8, 8))
+    assert _stage_plan(1024) == ((2, 512), (8, 64), (8, 8))
+    assert _stage_plan(512) == ((8, 64), (8, 8))
+    assert _stage_plan(8) == _stage_plan(4) == ()
     rng = make_rng(37)
     for n in (1 << k for k in range(12)):
         eta = float(exact_transform_eta(n))
