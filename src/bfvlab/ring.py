@@ -6,8 +6,8 @@ first digit is as wide as the other operand allows, so a product that fits
 int64 is one multiply.  Every other product runs one exact FFT kernel
 (_negacyclic_mul): balanced limbs, folded to complex length d/2 with the
 twist exp(i pi / d), one batched forward and one batched inverse transform
-of our own (8-point table stages, one matmul each, after at most two radix-2
-butterflies), then np.rint.
+of our own (table stages of one kind: a matmul with a DFT table of radix at
+most 8 and one twiddle multiply each), then np.rint.
 Its docstring derives the error bound C(n) * d * La * Lb for limbs of largest
 values La, Lb, and _limb_plan picks the fewest limbs that keep it below 1/2, so
 the rounding is exact: two 27-bit limbs for a 53-bit operand times a binary
@@ -81,8 +81,7 @@ def _check_modulus(modulus: int) -> None:
 
 def reduce_centered(value: int, modulus: int) -> int:
     """Return the residue of value mod modulus lying in [-modulus/2, modulus/2), as an int."""
-    if type(modulus) is not int or modulus < 2:
-        raise ValueError(f"modulus must be an int of at least 2, not {modulus!r}")
+    _check_modulus(modulus)
     r = _as_int(value, "value") % modulus
     if r >= (modulus + 1) // 2:
         r -= modulus
@@ -253,37 +252,39 @@ def _roots(count: int) -> np.ndarray:
 def _stage_plan(n: int) -> tuple[tuple[int, int], ...]:
     """The twiddled stages of a length-n transform, outermost first, as (radix, h).
 
-    Each stage splits every block of radix * h values into radix rows of h and
-    multiplies row p, after its DFT, by exp(2 pi i j p / (radix h)).  The first
-    log2(n / m) mod 3 stages are radix-2 butterflies, the rest m-point table
-    stages, m = min(n, 8); every transform ends with the untwiddled m-point
-    table DFT on blocks of m, which is not listed.
+    Each stage splits every block of radix * h values into radix rows of h,
+    applies the radix-point DFT across the rows and multiplies row p by
+    exp(2 pi i j p / (radix h)).  A leading stage of radix 2**(log2(n / m) mod
+    3) takes what m-point stages cannot, m = min(n, 8); the rest are m-point
+    stages, and every transform ends with the untwiddled m-point DFT on blocks
+    of m, which is not listed.
     """
     m = min(n, _TABLE_DFT)
     passes = (n // m).bit_length() - 1  # log2(n / m) radix-2 passes in all
-    butterflies = passes % 3
-    halves = [n >> k for k in range(1, butterflies + 1)]
-    blocks = [n >> (butterflies + 3 * k) for k in range(passes // 3)]
-    return tuple((2, h) for h in halves) + tuple((m, size // m) for size in blocks)
+    lead = passes % 3
+    first = ((1 << lead, n >> lead),) if lead else ()
+    return first + tuple((m, n >> (lead + 3 * k)) for k in range(1, passes // 3 + 1))
 
 
 @cache
 def _transform_tables(n: int) -> tuple:
-    """Every table the length-n transforms read, made once per length from _roots
-    entries and their conjugates: the (radix, h) twiddles of each _stage_plan
-    stage, forward and inverse, the m-point DFT table and its conjugate, and the
-    twist theta**j and untwist theta**-j / n, theta = exp(i pi / 2n)."""
-    m = min(n, _TABLE_DFT)
+    """Every table the length-n transforms read, made once per length from _roots(n)
+    entries: per _stage_plan stage its radix-point DFT table and (radix, h)
+    twiddles, the last m-point DFT table, all of them conjugated for the
+    inverse, and the twist theta**j and untwist theta**-j / n, theta = exp(i pi / 2n)."""
     roots = _roots(n)
-    stages = tuple(
-        roots[np.outer(np.arange(radix), np.arange(h)) * (n // (radix * h))]
-        for radix, h in _stage_plan(n)
-    )
-    k = np.arange(m)
-    table = roots[np.outer(k, k) % m * (n // m)]
+
+    def powers(rows: int, cols: int, order: int) -> np.ndarray:
+        """Entry (p, j) is exp(2 pi i p j / order), order dividing n."""
+        return roots[np.outer(np.arange(rows), np.arange(cols)) % order * (n // order)]
+
+    m = min(n, _TABLE_DFT)
+    stages = tuple((powers(r, r, r), powers(r, h, r * h)) for r, h in _stage_plan(n))
+    stages_conj = tuple((table.conj(), twiddles.conj()) for table, twiddles in stages)
+    last = powers(m, m, m)
     twist = _roots(4 * n)[:n].copy()
-    tables = stages, tuple(t.conj() for t in stages), table, table.conj(), twist, twist.conj() / n
-    for array in (*tables[0], *tables[1], *tables[2:]):
+    tables = stages, stages_conj, last, last.conj(), twist, twist.conj() / n
+    for array in (*(a for stage in stages + stages_conj for a in stage), *tables[2:]):
         array.flags.writeable = False  # cached, so shared by every caller
     return tables
 
@@ -291,44 +292,29 @@ def _transform_tables(n: int) -> tuple:
 def _transform(v: np.ndarray, inverse: bool) -> np.ndarray:
     """The DFT of each row of v in one fixed permuted order, or (inverse) n times its inverse.
 
-    Forward, decimation in frequency through the _stage_plan stages: a
-    radix-2 butterfly maps (u, w) -> (u + w, (u - w) t) on blocks of 2h,
-    t = exp(2 pi i j / 2h); a table stage views blocks of 8h as (8, h), makes
-    one matmul with the 8-point DFT table and multiplies entry (p, j) by
-    exp(2 pi i j p / 8h).  Then one matmul with the m-point table, m =
-    min(n, 8), on blocks of m.  So output k1 + r k2 of a block of r h sits in
-    row k1 at the position of k2: the order is a mixed-radix digit reversal,
-    and only the inverse reads it.  Inverse: every step undone in reverse
-    order with conjugate tables, (u, w) -> (u + w conj(t), u - w conj(t)) for
-    a butterfly.  The forward transform may overwrite v.
+    Forward, decimation in frequency through the _stage_plan stages: each
+    views blocks of r h as (r, h), makes one matmul with the r-point DFT table
+    and multiplies entry (p, j) by exp(2 pi i j p / r h).  Then one matmul
+    with the m-point table, m = min(n, 8), on blocks of m.  So output k1 + r k2
+    of a block of r h sits in row k1 at the position of k2: the order is a
+    mixed-radix digit reversal, and only the inverse reads it.  Inverse: every
+    step undone in reverse order with the conjugate tables.  Neither direction
+    writes to v.
     """
     rows, n = v.shape
-    stages, stages_conj, table, table_conj = _transform_tables(n)[:4]
-    m = table.shape[0]
+    stages, stages_conj, last, last_conj = _transform_tables(n)[:4]
+    m = last.shape[0]
     if inverse:
-        v = v.reshape(-1, m) @ table_conj
-        for t in reversed(stages_conj):
-            blocks = v.reshape(-1, *t.shape)
-            if t.shape[0] == 2:
-                u, w = blocks[:, 0], blocks[:, 1]
-                turned = w * t[1]
-                np.subtract(u, turned, out=w)
-                u += turned
-            else:
-                blocks *= t
-                v = np.matmul(table_conj, blocks)
-        return v.reshape(rows, n)
-    for t in stages:
-        blocks = v.reshape(-1, *t.shape)
-        if t.shape[0] == 2:
-            u, w = blocks[:, 0], blocks[:, 1]
-            diff = u - w
-            u += w
-            np.multiply(diff, t[1], out=w)
-        else:
+        v = v.reshape(-1, m) @ last_conj
+        for table, twiddles in reversed(stages_conj):
+            blocks = v.reshape(-1, *twiddles.shape)
+            blocks *= twiddles
             v = np.matmul(table, blocks)
-            v *= t
-    return (v.reshape(-1, m) @ table).reshape(rows, n)
+        return v.reshape(rows, n)
+    for table, twiddles in stages:
+        v = np.matmul(table, v.reshape(-1, *twiddles.shape))
+        v *= twiddles
+    return (v.reshape(-1, m) @ last).reshape(rows, n)
 
 
 @cache
@@ -339,16 +325,14 @@ def _transform_error(n: int) -> float:
     is summed as log1p(x), so no step subtracts 1 from a rounded product.
     """
     u, beta = _UNIT_ROUNDOFF, _TWIDDLE_ERROR
-    m = min(n, _TABLE_DFT)
     mu = math.sqrt(2) * 2 * u / (1 - 2 * u)  # a complex product
     nu = math.log1p(beta) + math.log1p(mu)  # a product with a table entry
-    rho = math.log1p(u) + nu  # a radix-2 butterfly
-    tau = math.log1p(
-        math.sqrt(m) * (beta + math.sqrt(2) * 2 * m * u / (1 - 2 * m * u) * (1 + beta))
-    )  # a table application
-    radices = [radix for radix, _ in _stage_plan(n)]
-    butterflies = radices.count(2)
-    eta = butterflies * rho + (len(radices) - butterflies) * (tau + nu) + tau  # a transform
+
+    def tau(r: int) -> float:  # an r-point table application
+        gamma = 2 * r * u / (1 - 2 * r * u)
+        return math.log1p(math.sqrt(r) * (beta + math.sqrt(2) * gamma * (1 + beta)))
+
+    eta = sum(tau(r) + nu for r, _ in _stage_plan(n)) + tau(min(n, _TABLE_DFT))  # a transform
     kappa = eta + nu  # the twist and a forward transform
     inverse = math.log1p(math.sqrt(n) * math.expm1(eta))
     return math.expm1(nu + math.log1p(mu) + 2 * kappa + inverse)
@@ -446,19 +430,18 @@ def _negacyclic_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     beta = _TWIDDLE_ERROR, which a test proves entry by entry against
     40-digit values.  A product with a table entry then errs by
     nu = (1 + beta)(1 + mu) - 1 relative, and scaling by 1/n, a power of two,
-    is exact.  Each step below is sqrt(2), sqrt(m) or 1
-    times a unitary map, so errors carry through in the 2-norm as in
-    C. Percival, Math. Comp. 72 (2003):
-      - a radix-2 butterfly errs by rho = (1 + u)(1 + nu) - 1 relative;
-      - an m-point table application is a matmul; BLAS forms each real
-        output from its 2m real products in any order, with or without FMA,
-        within gamma_2m of their absolute sum, so, with the table's own
-        error, it errs by tau = sqrt(m) (beta + sqrt(2) gamma_2m (1 + beta))
-        relative, and a table stage's twiddles, _roots(n) entries, add nu;
-      - a transform of b butterflies and s twiddled table stages
-        (_stage_plan), then the last table DFT, errs by
-        eta = (1 + rho)**b ((1 + tau)(1 + nu))**s (1 + tau) - 1, and the
-        twist with it by kappa = (1 + eta)(1 + nu) - 1, against sqrt(n) ||x||_2.
+    is exact.  Each step below is sqrt(r) or 1 times a unitary map, so
+    errors carry through in the 2-norm as in C. Percival, Math. Comp. 72 (2003):
+      - an r-point table application is a matmul; BLAS forms each real
+        output from its 2r real products in any order, with or without FMA,
+        within gamma_2r of their absolute sum, so, with the table's own
+        error, it errs by tau_r = sqrt(r) (beta + sqrt(2) gamma_2r (1 + beta))
+        relative, and a stage's twiddles add nu.  Every table entry, the
+        2-point table's +-1 included, is a _roots(n) entry;
+      - a transform through the twiddled stages of radix r (_stage_plan),
+        then the last m-point DFT, errs by
+        eta = prod_r ((1 + tau_r)(1 + nu)) (1 + tau_m) - 1, and the twist
+        with it by kappa = (1 + eta)(1 + nu) - 1, against sqrt(n) ||x||_2.
     An output z_j = (1/n) sum_k P_k w**-jk takes the forward and pointwise
     errors through Cauchy-Schwarz, at most ((1 + mu)(1 + kappa)**2 - 1) ||x|| ||y||,
     and the inverse's own error in the 2-norm, at most eta ||P||_2 / sqrt(n) <=
@@ -469,9 +452,9 @@ def _negacyclic_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
         C(n) = (1 + nu)(1 + mu)(1 + kappa)**2 (1 + sqrt(n) eta) - 1,
     which _limb_plan keeps below 1/2.  A sum that underflows is exact, and a
     product that underflows errs by at most 2**-1075, far inside that margin.
-    At d = 2048, b = 1 and s = 2, so C(1024) = 7649 u, and two 27-bit limbs
-    of a 53-bit operand times a binary one are off by at most
-    2048 * 2**26 * C = 0.117; at d = 1024, 1024 * 2**26 * C(512) = 0.0412.
+    At d = 2048 the radices are 2, 8 and 8, so C(1024) = 7983 u, and two
+    27-bit limbs of a 53-bit operand times a binary one are off by at most
+    2048 * 2**26 * C = 0.122; at d = 1024, 1024 * 2**26 * C(512) = 0.0412.
     """
     bits_a, bits_b = (int(np.abs(x).max()).bit_length() for x in (a, b))
     if bits_b > bits_a:  # the plan takes the wider operand first

@@ -81,13 +81,16 @@ def test_reduce_centered_is_additive_after_reduction():
 
 
 def test_reduce_centered_rejects_tiny_modulus():
-    with pytest.raises(ValueError):
-        reduce_centered(5, 1)
-    # a value is an int or numpy signed integer, never a bool, and a modulus is
-    # exactly an int: 2.5 used to come back as 2.5 and True as 1
-    for value, modulus in ((2.5, 97), (True, 97), (np.uint8(5), 97), (5, 97.0), (5, np.int64(97))):
-        with pytest.raises(ValueError):
-            reduce_centered(value, modulus)
+    # the one modulus rule of Polynomial and BfvParams: exactly an int, 2 <= modulus < 2**62
+    for modulus in (1, 2**62, True, 97.0, np.int64(97)):
+        with pytest.raises(ValueError, match=r"modulus must be an int with 2 <= modulus < 2\*\*62"):
+            reduce_centered(5, modulus)
+    assert reduce_centered(-1, 2**62 - 1) == -1
+    # a value is an int or numpy signed integer, never a bool: 2.5 used to come
+    # back as 2.5 and True as 1
+    for value in (2.5, True, np.uint8(5)):
+        with pytest.raises(ValueError, match="value must be an integer"):
+            reduce_centered(value, 97)
     r = reduce_centered(np.int64(200), 256)
     assert r == -56 and type(r) is int
 
@@ -479,18 +482,19 @@ MU = sqrt_up(2) * gamma(2)  # a complex product
 NU = (1 + BETA) * (1 + MU) - 1  # a product with a table entry
 
 
+def tau(r: int) -> Fraction:
+    """tau_r of the kernel's docstring: the relative error of an r-point table application."""
+    return sqrt_up(r) * (BETA + sqrt_up(2) * gamma(2 * r) * (1 + BETA))
+
+
 def exact_transform_eta(n: int) -> Fraction:
     """eta(n) of the kernel's docstring, the relative 2-norm error of one
     length-n transform, in exact rational arithmetic, square roots rounded up."""
-    m = min(n, _TABLE_DFT)
-    rho = (1 + U) * (1 + NU) - 1
-    tau = sqrt_up(m) * (BETA + sqrt_up(2) * gamma(2 * m) * (1 + BETA))
-    # b radix-2 butterflies, s twiddled table stages, then the last table DFT
-    radices = [radix for radix, _ in _stage_plan(n)]
-    assert set(radices) <= {2, _TABLE_DFT}
-    b = radices.count(2)
-    s = len(radices) - b
-    return (1 + rho) ** b * ((1 + tau) * (1 + NU)) ** s * (1 + tau) - 1
+    # each twiddled stage of radix r, then the last m-point table DFT
+    eta = 1 + tau(min(n, _TABLE_DFT))
+    for radix, _ in _stage_plan(n):
+        eta *= (1 + tau(radix)) * (1 + NU)
+    return eta - 1
 
 
 def exact_transform_error(n: int) -> Fraction:
@@ -515,8 +519,8 @@ def test_transform_meets_its_stated_error():
     # every length the kernel runs, against numpy's FFT in extended precision
     # (eps 2**-63, so the reference errs by far less than the bound allows)
     assert np.finfo(np.longdouble).eps <= 2.0**-63
-    # log2(n / 8) mod 3 butterflies, then 8-point table stages
-    assert _stage_plan(2048) == ((2, 1024), (2, 512), (8, 64), (8, 8))
+    # a leading stage of radix 2**(log2(n / 8) mod 3), then 8-point stages
+    assert _stage_plan(2048) == ((4, 512), (8, 64), (8, 8))
     assert _stage_plan(1024) == ((2, 512), (8, 64), (8, 8))
     assert _stage_plan(512) == ((8, 64), (8, 8))
     assert _stage_plan(8) == _stage_plan(4) == ()
@@ -559,8 +563,8 @@ def test_error_bound_arithmetic_for_every_deployed_and_grid_plan():
         bound = _limb_plan(bits_a, bits_b, d)[4]
         assert bound * exact[n] < Fraction(1, 2), (bits_a, bits_b, d)
     # the deployed plans, with the margin the kernel's docstring states
-    assert round(exact[1024] / Fraction(_UNIT_ROUNDOFF)) == 7649
-    assert 2048 * 2**26 * exact[1024] < Fraction(117, 1000)
+    assert round(exact[1024] / Fraction(_UNIT_ROUNDOFF)) == 7983
+    assert 2048 * 2**26 * exact[1024] < Fraction(122, 1000)
     assert 1024 * 2**26 * exact[512] < Fraction(413, 10000)
 
 
@@ -595,19 +599,25 @@ def test_twiddle_tables_are_within_their_stated_error():
         assert worst.sqrt() <= Decimal(_TWIDDLE_ERROR), float(worst.sqrt())
     # and every other table is made of those entries, conjugated or scaled by 1/n
     for n in (1 << j for j in range((largest // 4).bit_length())):
-        stages, stages_conj, table, table_conj, twist, untwist = _transform_tables(n)
+        stages, stages_conj, last, last_conj, twist, untwist = _transform_tables(n)
         roots, m = _roots(n), min(n, _TABLE_DFT)
+
+        def dft_table(r):  # entry (k, p) is exp(2 pi i k p / r), the _roots(n) entry k p n / r
+            return [[roots[k * p % r * n // r] for p in range(r)] for k in range(r)]
+
         plan = _stage_plan(n)
-        assert [t.shape for t in stages] == [t.shape for t in stages_conj] == list(plan)
-        for (radix, h), t, t_conj in zip(plan, stages, stages_conj):
+        assert len(stages) == len(stages_conj) == len(plan)
+        for (radix, h), (table, t), (table_conj, t_conj) in zip(plan, stages, stages_conj):
+            assert table.shape == (radix, radix) and t.shape == (radix, h)
+            assert np.array_equal(table, dft_table(radix))
+            assert np.array_equal(table_conj, table.conj())
             # row p of a stage on blocks of radix * h turns entry j by
             # exp(2 pi i j p / (radix h)), the _roots(n) entry j p n / (radix h)
             for p in range(radix):
                 assert np.array_equal(t[p], [roots[j * p * n // (radix * h)] for j in range(h)])
             assert np.array_equal(t_conj, t.conj())
-        k = np.arange(m)
-        assert np.array_equal(table, roots[np.outer(k, k) % m * (n // m)])
-        assert np.array_equal(table_conj, table.conj())
+        assert np.array_equal(last, dft_table(m))
+        assert np.array_equal(last_conj, last.conj())
         assert np.array_equal(twist, _roots(4 * n)[:n])
         assert np.array_equal(untwist * n, twist.conj())
 
