@@ -43,7 +43,6 @@ __all__ = [
     "bit_leak_probe",
     "bit_leak_attack",
     "random_multiplier",
-    "reply_noise_bound",
     "bob_reply",
     "evaluation_noise",
     "circuit_privacy_recover",
@@ -172,18 +171,6 @@ def random_multiplier(params: BfvParams, rng: np.random.Generator) -> int:
     return reduce_centered(r, params.t)
 
 
-def reply_noise_bound(params: BfvParams, r_norm: int, flood_bound: Optional[int] = None) -> int:
-    """Worst noise of a reply r*(m_b - c_a) with |r|_1 <= r_norm:
-    r_norm*((2d+1)*tail + (q mod t)), Alice's fresh noise times r plus the
-    (q mod t) carry of delta*r*(m_b - m_a), and flood_bound + 2d*tail more
-    when the reply is flooded."""
-    d, tail = params.d, gaussian_tail(params.sigma)
-    bound = r_norm * ((2 * d + 1) * tail + params.q % params.t)
-    if flood_bound is not None:
-        bound += flood_bound + 2 * d * tail
-    return bound
-
-
 def bob_reply(
     c_a: Ciphertext,
     m_b: Polynomial,
@@ -193,19 +180,18 @@ def bob_reply(
     flood_bound: Optional[int] = None,
 ) -> Ciphertext:
     """Bob's equality-protocol reply r*(m_b - c_a), computed with plain
-    operations only, plus an encryption of zero under pk with uniform
-    noise on [-flood_bound, flood_bound] when a bound is given.  Without
-    the flood the reply keeps Alice's encryption noise, scaled by r.
-
-    A c_a and pk with different parameters raise ValueError.  A flooded
-    reply must still decrypt: a bound whose reply_noise_bound misses the
-    decrypt margin raises ValueError before any randomness is drawn.
+    operations only, so it keeps Alice's encryption noise scaled by r, plus
+    an encryption of zero under pk with uniform noise on [-flood_bound,
+    flood_bound] when a bound is given.  A c_a and pk with different
+    parameters raise ValueError, and so does a bound whose reply_noise_bound
+    plus flood_noise_bound (bfv) misses the decrypt margin, before any draw.
     """
     params = bfv.same_params(c_a, pk)
     reply = bfv.mul_plain(bfv.sub_from_plain(m_b, c_a), r)
     if flood_bound is None:
         return reply
-    worst = reply_noise_bound(params, int(np.abs(r.coeffs).sum()), flood_bound)
+    r_norm = int(np.abs(r.coeffs).sum())
+    worst = bfv.reply_noise_bound(params, r_norm) + bfv.flood_noise_bound(params, flood_bound)
     bfv.check_decrypt_margin(worst, params, "flooded reply noise")
     return bfv.add(reply, bfv.encrypt_zero_flood(pk, flood_bound, rng))
 

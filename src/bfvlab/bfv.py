@@ -45,6 +45,9 @@ __all__ = [
     "add",
     "sub_from_plain",
     "mul_plain",
+    "fresh_noise_bound",
+    "reply_noise_bound",
+    "flood_noise_bound",
     "check_decrypt_margin",
     "encrypt_zero_flood",
     "noise",
@@ -249,6 +252,53 @@ def mul_plain(ct: Ciphertext, r: Polynomial) -> Ciphertext:
     return Ciphertext(r_q * ct.c0, r_q * ct.c1, ct.params)
 
 
+def encrypt_zero_flood(pk: PublicKey, flood_bound: int, rng: np.random.Generator) -> Ciphertext:
+    """Encryption of zero whose c0-noise is uniform on [-flood_bound, flood_bound].
+
+    Adding this to a ciphertext drowns the structured evaluation noise
+    that the circuit-privacy attack relies on.  A bound whose
+    flood_noise_bound misses the decrypt margin raises ValueError.
+    """
+    flood_bound = _as_int(flood_bound, "flood_bound")
+    if flood_bound < 0:
+        raise ValueError("flood_bound must be non-negative")
+    params = pk.params
+    check_decrypt_margin(flood_noise_bound(params, flood_bound), params, "flood_bound + 2d*tail")
+    u = sample_binary(params.d, params.q, rng)
+    flood = rng.integers(-flood_bound, flood_bound + 1, size=params.d, dtype=np.int64)
+    e2 = sample_gaussian(params.d, params.q, params.sigma, rng)
+    c0 = pk.pk0 * u + Polynomial(flood, params.q)
+    c1 = pk.pk1 * u + e2
+    return Ciphertext(c0, c1, params)
+
+
+def noise(sk: SecretKey, ct: Ciphertext, expected_m: Polynomial) -> Polynomial:
+    """The noise [c0 + c1*s - delta*expected_m]_q of ct as an encryption of expected_m."""
+    return decrypt_raw(sk, ct) - _lift(expected_m, ct.params) * ct.params.delta
+
+
+# ---------------------------------------------------------------------------
+# Noise bounds, each a worst case over every draw with tail = gaussian_tail(sigma)
+# and reached below q/2.  The chain: fresh -> reply -> flood -> check_decrypt_margin.
+def fresh_noise_bound(params: BfvParams) -> int:
+    """(2d+1)*tail, for the noise e1 + e2*s - e*u of encrypt: a coefficient of e2*s or
+    e*u sums d terms of at most tail, s and u being binary.  Reached at s = u = 1 + x +
+    ... + x^(d-1), e1_0 = e2_0 = -e_0 = tail and e2_j = -e_j = -tail for j > 0."""
+    return (2 * params.d + 1) * gaussian_tail(params.sigma)
+
+
+def reply_noise_bound(params: BfvParams, r_norm: int) -> int:
+    """r_norm*(fresh_noise_bound + (q mod t)), for the noise -r*n - (q mod t)*k of a reply
+    r*(m_b - c_a), |r|_1 <= r_norm, to c_a of noise n (delta*t = q - (q mod t)): r*(m_b - m_a)
+    = m + t*k has |k| <= r_norm, as |m_b - m_a| < t.  Reached at r = r_norm, m_b - m_a = t - 1."""
+    return r_norm * (fresh_noise_bound(params) + params.q % params.t)
+
+
+def flood_noise_bound(params: BfvParams, flood_bound: int) -> int:
+    """flood_bound + 2d*tail, for the noise flood + e2*s - e*u of encrypt_zero_flood."""
+    return flood_bound + 2 * params.d * gaussian_tail(params.sigma)
+
+
 def check_decrypt_margin(
     noise: int, params: BfvParams, name: str, error: type[Exception] = ValueError
 ) -> None:
@@ -265,33 +315,6 @@ def check_decrypt_margin(
             f"{name} = {noise} misses the decrypt margin: "
             f"2t*{noise} + t*(q mod t) = {lhs} >= q = {q}"
         )
-
-
-def encrypt_zero_flood(pk: PublicKey, flood_bound: int, rng: np.random.Generator) -> Ciphertext:
-    """Encryption of zero whose c0-noise is uniform on [-flood_bound, flood_bound].
-
-    Adding this to a ciphertext drowns the structured evaluation noise
-    that the circuit-privacy attack relies on.  Its whole noise
-    flood - e*u + e2*s stays within flood_bound + 2d*tail, and a bound
-    whose total misses the decrypt margin raises ValueError.
-    """
-    flood_bound = _as_int(flood_bound, "flood_bound")
-    if flood_bound < 0:
-        raise ValueError("flood_bound must be non-negative")
-    params = pk.params
-    tail = gaussian_tail(params.sigma)
-    check_decrypt_margin(flood_bound + 2 * params.d * tail, params, "flood_bound + 2d*tail")
-    u = sample_binary(params.d, params.q, rng)
-    flood = rng.integers(-flood_bound, flood_bound + 1, size=params.d, dtype=np.int64)
-    e2 = sample_gaussian(params.d, params.q, params.sigma, rng)
-    c0 = pk.pk0 * u + Polynomial(flood, params.q)
-    c1 = pk.pk1 * u + e2
-    return Ciphertext(c0, c1, params)
-
-
-def noise(sk: SecretKey, ct: Ciphertext, expected_m: Polynomial) -> Polynomial:
-    """The noise [c0 + c1*s - delta*expected_m]_q of ct as an encryption of expected_m."""
-    return decrypt_raw(sk, ct) - _lift(expected_m, ct.params) * ct.params.delta
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def alice_init(
     """Start a session: generate (or reuse) keys and emit the pubkey message;
     raise ValueError, before any draw, if an honest reply can miss the margin
     or the given keys were made with other parameters."""
-    reply_noise = attacks.reply_noise_bound(params, params.t // 2)
+    reply_noise = bfv.reply_noise_bound(params, params.t // 2)
     bfv.check_decrypt_margin(reply_noise, params, "honest reply noise")
     sk, pk = keys if keys is not None else bfv.keygen(params, rng)
     bfv.same_params(params, sk, pk)

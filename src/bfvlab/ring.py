@@ -420,7 +420,7 @@ def _negacyclic_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     per limb pair, one inverse _transform, the untwist theta**-j / n and
     np.rint give each pair's negacyclic convolution as integers.  The pairs
     recombine mod m through _mul_divmod and _center, reduced first when the
-    plan's bound reaches m.
+    plan's bound reaches m: _mul_divmod needs |x| < m.
 
     Why np.rint is exact.  Binary64 rounds to nearest with unit roundoff
     u = 2**-53; gamma_k = k u / (1 - k u).  A complex sum errs by at most

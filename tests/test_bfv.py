@@ -1,6 +1,7 @@
 """Scheme-level behavior: parameters, key relations, noise identities,
 roundtrips, homomorphic operations, flooding, serialization."""
 
+import itertools
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -16,11 +17,14 @@ from bfvlab import (
     PublicKey,
     SecretKey,
     attacks,
+    gaussian_tail,
     get_params,
     integer_encode,
     monomial,
     psi,
+    reduce_centered,
 )
+from bfvlab.ring import _center
 
 from conftest import encrypt_draws, make_rng
 from oracles import center_mod, round_ratio_oracle
@@ -245,6 +249,178 @@ def test_decrypt_margin_is_sound_exhaustively(pairs):
             assert got[-1] != 0, (q, t)
             tight += 1
     assert tight
+
+
+# --- the noise-bound chain -------------------------------------------------------
+#
+# Each step of bfv's chain is checked against every extreme draw at tiny sets with
+# tail = gaussian_tail(0.5) = 3: s and u binary, and e, e1 and e2 at +-tail.  The noise
+# is linear in e, e1 and e2, so its largest |coefficient| over the box [-tail, tail]^d
+# sits at a corner.  Each set admits an honest reply (alice_init accepts it), so every
+# bound is below q/2: each test asserts that the largest noise equals the bound, sound
+# and reached.  The enumeration runs in numpy; bfv.noise, through keygen and encrypt
+# with the samplers scripted, measures the worst draw and a seeded sample of others.
+
+CHAIN_SETS = [
+    BfvParams(d=d, q=q, t=t, sigma=0.5)
+    for d, q, t in [(2, 2**10, 7), (2, 12289, 3), (4, 2**10, 3), (4, 12289, 4), (4, 12289, 7)]
+]
+
+
+def _set_id(params):
+    return f"d{params.d}-q{params.q}-t{params.t}"
+
+
+def _corners(d, values):
+    """Every vector of length d over values, one per row."""
+    return np.array(list(itertools.product(values, repeat=d)), dtype=np.int64)
+
+
+def _products(a, b):
+    """The negacyclic product over Z of each row of a with each row of b, as [row of a, row of b]."""
+    d = a.shape[1]
+    i, j = np.indices((d, d))
+    # (x*y)_i = sum_j x_j y_(i-j); x^d = -1 negates the terms with j > i
+    return np.einsum("aj,bij->abi", a, b[:, (i - j) % d] * np.where(j <= i, 1, -1))
+
+
+def _extreme_draws(params, first):
+    """The draws s, e, u, first and e2: s and u binary, e and e2 at +-tail."""
+    tail = gaussian_tail(params.sigma)
+    binary, signs = _corners(params.d, (0, 1)), _corners(params.d, (-tail, tail))
+    return binary, signs, binary, first, signs
+
+
+def _extreme_noise(params, first):
+    """first + e2*s - e*u, centered mod q, for every draw of _extreme_draws: one axis
+    per draw, in its order, then the coefficients."""
+    binary, signs = _extreme_draws(params, first)[:2]
+    by_noise = _products(signs, binary)  # e*u as [e, u], e2*s as [e2, s]
+    e2_s = by_noise.transpose(1, 0, 2)[:, None, None, None, :]
+    e_u = by_noise[None, :, :, None, None]
+    return _center(first[None, None, None, :, None] + e2_s - e_u, params.q)
+
+
+def _worst_and_sampled(noise, count=40):
+    """Indices into the draw axes of noise: the draw with the largest |coefficient|,
+    then count draws picked by a seeded generator."""
+    worst = np.abs(noise).max(axis=-1)
+    picks = [worst.argmax(), *make_rng(count).integers(0, worst.size, count)]
+    return [np.unravel_index(pick, worst.shape) for pick in picks]
+
+
+@pytest.fixture
+def scripted(monkeypatch):
+    """A list whose entries bfv's binary and Gaussian samplers return in turn, mod q."""
+    queue = []
+
+    def draw(d, q, *rest):
+        return Polynomial(queue.pop(0).tolist(), q)
+
+    monkeypatch.setattr(bfv, "sample_binary", draw)
+    monkeypatch.setattr(bfv, "sample_gaussian", draw)
+    return queue
+
+
+def _scripted_keys(params, scripted, s, e):
+    scripted[:] = [s, e]
+    return bfv.keygen(params, make_rng(0))
+
+
+def test_gaussian_tail_is_the_end_of_the_samplers_support():
+    # the inverse CDF maps rng.random()'s [0, 1) onto the support, so the smallest
+    # and largest draws give -tail and tail, and no draw lies beyond them
+    ends = SimpleNamespace(random=lambda size: np.array([0.0, np.nextafter(1.0, 0.0)]))
+    for sigma in (0.5, 3.2, 200):
+        tail = gaussian_tail(sigma)
+        assert bfv.sample_gaussian(2, 2**20, sigma, ends).to_coeff_list() == [-tail, tail]
+
+
+@pytest.mark.parametrize("params", CHAIN_SETS, ids=_set_id)
+def test_fresh_noise_bound_is_sound_and_reached(params, scripted):
+    tail = gaussian_tail(params.sigma)
+    noise = _extreme_noise(params, _corners(params.d, (-tail, tail)))
+    assert np.abs(noise).max() == bfv.fresh_noise_bound(params)
+    draws = _extreme_draws(params, _corners(params.d, (-tail, tail)))
+    for index in _worst_and_sampled(noise):
+        s, e, u, e1, e2 = (draw[k] for draw, k in zip(draws, index))
+        sk, pk = _scripted_keys(params, scripted, s, e)
+        scripted[:] = [u, e1, e2]
+        m = monomial(0, int(sum(index)), params.d, params.t)  # the noise is the same for any m
+        assert bfv.noise(sk, bfv.encrypt(pk, m, None), m).to_coeff_list() == noise[index].tolist()
+
+
+@pytest.mark.parametrize("params", CHAIN_SETS, ids=_set_id)
+def test_reply_noise_bound_is_sound_and_reached(params, scripted):
+    # the reply r*(m_b - c_a) to an encryption of m_a has noise -r*n - (q mod t)*k at
+    # x^0 and -r*n elsewhere, for c_a's noise n and r*(m_b - m_a) = m + t*k: every
+    # m_a, m_b and r enter through r and k alone.  r, m_a and m_b are constants, as in psi.
+    d, q, t = params.d, params.q, params.t
+    tail = gaussian_tail(params.sigma)
+    fresh = _extreme_noise(params, _corners(d, (-tail, tail)))
+    draws = _extreme_draws(params, _corners(d, (-tail, tail)))
+    messages = range(-(t // 2), (t + 1) // 2)
+    for r in (r for r in messages if r):
+        carries = {}
+        for m_a, m_b in itertools.product(messages, repeat=2):
+            product = r * (m_b - m_a)
+            carries[(product - reduce_centered(product, t)) // t] = (m_a, m_b)
+        rest = np.abs(_center(-r * fresh[..., 1:], q)).max()
+        worst, at = rest, None
+        for k, (m_a, m_b) in carries.items():
+            lead = np.abs(_center(-r * fresh[..., 0] - (q % t) * k, q))
+            if lead.max() > worst:
+                worst, at = lead.max(), (np.unravel_index(lead.argmax(), lead.shape), m_a, m_b)
+        assert worst == bfv.reply_noise_bound(params, abs(r)), r
+        # bfv.noise of bob_reply measures the worst case
+        index, m_a, m_b = at
+        s, e, u, e1, e2 = (draw[k] for draw, k in zip(draws, index))
+        sk, pk = _scripted_keys(params, scripted, s, e)
+        scripted[:] = [u, e1, e2]
+        c_a = bfv.encrypt(pk, monomial(0, m_a, d, t), None)
+        reply = attacks.bob_reply(c_a, monomial(0, m_b, d, t), monomial(0, r, d, t), pk, None)
+        measured = bfv.noise(sk, reply, monomial(0, r * (m_b - m_a), d, t))
+        assert measured.max_abs() == worst, r
+
+
+@pytest.mark.parametrize("params", CHAIN_SETS, ids=_set_id)
+def test_flood_noise_bound_is_sound_and_reached(params, scripted):
+    # at the largest flood bound F that encrypt_zero_flood admits, with the flood at +-F
+    flood = _largest_admitted_noise(params) - bfv.flood_noise_bound(params, 0)
+    floods = _corners(params.d, (-flood, flood))
+    noise = _extreme_noise(params, floods)
+    assert flood > 0 and np.abs(noise).max() == bfv.flood_noise_bound(params, flood)
+    draws = _extreme_draws(params, floods)
+    zero = monomial(0, 0, params.d, params.t)
+    for index in _worst_and_sampled(noise):
+        s, e, u, f, e2 = (draw[k] for draw, k in zip(draws, index))
+        sk, pk = _scripted_keys(params, scripted, s, e)
+        scripted[:] = [u, e2]
+        rng = SimpleNamespace(integers=lambda *args, **kwargs: f)
+        ct = bfv.encrypt_zero_flood(pk, flood, rng)
+        assert bfv.noise(sk, ct, zero).to_coeff_list() == noise[index].tolist()
+
+
+@pytest.mark.parametrize("params", [*CHAIN_SETS, BfvParams(d=2, q=97, t=7, sigma=0.5)], ids=_set_id)
+def test_bit_leak_attack_recovers_every_extreme_key_it_accepts(params, scripted):
+    # the probe decrypts -e_j + M*s_j, plus M at its target, and decryption rounds
+    # monotonically, so the corners e_j = +-tail decide every e_j between them
+    tail = gaussian_tail(params.sigma)
+    binary, signs = _corners(params.d, (0, 1)), _corners(params.d, (-tail, tail))
+    try:
+        attacks.bit_leak_offset(params)
+    except attacks.AttackError:
+        sk, pk = _scripted_keys(params, scripted, binary[-1], signs[0])
+        oracle = attacks.ZeroCheckOracle.honest(sk, params)
+        with pytest.raises(attacks.AttackError, match="probe amplitude M"):
+            attacks.bit_leak_attack(oracle, pk, params)
+        assert oracle.calls == 0
+        return
+    for s, e in itertools.product(binary, signs):
+        sk, pk = _scripted_keys(params, scripted, s, e)
+        oracle = attacks.ZeroCheckOracle.honest(sk, params)
+        assert attacks.bit_leak_attack(oracle, pk, params) == sk
+        assert oracle.calls == params.d
 
 
 # --- homomorphic operations ------------------------------------------------------------

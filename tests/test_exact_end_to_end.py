@@ -4,21 +4,28 @@ Every attack harness and every kind of psi session runs twice on the same
 seed: once as it is, and once with Polynomial._ring_mul replaced by
 oracles.negacyclic_mul_oracle, so that no product goes through the FFT kernel
 or the scalar path.  Reports, transcripts, raised errors and the generator's
-final state must agree.
+final state must agree.  So must the exit codes and written files of the
+five commands the cli-1024 benchmark runs, here at a small explicit set.
 """
+
+import json
 
 import numpy as np
 import pytest
 
-from bfvlab import BfvParams, Polynomial, attacks, psi, ring
+from bfvlab import BfvParams, Polynomial, attacks, cli, psi, ring
 
 from oracles import negacyclic_mul_oracle
 
 # d = 32 and 64 run the kernel's radix-2 and radix-4 leading stages (n = 16,
 # 32); the odd moduli and every modulus here reach the kernel's reduction
-# before recombining, since d * La * Lb >= q for a one-limb plan
+# before recombining, since d * La * Lb >= q for a one-limb plan.  d = 2, 4,
+# 8 and 16 are the smallest transforms, n = 1, 2, 4 and 8
 PARAMS = [
+    BfvParams(d=2, q=2**14, t=7, sigma=0.5),
     BfvParams(d=4, q=12289, t=3, sigma=0.5),
+    BfvParams(d=8, q=2**16 + 1, t=5, sigma=1.0),
+    BfvParams(d=16, q=2**20, t=16),
     BfvParams(d=32, q=2**30, t=256),
     BfvParams(d=64, q=2**30 - 35, t=83),
 ]
@@ -72,3 +79,41 @@ def test_lab_is_identical_with_the_schoolbook_product(params, monkeypatch):
     # the comparison is not vacuous: the kernel ran, and every harness and session finished
     assert set(kernel_calls) == {params.d}
     assert all(isinstance(result, dict) for result in fast[0])
+
+
+def run_cli(work) -> tuple[list[int], dict[str, bytes]]:
+    """keygen, encrypt, decrypt, attack cca and attack encoder through cli.main in
+    work: their exit codes and the bytes of every file in work afterwards."""
+    work.mkdir()
+    (work / "m.json").write_text(json.dumps([1, -2, 3, 0, 5]))
+    explicit = ["--d", "16", "--q", str(2**16 + 1), "--t", "16"]
+    key, m, ct, out, cca, encoder = (
+        str(work / name) for name in ("alice", "m.json", "ct.json", "out.json", "cca.json", "encoder.json")
+    )
+    commands = [
+        ["keygen", *explicit, "--seed", "1", "--out", key],
+        ["encrypt", "--key", key + ".pk.json", "--in", m, "--out", ct, "--seed", "2"],
+        ["decrypt", "--key", key + ".sk.json", "--in", ct, "--out", out],
+        ["attack", "cca", *explicit, "--seed", "3", "--out", cca],
+        ["attack", "encoder", *explicit, "--seed", "4", "--out", encoder],
+    ]
+    codes = [cli.main(argv) for argv in commands]
+    return codes, {file.name: file.read_bytes() for file in sorted(work.iterdir())}
+
+
+def test_cli_is_identical_with_the_schoolbook_product(tmp_path, monkeypatch):
+    kernel_calls, kernel = [], ring._negacyclic_mul
+
+    def counted(a, b, modulus):
+        kernel_calls.append(a.size)
+        return kernel(a, b, modulus)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ring, "_negacyclic_mul", counted)
+        fast = run_cli(tmp_path / "kernel")
+    with monkeypatch.context() as patch:
+        patch.setattr(Polynomial, "_ring_mul", oracle_ring_mul)
+        slow = run_cli(tmp_path / "oracle")
+    assert fast == slow
+    assert kernel_calls and fast[0] == [0] * 5
+    assert json.loads(fast[1]["out.json"]) == [1, -2, 3, 0, 5] + [0] * 11

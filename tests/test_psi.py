@@ -13,7 +13,6 @@ from bfvlab.attacks import (
     bit_leak_attack,
     bit_leak_probe,
     circuit_privacy_recover,
-    reply_noise_bound,
 )
 from bfvlab.psi import (
     AliceState,
@@ -116,7 +115,7 @@ def test_session_refuses_parameters_an_honest_reply_can_miss(seed):
     with pytest.raises(ValueError, match="honest reply noise = 987 misses the decrypt margin"):
         run_session(params, 1, 1, rng)
     # the refusal names the one bound that bob_reply also checks
-    bound = reply_noise_bound(params, params.t // 2)
+    bound = bfv.reply_noise_bound(params, params.t // 2)
     with pytest.raises(ValueError, match=f"honest reply noise = {bound} misses"):
         alice_init(params, 1, rng)
     assert rng.bit_generator.state == state  # refused before any draw

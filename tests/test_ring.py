@@ -210,6 +210,10 @@ def test_add_rejects_mismatched_operands():
         (32, (2**30) - 35, 40),
         # an odd modulus below 2**53 with three limbs a side
         (64, 2**50 - 27, 10),
+        # saturated rows only, two 16-bit limbs a side: the bound 2**35 passes q, and the
+        # high x high row's weight 2**32 mod q = q - 10 takes a second Horner digit in
+        # _mul_divmod, which would pass 2**63 on a row the kernel left unreduced
+        (32, 2**31 + 5, 0),
         # saturated rows only, at the cli-1024 and the largest deployed geometry
         (1024, 2**54, 0),
         (2048, 2**54, 0),
