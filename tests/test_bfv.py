@@ -23,6 +23,7 @@ from bfvlab import (
     monomial,
     psi,
     reduce_centered,
+    sample_gaussian,
 )
 from bfvlab.ring import _center
 
@@ -258,8 +259,9 @@ def test_decrypt_margin_is_sound_exhaustively(pairs):
 # is linear in e, e1 and e2, so its largest |coefficient| over the box [-tail, tail]^d
 # sits at a corner.  Each set admits an honest reply (alice_init accepts it), so every
 # bound is below q/2: each test asserts that the largest noise equals the bound, sound
-# and reached.  The enumeration runs in numpy; bfv.noise, through keygen and encrypt
-# with the samplers scripted, measures the worst draw and a seeded sample of others.
+# and reached.  The enumeration runs in numpy.  bfv.noise, through the library with its
+# samplers scripted, measures each worst draw, and for fresh and flooded encryptions a
+# seeded sample of other draws too: each reads what the enumeration computed.
 
 CHAIN_SETS = [
     BfvParams(d=d, q=q, t=t, sigma=0.5)
@@ -333,7 +335,7 @@ def test_gaussian_tail_is_the_end_of_the_samplers_support():
     ends = SimpleNamespace(random=lambda size: np.array([0.0, np.nextafter(1.0, 0.0)]))
     for sigma in (0.5, 3.2, 200):
         tail = gaussian_tail(sigma)
-        assert bfv.sample_gaussian(2, 2**20, sigma, ends).to_coeff_list() == [-tail, tail]
+        assert sample_gaussian(2, 2**20, sigma, ends).to_coeff_list() == [-tail, tail]
 
 
 @pytest.mark.parametrize("params", CHAIN_SETS, ids=_set_id)
