@@ -183,13 +183,15 @@ def bob_reply(
     operations only, so it keeps Alice's encryption noise scaled by r, plus
     an encryption of zero under pk with uniform noise on [-flood_bound,
     flood_bound] when a bound is given.  A c_a and pk with different
-    parameters raise ValueError, and so does a bound whose reply_noise_bound
-    plus flood_noise_bound (bfv) misses the decrypt margin, before any draw.
+    parameters raise ValueError, and so does a bound that is not an integer
+    or whose reply_noise_bound plus flood_noise_bound (bfv) misses the
+    decrypt margin, before any draw.
     """
     params = bfv.same_params(c_a, pk)
     reply = bfv.mul_plain(bfv.sub_from_plain(m_b, c_a), r)
     if flood_bound is None:
         return reply
+    flood_bound = _as_int(flood_bound, "flood_bound")
     r_norm = int(np.abs(r.coeffs).sum())
     worst = bfv.reply_noise_bound(params, r_norm) + bfv.flood_noise_bound(params, flood_bound)
     bfv.check_decrypt_margin(worst, params, "flooded reply noise")

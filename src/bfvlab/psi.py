@@ -49,7 +49,6 @@ __all__ = [
     "Transcript",
     "run_session",
     "verify_transcript",
-    "SessionRegistry",
     "session_zero_check_oracle",
 ]
 
@@ -111,6 +110,8 @@ def encode_frame(msg: WireMessage) -> bytes:
 
 def decode_frame(frame: bytes) -> WireMessage:
     """Parse exactly one frame; reject truncation, trailing bytes and bad shapes."""
+    if not isinstance(frame, bytes):
+        raise ProtocolError(f"frame must be bytes, not {type(frame).__name__}")
     if len(frame) < _FRAME_HEADER.size:
         raise ProtocolError("frame shorter than its length header")
     (length,) = _FRAME_HEADER.unpack(frame[: _FRAME_HEADER.size])
@@ -298,18 +299,6 @@ class Transcript:
         return cls(obj["session_id"], obj["frames"], obj["outcome"])
 
 
-class SessionRegistry:
-    """Rejects replayed session identifiers across runs."""
-
-    def __init__(self) -> None:
-        self._seen: set[str] = set()
-
-    def register(self, session_id: str) -> None:
-        if session_id in self._seen:
-            raise ProtocolError(f"session id {session_id} was already used")
-        self._seen.add(session_id)
-
-
 def _deliver(msg: WireMessage, frames: list[dict]) -> WireMessage:
     """Serialize to a wire frame, record it, and parse it back at the receiver."""
     frame = encode_frame(msg)
@@ -325,15 +314,12 @@ def run_session(
     rng: np.random.Generator,
     strategy: Strategy = Honest(),
     alice_keys: Optional[tuple[SecretKey, PublicKey]] = None,
-    registry: Optional[SessionRegistry] = None,
 ) -> Transcript:
     """Run one full session over serialized frames; return its transcript,
     which also holds both parties' final states."""
     alice_rng, bob_rng = rng.spawn(2)
     frames: list[dict] = []
     alice, pubkey_msg = alice_init(params, m_a, alice_rng, keys=alice_keys)
-    if registry is not None:
-        registry.register(alice.session_id)
     bob = bob_init(params, m_b, _deliver(pubkey_msg, frames), bob_rng, strategy)
     response_msg = bob_respond(bob, _deliver(alice_query(alice), frames))
     outcome = alice_finish(alice, _deliver(response_msg, frames))
@@ -367,7 +353,6 @@ def session_zero_check_oracle(
     m_a,
     alice_keys: tuple[SecretKey, PublicKey],
     rng: np.random.Generator,
-    registry: Optional[SessionRegistry] = None,
 ) -> attacks.ZeroCheckOracle:
     """Zero-check oracle built from whole protocol sessions.
 
@@ -396,7 +381,6 @@ def session_zero_check_oracle(
             child,
             strategy=MaliciousBitProbe(index),
             alice_keys=alice_keys,
-            registry=registry,
         )
         return Outcome(transcript.outcome) is Outcome.EQUAL
 

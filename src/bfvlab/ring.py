@@ -209,6 +209,8 @@ class Polynomial:
     def from_hex(cls, text: str, modulus: int) -> "Polynomial":
         """Inverse of to_hex; anything but whole fields of hex digits raises ValueError."""
         _check_modulus(modulus)
+        if not isinstance(text, str):
+            raise ValueError(f"hex text must be a str, not {type(text).__name__}")
         nbytes = _hex_field_bytes(modulus)
         data = bytes.fromhex(text)
         # fromhex skips whitespace, so the length check also rejects it
@@ -509,9 +511,13 @@ def sample_binary(d: int, modulus: int, rng: np.random.Generator) -> Polynomial:
 def gaussian_tail(sigma: float) -> int:
     """floor(6 * sigma): the largest |c| sample_gaussian can return.
 
-    Every noise bound in the library is derived from this one.
+    Every noise bound in the library is derived from this one.  It is
+    exact: a float sigma is the ratio n/den of two integers, so the floor
+    is 6*n // den, where int(6 * sigma) would round the product first
+    (6 * (1/3) is 2.0).  sigma goes through _as_sigma.
     """
-    return int(6 * sigma)
+    n, den = _as_sigma(sigma).as_integer_ratio()
+    return 6 * n // den
 
 
 def sample_gaussian(
@@ -522,8 +528,7 @@ def sample_gaussian(
     The support is cut at gaussian_tail(sigma); weights are proportional
     to exp(-x^2 / (2 sigma^2)) on the retained support.
     """
-    sigma = _as_sigma(sigma)
-    tail = gaussian_tail(sigma)
+    tail = gaussian_tail(sigma)  # refuses a sigma that _as_sigma refuses
     support = np.arange(-tail, tail + 1, dtype=np.int64)
     weights = np.exp(-(support.astype(np.float64) ** 2) / (2.0 * sigma * sigma))
     cdf = np.cumsum(weights)

@@ -313,6 +313,12 @@ def test_bob_reply_refuses_flood_its_reply_cannot_carry(small_prime_t_params):
     with pytest.raises(ValueError, match="flooded reply noise"):
         bob_reply(c_a, m_b, r, pk, rng, largest + 1)
     bfv.encrypt_zero_flood(pk, largest + 1, rng)  # the zero alone is fine
+    # the bound is checked before it is added to: "7", [1] and b"x" raised TypeError
+    for not_int in (2.5, "7", [1], b"x"):
+        with pytest.raises(ValueError, match="flood_bound must be an integer"):
+            bob_reply(c_a, m_b, r, pk, rng, not_int)
+        with pytest.raises(ValueError, match="flood_bound must be an integer"):
+            run_circuit_privacy_attack(params, make_rng(28), flood_bound=not_int)
     expected = monomial(0, 41 * 82, params.d, params.t)
     for _ in range(100):
         reply = bob_reply(c_a, m_b, r, pk, rng, largest)

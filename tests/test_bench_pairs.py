@@ -74,5 +74,5 @@ def test_pairs_alternate_and_the_table_holds_medians_wins_and_bounds():
     pairs = bench_pairs.pair_lines("circuit-recovery", records)
     assert pairs[1] == (
         "circuit-recovery pair 2 seed 802 (+7 name chars, PAD 500 B, parent first): "
-        "parent 100 ops 52/s 40 MB; change 100 ops 62/s 41 MB"
+        "parent 100 ops 52/s 40 MB setup 0.2 s; change 100 ops 62/s 41 MB setup 0.2 s"
     )

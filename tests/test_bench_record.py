@@ -41,6 +41,7 @@ def test_entry_holds_medians_layers_machine_and_tier1(tmp_path, monkeypatch, cap
     assert (entry["commit"], entry["machine"]) == ("abc123", MACHINE)
     sources = (ROOT / "src" / "bfvlab").glob("*.py")
     assert entry["src_lines"] == sum(len(path.read_text().splitlines()) for path in sources) > 0
+    assert 0 < entry["src_code_lines"] < entry["src_lines"]
     for w in BENCHMARK["workloads"]:
         summary = entry["workloads"][w["name"]]
         assert {n: s["median"] for n, s in summary["end_to_end"].items()} == dict.fromkeys(names, 3.0)
@@ -71,3 +72,40 @@ def test_entry_holds_medians_layers_machine_and_tier1(tmp_path, monkeypatch, cap
     (tmp_path / "psi-mixed-seed2-trace0.json").write_text(json.dumps(failed))
     assert bench_record.main(argv) == 1
     assert not out.exists()
+
+
+# nine code lines: the import, the def, the string that is not a docstring, the
+# four lines of the split call, the class line and its assignment
+FIXTURE = '''"""A module docstring,
+over two lines."""
+
+import os  # a trailing comment
+
+
+# a comment line
+def join(x):
+    """A function docstring
+    over three
+    lines."""
+    "a string expression after the docstring, which is code"
+    return os.path.join(
+        x,
+        "y",
+    )
+
+
+class Box:
+    """A class docstring."""
+
+    value = 1
+'''
+
+
+def test_src_code_lines_leave_out_docstrings_comments_and_blank_lines(tmp_path, monkeypatch):
+    package = tmp_path / "src" / "bfvlab"
+    package.mkdir(parents=True)
+    (package / "fixture.py").write_text(FIXTURE)
+    (package / "empty.py").write_text("# only a comment\n\n")
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    assert bench_record.src_lines() == len(FIXTURE.splitlines()) + 2 == 24
+    assert bench_record.src_code_lines() == 9

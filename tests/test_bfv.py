@@ -336,6 +336,12 @@ def test_gaussian_tail_is_the_end_of_the_samplers_support():
     for sigma in (0.5, 3.2, 200):
         tail = gaussian_tail(sigma)
         assert sample_gaussian(2, 2**20, sigma, ends).to_coeff_list() == [-tail, tail]
+    # the tail is floor(6 * sigma) exactly: int(6 * sigma) read 2 and 4 here
+    assert (gaussian_tail(1 / 3), gaussian_tail(2 / 3)) == (1, 3)
+    # and these read 777777, -6 and 6
+    for bad in ("7", -1.0, True):
+        with pytest.raises(ValueError, match="sigma must be a positive finite number"):
+            gaussian_tail(bad)
 
 
 @pytest.mark.parametrize("params", CHAIN_SETS, ids=_set_id)

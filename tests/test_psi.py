@@ -20,7 +20,6 @@ from bfvlab.psi import (
     MaliciousBitProbe,
     Outcome,
     ProtocolError,
-    SessionRegistry,
     Transcript,
     WireMessage,
     alice_finish,
@@ -162,6 +161,10 @@ def test_frame_rejects_garbage():
     deep = b"[" * 100_000
     with pytest.raises(ProtocolError):
         decode_frame(len(deep).to_bytes(4, "big") + deep)
+    # a frame that is not bytes used to raise TypeError
+    for not_bytes in (frame.decode(), None, 7, list(frame)):
+        with pytest.raises(ProtocolError, match="frame must be bytes"):
+            decode_frame(not_bytes)
 
 
 def test_pubkey_message_roundtrips_and_satisfies_key_relation(small_params):
@@ -350,14 +353,6 @@ def test_malformed_transcript_frames_raise_protocol_errors(frames):
         Transcript.from_json({"session_id": session_id, "frames": frames, "outcome": "equal"})
 
 
-def test_session_registry_rejects_replays(small_params):
-    registry = SessionRegistry()
-    transcript = run_session(small_params, 1, 1, make_rng(17), registry=registry)
-    with pytest.raises(ProtocolError):
-        registry.register(transcript.session_id)
-    run_session(small_params, 1, 1, make_rng(18), registry=registry)
-
-
 # --- attack compositions ----------------------------------------------------------------
 
 
@@ -387,8 +382,7 @@ def test_malicious_probe_outcome_leaks_key_bit(small_params):
 def test_session_oracle_recovers_full_key(small_params):
     rng = make_rng(20)
     keys = bfv.keygen(small_params, rng)
-    registry = SessionRegistry()
-    oracle = session_zero_check_oracle(9, keys, rng.spawn(1)[0], registry=registry)
+    oracle = session_zero_check_oracle(9, keys, rng.spawn(1)[0])
     recovered = bit_leak_attack(oracle, keys[1], small_params)
     assert recovered.s == keys[0].s
     assert oracle.calls == small_params.d

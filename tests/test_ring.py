@@ -747,6 +747,10 @@ def test_from_hex_rejects_bad_lengths():
     for modulus in (np.int64(97), 97.0, True, 1, 2**62):
         with pytest.raises(ValueError, match="modulus must be an int"):
             Polynomial.from_hex("01", modulus)
+    # text that is not a str used to raise TypeError
+    for text in (b"01", 1, None, ["01"]):
+        with pytest.raises(ValueError, match="hex text must be a str"):
+            Polynomial.from_hex(text, 256)
 
 
 def test_with_modulus_lifts_and_reduces():

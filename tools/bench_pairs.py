@@ -17,7 +17,7 @@ The table has, per workload and end-to-end metric of ``BENCHMARK.json``,
 the parent's and the change's median [min, max], the change in the median,
 the pairs the change won (strictly better in the metric's direction) and the
 metric's bound.  A line per pair lists each side's attempted ops,
-``ops_per_s`` and ``peak_rss_mb``, and a line per workload sets the median
+``ops_per_s``, ``peak_rss_mb`` and ``setup_s``, and a line per workload sets the median
 gain in ``ops_per_s`` against the parent's interquartile range.
 The exit code is 1 when any run's checks failed.
 """
@@ -111,6 +111,7 @@ def pair_lines(workload: str, records: list[dict]) -> list[str]:
             sides.append(
                 f"{side} {result['attempted']} ops {metrics['ops_per_s']['value']:.4g}/s"
                 f" {metrics['peak_rss_mb']['value']:.4g} MB"
+                f" setup {metrics['setup_s']['value']:.3g} s"
             )
         suffix, pad = r["layout"]
         lines.append(

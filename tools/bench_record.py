@@ -13,7 +13,8 @@ The records must come from the tree being recorded, made beforehand:
 A record older than the newest src/ file is refused and named, since it
 may come from another tree.  The entry holds the commit, whether src/ or
 tests/ differed from it, a digest of the measured src/ files and the
-line count of src/bfvlab/*.py, per workload the median and the runs of
+line count of src/bfvlab/*.py with and without docstrings, comments
+and blank lines, per workload the median and the runs of
 each end-to-end metric over the seeds with each run's attempted op count,
 the traced per-layer counts, the machine record, and the Tier-1 wall time with its five slowest tests.
 Nothing is gated on it; a later entry is diffed against it.
@@ -22,11 +23,14 @@ Nothing is gated on it; a later entry is diffed against it.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tokenize
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -56,6 +60,34 @@ def src_digest() -> str:
 def src_lines() -> int:
     """Total line count of src/bfvlab/*.py, as `wc -l` counts it."""
     return sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "bfvlab").glob("*.py"))
+
+
+# token types that make no line a code line
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """Lines of one module that hold a token other than a comment, a newline or
+    an indent, and lie outside every docstring: a string-constant expression
+    that is the first statement of the module, a class or a function."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in NOT_CODE:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def src_code_lines() -> int:
+    """code_lines summed over src/bfvlab/*.py: src_lines without proof text."""
+    return sum(code_lines(path.read_text()) for path in (ROOT / "src" / "bfvlab").glob("*.py"))
 
 
 def _load(records: Path, workload: str, seed: int, trace: int) -> dict:
@@ -115,6 +147,7 @@ def build_entry(records: Path, junit: Path) -> dict:
         "dirty": bool(_git("status", "--porcelain", "--", "src", "tests")),
         "src_sha256": src_digest(),
         "src_lines": src_lines(),
+        "src_code_lines": src_code_lines(),
         "seeds": SEEDS,
         "trace_seed": TRACE_SEED,
         "machine": machines[0],
