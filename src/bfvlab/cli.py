@@ -137,8 +137,6 @@ def _cmd_attack(args) -> int:
         f"({report.oracle_calls} oracle calls, {elapsed:.3f}s), "
         f"report in {out}"
     )
-    if args.verbose:
-        print(json.dumps(report.details, indent=2, sort_keys=True))
 
     if args.attack == "circuit" and args.flood is not None:
         held = (
@@ -152,16 +150,12 @@ def _cmd_attack(args) -> int:
 
 def _cmd_psi(args) -> int:
     params = _resolve_config(args)
-    if args.flood is not None and args.strategy != "flooding":
-        raise ValueError("--flood needs --strategy flooding")
-    if args.index is not None and args.strategy != "malicious-probe":
-        raise ValueError("--index needs --strategy malicious-probe")
-    if args.strategy == "honest":
-        strategy = psi.Honest()
-    elif args.strategy == "flooding":
-        strategy = psi.Flooding(bound=1 << 30 if args.flood is None else args.flood)
+    if args.flood is not None:
+        strategy = psi.Flooding(bound=args.flood)
+    elif args.index is not None:
+        strategy = psi.MaliciousBitProbe(index=args.index)
     else:
-        strategy = psi.MaliciousBitProbe(index=args.index or 0)
+        strategy = psi.Honest()
     transcript = psi.run_session(
         params, args.alice, args.bob, np.random.default_rng(args.seed), strategy=strategy
     )
@@ -169,8 +163,7 @@ def _cmd_psi(args) -> int:
     _write_json(out, transcript.to_json())
     outcome = psi.Outcome(transcript.outcome)
     print("EQUAL" if outcome is psi.Outcome.EQUAL else "NOT-EQUAL")
-    if args.verbose:
-        print(f"transcript in {out}")
+    print(f"transcript in {out}")
     return EXIT_OK
 
 
@@ -214,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p_one = attack_sub.add_parser(name, help=help_text)
         _add_common_flags(p_one, default_set)
-        p_one.add_argument("--verbose", action="store_true", help="print the report details")
         p_one.set_defaults(handler=_cmd_attack)
     p_circuit = attack_sub.choices["circuit"]
     p_circuit.add_argument(
@@ -225,23 +217,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_psi = sub.add_parser("psi", help="run the two-party equality protocol")
     p_psi.add_argument("--alice", type=int, required=True, help="Alice's integer input")
     p_psi.add_argument("--bob", type=int, required=True, help="Bob's integer input")
-    p_psi.add_argument(
-        "--strategy",
-        choices=("honest", "flooding", "malicious-probe"),
-        default="honest",
-        help="Bob's response strategy (default honest)",
-    )
-    p_psi.add_argument(
+    bob = p_psi.add_mutually_exclusive_group()
+    bob.add_argument(
         "--flood",
         type=_flood_bound,
         metavar="BITS",
-        help="flooding strategy only: noise bound exponent, 0 <= BITS < 62 (default 30)",
+        help="flood Bob's reply with noise on [-2^BITS, 2^BITS], 0 <= BITS < 62",
     )
-    p_psi.add_argument(
-        "--index", type=int, help="malicious-probe strategy only: key bit to probe (default 0)"
-    )
+    bob.add_argument("--index", type=int, help="Bob's reply probes key bit INDEX of Alice's key")
     _add_common_flags(p_psi, "psi-83")
-    p_psi.add_argument("--verbose", action="store_true", help="print the transcript path")
     p_psi.set_defaults(handler=_cmd_psi)
 
     return parser

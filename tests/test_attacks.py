@@ -238,6 +238,11 @@ def test_circuit_privacy_recovers_every_honest_trial_at_even_t(small_params):
     report = run_circuit_privacy_attack(small_params, make_rng(29), trials=16)
     assert report.details["recoveries"] == 16
     assert report.success
+    # a reply whose constant term is off by one fits the tail's r and no m_b
+    sk, c_a, m_a, response = _honest_exchange(small_params, make_rng(29), 7, -29, 1)
+    c0 = response.c0 + monomial(0, 1, small_params.d, small_params.q)
+    with pytest.raises(FloodedOrMalformedError, match="^0 scalar pairs"):
+        circuit_privacy_recover(sk, c_a, m_a, Ciphertext(c0, response.c1, small_params))
 
 
 def test_reply_pairs_match_the_residue_scan():

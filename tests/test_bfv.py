@@ -727,6 +727,9 @@ def test_json_validation_errors(small_params):
         bfv.ciphertext_from_json(obj)
     with pytest.raises(ValueError, match="unknown field 'extra'"):
         bfv.secret_key_from_json({**obj, "extra": 1})
+    for loader in (bfv.secret_key_from_json, bfv.public_key_from_json, bfv.ciphertext_from_json):
+        with pytest.raises(ValueError, match="expected a JSON object"):
+            loader([1])
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """End-to-end command line checks: key handling, attack reports,
 exit codes, and byte-level determinism of written artifacts."""
 
+import argparse
 import hashlib
 import json
 
@@ -104,7 +105,11 @@ def test_malformed_inputs_exit_with_error(tmp_path, capsys):
 def test_partial_custom_parameters_are_rejected(tmp_path, capsys):
     rc = run_cli(["keygen", "--d", "64", "--seed", 1, "--out", tmp_path / "k"])
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    assert "error: explicit parameters need all of --d, --q and --t" in capsys.readouterr().err
+    argv = ["attack", "cca", "--params", "cca-1024", "--d", 8, "--q", 97, "--t", 7]
+    assert run_cli([*argv, "--out", tmp_path / "a"]) == 1
+    assert "error: give either --params or explicit --d/--q/--t, not both" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -210,7 +215,7 @@ def test_psi_honest_outcomes_and_transcript(tmp_path, capsys):
     out = tmp_path / "t.json"
     rc = run_cli(["psi", "--seed", 3, "--alice", 7, "--bob", 7, "--out", out])
     assert rc == 0
-    assert "EQUAL" in capsys.readouterr().out
+    assert capsys.readouterr().out == f"EQUAL\ntranscript in {out}\n"
     transcript = psi.Transcript.from_json(json.loads(out.read_text()))
     assert psi.verify_transcript(transcript) is psi.Outcome.EQUAL
 
@@ -239,8 +244,6 @@ def test_psi_malicious_probe_reports_key_bit(tmp_path, capsys):
             9,
             "--bob",
             0,
-            "--strategy",
-            "malicious-probe",
             "--index",
             5,
             "--out",
@@ -268,8 +271,6 @@ def test_psi_flooding_strategy(tmp_path, capsys):
             6,
             "--bob",
             6,
-            "--strategy",
-            "flooding",
             "--flood",
             30,
             "--out",
@@ -279,7 +280,7 @@ def test_psi_flooding_strategy(tmp_path, capsys):
     assert rc == 0
     assert "EQUAL" in capsys.readouterr().out
     # 2^47 is beyond psi-83's decrypt margin of about delta/2 = 2^46.6
-    argv = ["psi", "--alice", 6, "--bob", 6, "--strategy", "flooding", "--flood", 47]
+    argv = ["psi", "--alice", 6, "--bob", 6, "--flood", 47]
     assert run_cli([*argv, "--out", tmp_path / "g.json"]) == 1
     assert "error: flooded reply noise" in capsys.readouterr().err
 
@@ -311,20 +312,19 @@ def test_unknown_arguments_are_rejected(tmp_path, capsys):
     assert "unrecognized arguments: --flod" in capsys.readouterr().err
     # a flag the command does not use is refused, not ignored
     out = tmp_path / "out.json"
-    psi_flooding = ["psi", "--alice", 1, "--bob", 1, "--strategy", "flooding"]
+    psi_1_1 = ["psi", "--alice", 1, "--bob", 1]
     for argv, message in (
         (["attack", "cca", "--flood", 30], "unrecognized arguments: --flood"),
         (["attack", "bitleak", *SMALL, "--trials", 5], "unrecognized arguments: --trials"),
-        (["psi", "--alice", 1, "--bob", 1, "--index", 7], "--index needs --strategy"),
-        (["psi", "--alice", 1, "--bob", 1, "--strategy", "honest", "--flood", 3],
-         "--flood needs --strategy"),
-        (["psi", "--alice", 1, "--bob", 1, "--strategy", "malicious-probe", "--flood", 3],
-         "--flood needs --strategy"),
+        # Bob's strategy follows from --flood or --index, never both
+        ([*psi_1_1, "--strategy", "flooding"], "unrecognized arguments: --strategy"),
+        ([*psi_1_1, "--flood", 3, "--index", 7], "argument --index: not allowed with argument"),
+        ([*psi_1_1, "--index", 7, "--flood", 3], "argument --flood: not allowed with argument"),
         # a negative BITS used to fail as "negative shift count", naming no flag;
         # anything but a decimal integer below 62 gets the one message
         *(
             ([*argv, "--flood", bits], "argument --flood: BITS must satisfy 0 <= BITS < 62")
-            for argv in (["attack", "circuit"], psi_flooding)
+            for argv in (["attack", "circuit"], psi_1_1)
             for bits in (-1, 62, "+3", "x")
         ),
     ):
@@ -333,11 +333,45 @@ def test_unknown_arguments_are_rejected(tmp_path, capsys):
         assert not out.exists(), argv
 
 
-def test_verbose_is_offered_only_where_it_prints(tmp_path):
-    for argv in (["attack", "cca", "--verbose"], ["psi", "--alice", "1", "--bob", "1", "--verbose"]):
-        assert cli.build_parser().parse_args(argv).verbose is True
-    assert run_cli(["keygen", "--verbose", "--out", tmp_path / "k"]) == 1
-    assert not (tmp_path / "k.sk.json").exists()
+def test_verbose_is_refused_by_every_command(tmp_path, capsys):
+    # reports and transcripts are files; their paths are always printed
+    files = ["--key", tmp_path / "k.json", "--in", tmp_path / "m.json"]
+    for argv in (
+        ["keygen"],
+        ["encrypt", *files],
+        ["decrypt", *files],
+        *(["attack", name] for name in ("cca", "bitleak", "circuit", "encoder")),
+        ["psi", "--alice", 1, "--bob", 1],
+    ):
+        assert run_cli([*argv, "--verbose", "--out", tmp_path / "o"]) == 1, argv
+        assert "unrecognized arguments: --verbose" in capsys.readouterr().err, argv
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_option_sets_are_pinned():
+    """Every option of every command; a flag added or dropped shows here."""
+    common = ["--d", "--out", "--params", "--q", "--seed", "--sigma", "--t"]
+    expected = {
+        "keygen": common,
+        "encrypt": ["--in", "--key", "--out", "--seed"],
+        "decrypt": ["--in", "--key", "--out"],
+        "attack cca": common,
+        "attack bitleak": common,
+        "attack circuit": sorted([*common, "--flood", "--trials"]),
+        "attack encoder": common,
+        "psi": sorted([*common, "--alice", "--bob", "--flood", "--index"]),
+    }
+
+    def commands(parser, prefix=""):
+        subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subparsers:
+            options = {o for a in parser._actions for o in a.option_strings}
+            yield prefix.strip(), sorted(options - {"-h", "--help"})
+        for action in subparsers:
+            for name, child in action.choices.items():
+                yield from commands(child, f"{prefix} {name}")
+
+    assert dict(commands(cli.build_parser())) == expected
 
 
 # --- pinned artifacts ------------------------------------------------------------------
@@ -387,13 +421,12 @@ def _seeded_artifacts(tmp_path):
         ("psi.honest", ["psi", "--seed", 8, "--alice", 5, "--bob", 5], 0),
         (
             "psi.flooding",
-            ["psi", "--seed", 8, "--alice", 5, "--bob", 6, "--strategy", "flooding"],
+            ["psi", "--seed", 8, "--alice", 5, "--bob", 6, "--flood", 30],
             0,
         ),
         (
             "psi.malicious-probe",
-            ["psi", "--seed", 8, "--alice", 5, "--bob", 0]
-            + ["--strategy", "malicious-probe", "--index", 3],
+            ["psi", "--seed", 8, "--alice", 5, "--bob", 0, "--index", 3],
             0,
         ),
     ):

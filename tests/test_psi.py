@@ -161,6 +161,9 @@ def test_frame_rejects_garbage():
     deep = b"[" * 100_000
     with pytest.raises(ProtocolError):
         decode_frame(len(deep).to_bytes(4, "big") + deep)
+    # a header past 2**28 is refused before the payload is compared with it
+    with pytest.raises(ProtocolError, match="exceeds the protocol maximum"):
+        decode_frame((2**28 + 1).to_bytes(4, "big") + frame[4:])
     # a frame that is not bytes used to raise TypeError
     for not_bytes in (frame.decode(), None, 7, list(frame)):
         with pytest.raises(ProtocolError, match="frame must be bytes"):

@@ -771,3 +771,6 @@ def test_misc_accessors():
     assert monomial(0, 0, 4, 97).is_zero()
     assert monomial(0, 99, 4, 97).to_coeff_list() == [2, 0, 0, 0]
     assert "Polynomial" in repr(p)
+    # comparing with a non-polynomial is left to Python: unequal, not an error
+    assert (Polynomial([1, 2], 7) == 3) is False
+    assert (Polynomial([1, 2], 7) != "x") is True
