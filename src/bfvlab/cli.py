@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import attacks, bfv, psi
-from .bfv import BfvParams, PARAM_SETS, get_params
+from .bfv import BfvParams, PARAM_SETS
 from .ring import _INT64_BUDGET
 
 __all__ = ["main"]
@@ -28,36 +28,31 @@ EXIT_FAILURE = 1
 EXIT_BLOCKED = 2
 
 
+def _params(spec: str) -> BfvParams:
+    """--params as a BfvParams: a set name, or D,Q,T[,SIGMA] with sigma 3.2 when left out."""
+    if spec in PARAM_SETS:
+        return PARAM_SETS[spec]
+    fields = spec.split(",")
+    if len(fields) not in (3, 4):
+        names = ", ".join(sorted(PARAM_SETS))
+        raise argparse.ArgumentTypeError(f"expected a set name ({names}) or D,Q,T[,SIGMA]: {spec}")
+    try:
+        return BfvParams(*map(int, fields[:3]), *map(float, fields[3:]))
+    except ValueError as exc:  # a field that is no number, or the parameters' own refusal
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_common_flags(parser: argparse.ArgumentParser, default_set: str) -> None:
     parser.add_argument(
         "--params",
-        metavar="NAME",
-        default=None,
-        help=f"named parameter set, one of: {', '.join(sorted(PARAM_SETS))} "
-        f"(default: {default_set})",
+        type=_params,
+        metavar="SET",
+        default=default_set,
+        help=f"a named set, one of: {', '.join(sorted(PARAM_SETS))}; or D,Q,T[,SIGMA], "
+        f"sigma 3.2 when left out (default: {default_set})",
     )
-    parser.add_argument("--d", type=int, help="ring degree (power of two); overrides --params")
-    parser.add_argument("--q", type=int, help="coefficient modulus; use with --d and --t")
-    parser.add_argument("--t", type=int, help="plaintext modulus; use with --d and --q")
-    parser.add_argument("--sigma", type=float, help="noise width with --d/--q/--t (default 3.2)")
     parser.add_argument("--seed", type=int, default=0, help="64-bit RNG seed (default 0)")
     parser.add_argument("--out", metavar="PATH", default=None, help="output path")
-    parser.set_defaults(default_set=default_set)
-
-
-def _resolve_config(args) -> BfvParams:
-    """The parameters the flags ask for: explicit --d/--q/--t, or a named set."""
-    explicit = [args.d, args.q, args.t]
-    if any(v is not None for v in explicit):
-        if any(v is None for v in explicit):
-            raise ValueError("explicit parameters need all of --d, --q and --t")
-        if args.params is not None:
-            raise ValueError("give either --params or explicit --d/--q/--t, not both")
-        sigma = BfvParams.sigma if args.sigma is None else args.sigma
-        return BfvParams(d=args.d, q=args.q, t=args.t, sigma=sigma)
-    if args.sigma is not None:
-        raise ValueError("--sigma needs explicit --d, --q and --t")
-    return get_params(args.params or args.default_set)
 
 
 def _flood_bound(bits: str) -> int:
@@ -79,8 +74,7 @@ def _read_json(path: Path):
 
 
 def _cmd_keygen(args) -> int:
-    params = _resolve_config(args)
-    sk, pk = bfv.keygen(params, np.random.default_rng(args.seed))
+    sk, pk = bfv.keygen(args.params, np.random.default_rng(args.seed))
     prefix = Path(args.out or "key")
     sk_path = prefix.with_name(prefix.name + ".sk.json")
     pk_path = prefix.with_name(prefix.name + ".pk.json")
@@ -112,19 +106,11 @@ def _cmd_decrypt(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    params = _resolve_config(args)
     rng = np.random.default_rng(args.seed)
+    # only circuit takes a flood bound and a trial count
+    options = {"flood_bound": args.flood, "trials": args.trials} if args.attack == "circuit" else {}
     start = time.perf_counter()
-    if args.attack == "cca":
-        report = attacks.run_cca_attack(params, rng)
-    elif args.attack == "bitleak":
-        report = attacks.run_bit_leak_attack(params, rng)
-    elif args.attack == "circuit":
-        report = attacks.run_circuit_privacy_attack(
-            params, rng, flood_bound=args.flood, trials=args.trials
-        )
-    else:
-        report = attacks.run_encoder_leak_demo(params, rng)
+    report = args.run(args.params, rng, **options)
     elapsed = time.perf_counter() - start
 
     out = Path(args.out or f"{args.attack}-report.json")
@@ -149,15 +135,18 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_psi(args) -> int:
-    params = _resolve_config(args)
+    if (args.bob is None) == (args.index is None):
+        raise ValueError("psi takes --bob, or --index in its place")
     if args.flood is not None:
         strategy = psi.Flooding(bound=args.flood)
     elif args.index is not None:
         strategy = psi.MaliciousBitProbe(index=args.index)
     else:
         strategy = psi.Honest()
+    # a probe never reads Bob's input, so it gets 0, as in psi.session_zero_check_oracle
+    m_b = 0 if args.bob is None else args.bob
     transcript = psi.run_session(
-        params, args.alice, args.bob, np.random.default_rng(args.seed), strategy=strategy
+        args.params, args.alice, m_b, np.random.default_rng(args.seed), strategy=strategy
     )
     out = Path(args.out or "psi-transcript.json")
     _write_json(out, transcript.to_json())
@@ -199,15 +188,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_attack = sub.add_parser("attack", help="run one of the attack demos")
     attack_sub = p_attack.add_subparsers(dest="attack", required=True, metavar="ATTACK")
-    for name, default_set, help_text in (
-        ("cca", "cca-1024", "one-query key recovery through a decryption oracle"),
-        ("bitleak", "bitleak-2048", "key recovery one bit per zero-check query"),
-        ("circuit", "psi-83", "recover Bob's input from an unflooded equality reply"),
-        ("encoder", "cca-1024", "integer-encoder sums that decrypt to more than the sum"),
+    for name, default_set, run, help_text in (
+        ("cca", "cca-1024", attacks.run_cca_attack,
+         "one-query key recovery through a decryption oracle"),
+        ("bitleak", "bitleak-2048", attacks.run_bit_leak_attack,
+         "key recovery one bit per zero-check query"),
+        ("circuit", "psi-83", attacks.run_circuit_privacy_attack,
+         "recover Bob's input from an unflooded equality reply"),
+        ("encoder", "cca-1024", attacks.run_encoder_leak_demo,
+         "integer-encoder sums that decrypt to more than the sum"),
     ):
         p_one = attack_sub.add_parser(name, help=help_text)
         _add_common_flags(p_one, default_set)
-        p_one.set_defaults(handler=_cmd_attack)
+        p_one.set_defaults(handler=_cmd_attack, run=run)
     p_circuit = attack_sub.choices["circuit"]
     p_circuit.add_argument(
         "--flood", type=_flood_bound, metavar="BITS", help="flood noise on [-2^BITS, 2^BITS]"
@@ -216,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_psi = sub.add_parser("psi", help="run the two-party equality protocol")
     p_psi.add_argument("--alice", type=int, required=True, help="Alice's integer input")
-    p_psi.add_argument("--bob", type=int, required=True, help="Bob's integer input")
+    p_psi.add_argument("--bob", type=int, help="Bob's integer input; not with --index")
     bob = p_psi.add_mutually_exclusive_group()
     bob.add_argument(
         "--flood",

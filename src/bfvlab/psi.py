@@ -286,16 +286,30 @@ class Transcript:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Transcript":
+        """The one transcript check: frame order, session ids, payload shapes,
+        and agreement between the result frame and the recorded outcome."""
         if not isinstance(obj, dict) or set(obj) != {"session_id", "frames", "outcome"}:
             raise ProtocolError("transcript must have session_id, frames and outcome")
         if not isinstance(obj["frames"], list):
             raise ProtocolError("transcript frames must be a list")
-        for frame in obj["frames"]:
-            _message(frame)
+        messages = [_message(frame) for frame in obj["frames"]]
         if not isinstance(obj["session_id"], str):
             raise ProtocolError("transcript session_id must be a string")
         if obj["outcome"] not in [outcome.value for outcome in Outcome]:
             raise ProtocolError(f"unknown outcome {obj['outcome']!r}")
+        kinds = [msg.kind for msg in messages]
+        if kinds != list(_KINDS):
+            raise ProtocolError(f"unexpected frame order {kinds}")
+        peer = None
+        for msg in messages[:-1]:
+            peer = _read_message(msg, msg.kind, obj["session_id"], peer)
+        result = messages[-1]
+        if result.session_id != obj["session_id"]:
+            raise ProtocolError("result message belongs to a different session")
+        if set(result.body) != {"outcome"}:
+            raise ProtocolError("result body must hold exactly the outcome")
+        if result.body["outcome"] != obj["outcome"]:
+            raise ProtocolError("result frame disagrees with the recorded outcome")
         return cls(obj["session_id"], obj["frames"], obj["outcome"])
 
 
@@ -329,24 +343,9 @@ def run_session(
 
 
 def verify_transcript(transcript: Transcript) -> Outcome:
-    """Re-check a stored transcript: frame order, session ids, payload shapes,
-    and agreement between the result frame and the recorded outcome."""
-    transcript = Transcript.from_json(transcript.to_json())  # the one transcript check
-    messages = [WireMessage(**frame) for frame in transcript.frames]
-    kinds = [msg.kind for msg in messages]
-    if kinds != list(_KINDS):
-        raise ProtocolError(f"unexpected frame order {kinds}")
-    peer = None
-    for msg in messages[:-1]:
-        peer = _read_message(msg, msg.kind, transcript.session_id, peer)
-    result = messages[-1]
-    if result.session_id != transcript.session_id:
-        raise ProtocolError("result message belongs to a different session")
-    if set(result.body) != {"outcome"}:
-        raise ProtocolError("result body must hold exactly the outcome")
-    if result.body["outcome"] != transcript.outcome:
-        raise ProtocolError("result frame disagrees with the recorded outcome")
-    return Outcome(transcript.outcome)
+    """Re-check a transcript through Transcript.from_json, as if it were loaded
+    from storage, and return its outcome."""
+    return Outcome(Transcript.from_json(transcript.to_json()).outcome)
 
 
 def session_zero_check_oracle(

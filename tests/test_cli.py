@@ -4,6 +4,9 @@ exit codes, and byte-level determinism of written artifacts."""
 import argparse
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +16,7 @@ from bfvlab import BfvParams, cli
 
 from conftest import make_rng
 
-SMALL = ["--d", "64", "--q", str(2**30), "--t", "256"]
+SMALL = ["--params", f"64,{2**30},256"]
 
 
 def run_cli(argv):
@@ -102,25 +105,44 @@ def test_malformed_inputs_exit_with_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_partial_custom_parameters_are_rejected(tmp_path, capsys):
-    rc = run_cli(["keygen", "--d", "64", "--seed", 1, "--out", tmp_path / "k"])
-    assert rc == 1
-    assert "error: explicit parameters need all of --d, --q and --t" in capsys.readouterr().err
-    argv = ["attack", "cca", "--params", "cca-1024", "--d", 8, "--q", 97, "--t", 7]
-    assert run_cli([*argv, "--out", tmp_path / "a"]) == 1
-    assert "error: give either --params or explicit --d/--q/--t, not both" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
 @pytest.mark.parametrize(
-    "argv",
-    [["attack", "cca", "--sigma", 50], ["keygen", "--params", "cca-1024", "--sigma", 50]],
-    ids=["attack-default-set", "keygen-named-set"],
+    "argv, message",
+    [
+        pytest.param(["keygen", "--d", 64], "unrecognized arguments: --d 64", id="d-flag"),
+        pytest.param(
+            ["attack", "cca", "--sigma", 50], "unrecognized arguments: --sigma 50", id="sigma-flag"
+        ),
+        *(
+            pytest.param(
+                ["attack", "cca", "--params", spec],
+                "argument --params: expected a set name (bitleak-2048, cca-1024, psi-83) "
+                f"or D,Q,T[,SIGMA]: {spec}",
+                id=name,
+            )
+            for name, spec in (
+                ("one-field", "64"),
+                ("two-fields", "64,97"),
+                ("five-fields", "8,97,7,1,2"),
+                ("unknown-name", "foo"),
+            )
+        ),
+        pytest.param(
+            ["keygen", "--params", "64,x,7"],
+            "argument --params: invalid literal for int() with base 10: 'x'",
+            id="not-a-number",
+        ),
+        # the parameters' own refusal is the message, unwrapped
+        pytest.param(
+            ["keygen", "--params", "63,97,7"],
+            "argument --params: ring degree must be a power of two, at least 2, not 63",
+            id="ring-degree",
+        ),
+    ],
 )
-def test_sigma_without_explicit_parameters_is_rejected(tmp_path, capsys, argv):
-    # a named set fixes sigma; --sigma used to be dropped with exit 0
+def test_bad_parameters_are_refused(tmp_path, capsys, argv, message):
+    # one --params value carries the set; there are no flags to disagree with it
     assert run_cli([*argv, "--out", tmp_path / "out"]) == 1
-    assert "error: --sigma needs explicit --d, --q and --t" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -143,7 +165,7 @@ def test_attack_cca_report_and_determinism(tmp_path):
 
 def test_explicit_flags_equal_to_a_set_get_its_name(tmp_path):
     out = tmp_path / "cca.json"
-    argv = ["attack", "cca", "--d", 1024, "--q", 2**54, "--t", 256, "--out", out]
+    argv = ["attack", "cca", "--params", f"1024,{2**54},256", "--out", out]
     assert run_cli(argv) == 0
     assert json.loads(out.read_text())["parameter_set"]["name"] == "cca-1024"
 
@@ -159,14 +181,14 @@ def test_attack_bitleak_small_parameters(tmp_path):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_attack_bitleak_wide_noise(tmp_path, seed):
     out = tmp_path / "bitleak.json"
-    argv = ["--d", 1024, "--q", 2**54, "--t", 256, "--sigma", 16, "--seed", seed]
+    argv = ["--params", f"1024,{2**54},256,16", "--seed", seed]
     assert run_cli(["attack", "bitleak", *argv, "--out", out]) == 0
     assert json.loads(out.read_text())["success"] is True
 
 
 def test_attack_bitleak_refuses_unsound_parameters(tmp_path, capsys):
     out = tmp_path / "bitleak.json"
-    argv = ["--d", 64, "--q", 2**20, "--t", 256, "--sigma", 200]
+    argv = ["--params", f"64,{2**20},256,200"]
     assert run_cli(["attack", "bitleak", *argv, "--out", out]) == 1
     err = capsys.readouterr().err
     assert "error: probe amplitude M + tail = 3425 misses the decrypt margin" in err
@@ -242,8 +264,6 @@ def test_psi_malicious_probe_reports_key_bit(tmp_path, capsys):
             13,
             "--alice",
             9,
-            "--bob",
-            0,
             "--index",
             5,
             "--out",
@@ -287,7 +307,7 @@ def test_psi_flooding_strategy(tmp_path, capsys):
 
 def test_psi_refuses_parameters_an_honest_reply_can_miss(tmp_path, capsys):
     out = tmp_path / "t.json"
-    argv = ["psi", "--d", 8, "--q", 97, "--t", 7, "--alice", 1, "--bob", 1, "--out", out]
+    argv = ["psi", "--params", "8,97,7", "--alice", 1, "--bob", 1, "--out", out]
     assert run_cli(argv) == 1
     assert "error: honest reply noise = 987 misses the decrypt margin" in capsys.readouterr().err
     assert not out.exists()
@@ -318,8 +338,13 @@ def test_unknown_arguments_are_rejected(tmp_path, capsys):
         (["attack", "bitleak", *SMALL, "--trials", 5], "unrecognized arguments: --trials"),
         # Bob's strategy follows from --flood or --index, never both
         ([*psi_1_1, "--strategy", "flooding"], "unrecognized arguments: --strategy"),
-        ([*psi_1_1, "--flood", 3, "--index", 7], "argument --index: not allowed with argument"),
-        ([*psi_1_1, "--index", 7, "--flood", 3], "argument --flood: not allowed with argument"),
+        (["psi", "--alice", 1, "--flood", 3, "--index", 7], "argument --index: not allowed with"),
+        (["psi", "--alice", 1, "--index", 7, "--flood", 3], "argument --flood: not allowed with"),
+        # Bob's input is his reply's, unless --index replaces the reply
+        (["psi", "--alice", 1], "error: psi takes --bob, or --index in its place"),
+        # 300 is no psi-83 input, but the refusal comes first and names the flags
+        (["psi", "--alice", 1, "--bob", 300, "--index", 5], "error: psi takes --bob, or --index"),
+        (["psi", "--alice", 1, "--flood", 3], "error: psi takes --bob, or --index in its place"),
         # a negative BITS used to fail as "negative shift count", naming no flag;
         # anything but a decimal integer below 62 gets the one message
         *(
@@ -331,6 +356,19 @@ def test_unknown_arguments_are_rejected(tmp_path, capsys):
         assert run_cli([*argv, "--out", out]) == 1, argv
         assert message in capsys.readouterr().err, argv
         assert not out.exists(), argv
+
+
+def test_readme_commands_parse():
+    """Every bfvlab line in README's sh blocks parses; none is run."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("bfvlab ")]
+    assert lines
+    for line in lines:
+        try:
+            cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_verbose_is_refused_by_every_command(tmp_path, capsys):
@@ -350,7 +388,7 @@ def test_verbose_is_refused_by_every_command(tmp_path, capsys):
 
 def test_option_sets_are_pinned():
     """Every option of every command; a flag added or dropped shows here."""
-    common = ["--d", "--out", "--params", "--q", "--seed", "--sigma", "--t"]
+    common = ["--out", "--params", "--seed"]
     expected = {
         "keygen": common,
         "encrypt": ["--in", "--key", "--out", "--seed"],
@@ -426,7 +464,7 @@ def _seeded_artifacts(tmp_path):
         ),
         (
             "psi.malicious-probe",
-            ["psi", "--seed", 8, "--alice", 5, "--bob", 0, "--index", 3],
+            ["psi", "--seed", 8, "--alice", 5, "--index", 3],
             0,
         ),
     ):

@@ -86,7 +86,7 @@ def run_cli(work) -> tuple[list[int], dict[str, bytes]]:
     work: their exit codes and the bytes of every file in work afterwards."""
     work.mkdir()
     (work / "m.json").write_text(json.dumps([1, -2, 3, 0, 5]))
-    explicit = ["--d", "16", "--q", str(2**16 + 1), "--t", "16"]
+    explicit = ["--params", f"16,{2**16 + 1},16"]
     key, m, ct, out, cca, encoder = (
         str(work / name) for name in ("alice", "m.json", "ct.json", "out.json", "cca.json", "encoder.json")
     )
